@@ -77,10 +77,6 @@ class AggregatorConfig:
         for name in ("context_dim", "motion_dim", "qk_dim", "disp_dim", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.disable_local and self.disable_global and not self.plain_aggregator:
-            # Legal, but the module reduces to the gate acting on
-            # norm_act_head(y); nothing forbids it.
-            pass
 
 
 @dataclass(frozen=True)

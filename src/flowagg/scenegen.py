@@ -262,10 +262,6 @@ def _occlude_local(geo: _Geometry, cfg: SceneConfig,
     if target == 0:
         return mask
     nbrs = _neighbor_table(geo.frame1, cfg.constraint_k)
-    # Full per-point neighbour order (nearest first, ties by index), for
-    # growing clumps outward from a candidate.
-    d2_all = ((geo.frame1[:, None, :] - geo.frame1[None, :, :]) ** 2).sum(axis=2)
-    by_dist = np.lexsort((np.tile(np.arange(n), (n, 1)), d2_all), axis=1)
 
     def all_constrained() -> bool:
         occluded = np.flatnonzero(mask)
@@ -279,14 +275,13 @@ def _occlude_local(geo: _Geometry, cfg: SceneConfig,
             break
         if mask[c]:
             continue
-        room = target - taken
+        grow = min(cfg.occlusion_clump, target - taken) - 1
         clump = [c]
-        for j in by_dist[c]:
-            if len(clump) == min(cfg.occlusion_clump, room):
-                break
-            j = int(j)
-            if j != c and not mask[j]:
-                clump.append(j)
+        if grow:
+            # Grow outward from c: nearest free points first, ties by index.
+            d2 = ((geo.frame1[c] - geo.frame1) ** 2).sum(axis=1)
+            order = np.argsort(d2, kind="stable")
+            clump += order[(order != c) & ~mask[order]][:grow].tolist()
         mask[clump] = True
         if all_constrained():
             taken += len(clump)

@@ -1,5 +1,7 @@
 """Command line driver: outputs, exit codes, determinism."""
 
+import hashlib
+import os
 import subprocess
 import sys
 
@@ -16,6 +18,12 @@ from flowagg.cli import (
 )
 from flowagg.containers import read_container, write_container
 from flowagg.scenegen import SCENE_TENSORS
+
+ABLATION_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "ablation_local.cfg")
+# SHA-256 of `flowagg gen` on ablation_local.cfg (clumps of 8 at N=200).
+# golden_checksums.txt pins only occlusion_local.cfg, whose clumps are 1.
+ABLATION_SCENE_SHA256 = "2366723142f5d69eee8660e8373b4eea9977c9d0dd17b62e05d6641e8c742e95"
 
 LIGHT_CFG = """
 scene.n_clusters = 2
@@ -58,6 +66,12 @@ def test_gen_is_byte_identical_across_runs(tmp_path, light_cfg):
     main(["gen", "--config", light_cfg, "--out", str(a)])
     main(["gen", "--config", light_cfg, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_clumped_scene_matches_pinned_digest(tmp_path):
+    out = tmp_path / "scene.gtc"
+    assert main(["gen", "--config", ABLATION_CFG, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ABLATION_SCENE_SHA256
 
 
 def test_train_writes_report_and_params(tmp_path, light_cfg, capsys):

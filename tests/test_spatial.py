@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from flowagg import spatial
 from flowagg.spatial import PointCloud, brute_force_knn, fps, knn
 
 
@@ -39,9 +40,56 @@ def test_kdtree_agrees_with_brute_force_exactly():
     for seed in range(5):
         c = _random_cloud(seed, 120)
         a = knn(c, c, k=8, method="kdtree")
-        b = brute_force_knn(c, c, k=8)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.sq_dists, b.sq_dists)
+        for b in (brute_force_knn(c, c, k=8), knn(c, c, k=8)):  # the default route
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_array_equal(a.sq_dists, b.sq_dists)
+
+
+def _scan_cases():
+    rng = np.random.default_rng(7)
+    cloud = rng.normal(size=(50, 3))
+    rounded = np.round(rng.uniform(0, 2, size=(50, 3)))
+    same = np.ones((50, 3))
+    other = rng.normal(size=(23, 3))
+    # (name, query, reference (None: the query cloud itself), k, include_self)
+    return [
+        ("random", cloud, None, 6, False),
+        ("rounded", rounded, None, 16, False),
+        ("all_identical", same, None, 7, False),
+        ("all_identical_k_all", same, None, 49, False),
+        ("k_all_others", cloud, None, 49, False),
+        ("k_all_with_self", rounded, None, 50, True),
+        ("include_self", rounded, None, 5, True),
+        ("cross_cloud", other, cloud, 9, False),
+        ("cross_cloud_k_all", np.round(other), rounded, 50, False),
+    ]
+
+
+@pytest.mark.parametrize("case", _scan_cases(), ids=lambda c: c[0])
+def test_blocked_scan_matches_loop_and_tree(case, monkeypatch):
+    # 7 rows of 50 per block: N=50 spans seven full blocks and a partial one.
+    monkeypatch.setattr(spatial, "SCAN_BLOCK_PAIRS", 7 * 50 + 3)
+    _, qry, ref, k, include_self = case
+    q = _cloud(qry)
+    r = q if ref is None else _cloud(ref)
+    got = brute_force_knn(q, r, k, include_self=include_self)
+    idx, d2 = oracles.knn_scan(q.points, r.points, k, include_self=include_self)
+    tree = knn(q, r, k, include_self=include_self, method="kdtree")
+    for want_idx, want_d2 in ((idx, d2), (tree.indices, tree.sq_dists)):
+        np.testing.assert_array_equal(got.indices, want_idx)
+        assert got.sq_dists.tobytes() == want_d2.tobytes()
+
+
+def test_scan_excludes_self_when_distances_overflow():
+    # Every squared distance overflows to +inf, so all candidates tie;
+    # the query point itself must still not be listed.
+    c = _cloud([[0.0, 0, 0], [2e200, 0, 0], [4e200, 0, 0]])
+    with np.errstate(over="ignore"):
+        got = knn(c, c, k=2)
+        tree = knn(c, c, k=2, method="kdtree")
+    np.testing.assert_array_equal(got.indices, [[1, 2], [0, 2], [0, 1]])
+    np.testing.assert_array_equal(got.indices, tree.indices)
+    assert np.isposinf(got.sq_dists).all()
 
 
 def test_duplicate_points_tie_break_by_index():
