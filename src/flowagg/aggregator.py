@@ -227,11 +227,13 @@ def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
     set; rows pass through a softmax. With use_weight_mlp, each weight is
     additionally mapped through a small MLP whose output goes through a
     softplus (keeping it positive), and rows are renormalized to sum 1.
+
+    Logits, scale and softmax are one fused tape node
+    (:func:`.tensor.attention_weights`), so the tape holds a single N x N
+    array for them: the weights.
     """
-    logits = T.matmul(q, T.transpose2(k))
-    if config.scale_logits:
-        logits = T.scale(logits, 1.0 / np.sqrt(q.data.shape[1]))
-    w = T.softmax_rows(logits)
+    c = 1.0 / np.sqrt(q.data.shape[1]) if config.scale_logits else None
+    w = T.attention_weights(q, k, c)
     if config.use_weight_mlp:
         if params.weight_mlp is None:
             raise ShapeError("use_weight_mlp is set but params carry no weight_mlp")

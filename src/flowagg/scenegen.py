@@ -376,27 +376,34 @@ def verify_scene(scene: SyntheticScene, cfg: SceneConfig) -> None:
     constraint_k-neighbour; global: occluded points have none).
     """
     warped = scene.frame1.points + scene.gt_flow.vectors
-    f2 = scene.frame2.points
-    for i in range(len(scene)):
-        d2 = ((f2 - warped[i]) ** 2).sum(axis=1)
-        nearest = float(np.sqrt(d2.min())) if d2.size else float("inf")
-        if scene.occlusion_mask[i]:
-            if nearest <= cfg.r_match:
-                raise GenerationError(
-                    f"occluded point {i} still has a counterpart at {nearest:.2e} m")
-        elif nearest >= 1e-9:
+    mask = scene.occlusion_mask
+    if len(scene.frame2):
+        nearest = np.sqrt(brute_force_knn(PointCloud(warped), scene.frame2, 1).sq_dists[:, 0])
+    else:
+        nearest = np.full(len(scene), np.inf)
+    bad = np.flatnonzero(np.where(mask, nearest <= cfg.r_match, nearest >= 1e-9))
+    if bad.size:
+        i = int(bad[0])
+        if mask[i]:
             raise GenerationError(
-                f"non-occluded point {i} lost its counterpart (nearest {nearest:.2e} m)")
-    if scene.occlusion_mask.any() and cfg.occlusion_mode in ("local", "global"):
+                f"occluded point {i} still has a counterpart at {nearest[i]:.2e} m")
+        raise GenerationError(
+            f"non-occluded point {i} lost its counterpart (nearest {nearest[i]:.2e} m)")
+    if mask.any() and cfg.occlusion_mode in ("local", "global"):
         nbrs = _neighbor_table(scene.frame1.points, cfg.constraint_k)
-        for i in np.flatnonzero(scene.occlusion_mask):
-            visible = (~scene.occlusion_mask[nbrs[i]]).sum()
-            if cfg.occlusion_mode == "local" and visible == 0:
+        occluded = np.flatnonzero(mask)
+        visible = (~mask[nbrs[occluded]]).sum(axis=1)
+        if cfg.occlusion_mode == "local":
+            bad = np.flatnonzero(visible == 0)
+            if bad.size:
                 raise GenerationError(
-                    f"local mode: occluded point {i} has no visible neighbour")
-            if cfg.occlusion_mode == "global" and visible != 0:
+                    f"local mode: occluded point {occluded[bad[0]]} has no visible neighbour")
+        else:
+            bad = np.flatnonzero(visible != 0)
+            if bad.size:
                 raise GenerationError(
-                    f"global mode: occluded point {i} has {visible} visible neighbours")
+                    f"global mode: occluded point {occluded[bad[0]]} has "
+                    f"{visible[bad[0]]} visible neighbours")
 
 
 def _group_of(cluster_id: np.ndarray, cfg: SceneConfig) -> np.ndarray:

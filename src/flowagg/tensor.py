@@ -346,10 +346,26 @@ def gather_rows(a, idx) -> Tensor:
     return out
 
 
+def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:
+    """Max-shifted row softmax written over `w`, which is returned."""
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
 def _softmax_rows_data(m: np.ndarray) -> np.ndarray:
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_rows_inplace(m.copy())
+
+
+def _softmax_rows_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(g - rowsum(g * w)) * w in a fresh array; `g` is left untouched,
+    since ``add``'s backward hands one gradient array to both inputs."""
+    out = g * w
+    inner = out.sum(axis=1, keepdims=True)
+    np.subtract(g, inner, out=out)
+    out *= w
+    return out
 
 
 def softmax_rows(m) -> Tensor:
@@ -365,10 +381,45 @@ def softmax_rows(m) -> Tensor:
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None:
+        tape.record("softmax_rows", (m,), out, lambda: _softmax_rows_data(md),
+                    lambda g: (_softmax_rows_grad(g, out_data),))
+    return out
+
+
+def _attention_weights_data(qd: np.ndarray, kt: np.ndarray, c: float | None) -> np.ndarray:
+    w = qd @ kt
+    if c is not None:
+        w *= c
+    return _softmax_rows_inplace(w)
+
+
+def attention_weights(q, k, c: float | None = None) -> Tensor:
+    """softmax_rows(scale(matmul(q, transpose2(k)), c)) as one tape node.
+
+    The scale is skipped when `c` is None. The N x M result is built in a
+    single buffer, and the node keeps only it, q and k transposed, where
+    the four-op chain keeps the logits, the scaled logits and the weights.
+    Forward and gradients repeat that chain's expressions in its order,
+    so both are bit-identical to it, also when q and k are one tensor.
+    """
+    q, k = _as_tensor(q), _as_tensor(k)
+    qd, kd = q.data, k.data
+    if qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1]:
+        raise ShapeError(f"attention_weights: incompatible shapes {qd.shape} and {kd.shape}")
+    c = None if c is None else float(c)
+    kt = np.ascontiguousarray(kd.T)
+    out_data = _attention_weights_data(qd, kt, c)
+    out = Tensor(out_data)
+    tape = _active_tape()
+    if tape is not None:
         def backward_fn(g):
-            inner = (g * out_data).sum(axis=1, keepdims=True)
-            return ((g - inner) * out_data,)
-        tape.record("softmax_rows", (m,), out, lambda: _softmax_rows_data(md), backward_fn)
+            gl = _softmax_rows_grad(g, out_data)
+            if c is not None:
+                gl *= c
+            return (gl @ kt.T, np.ascontiguousarray((qd.T @ gl).T))
+        tape.record("attention_weights", (q, k), out,
+                    lambda: _attention_weights_data(qd, np.ascontiguousarray(kd.T), c),
+                    backward_fn)
     return out
 
 

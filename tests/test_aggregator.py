@@ -287,6 +287,16 @@ def test_shared_projection_accumulates_query_and_key_gradients():
     assert np.abs(g).max() > 0.0
 
 
+def test_global_route_tapes_one_n_by_n_array():
+    n = 9
+    params, cloud, feats, nbrs = _instance(4, n, alpha=0.3)
+    with Tape() as tape:
+        _, amap = forward(params, cloud, feats, nbrs, SMALL)
+    square = [node for node in tape.nodes if node.output.shape == (n, n)]
+    assert len(square) == 1
+    assert amap.global_weights is square[0].output.data
+
+
 def test_downstream_features_concatenate():
     params, cloud, feats, nbrs = _instance(16, 5, alpha=0.1)
     out, _ = forward(params, cloud, feats, nbrs, SMALL)

@@ -125,6 +125,34 @@ def test_verify_scene_rejects_corrupted_flow():
         verify_scene(dataclasses.replace(s, gt_flow=FlowField(bad_flow)), cfg)
 
 
+def test_verify_scene_names_the_lowest_offending_point():
+    cfg = _cfg(occlusion_fraction=0.2, occlusion_mode="local")
+    s = generate_scene(cfg)
+    visible = np.flatnonzero(~s.occlusion_mask)
+    bad_flow = s.gt_flow.vectors.copy()
+    bad_flow[visible[[5, 2]]] += 0.05
+    bad = dataclasses.replace(s, gt_flow=FlowField(bad_flow))
+    with pytest.raises(GenerationError, match=f"non-occluded point {visible[2]} lost"):
+        verify_scene(bad, cfg)
+    bad_mask = s.occlusion_mask.copy()
+    bad_mask[visible[1]] = True
+    with pytest.raises(GenerationError, match=f"^occluded point {visible[1]} still"):
+        verify_scene(dataclasses.replace(bad, occlusion_mask=bad_mask), cfg)
+
+    # Each mode's scene breaks the other mode's neighbour invariant.
+    first = np.flatnonzero(s.occlusion_mask)[0]
+    nbrs = oracles.knn_scan(s.frame1.points, s.frame1.points, cfg.constraint_k)[0]
+    seen = int((~s.occlusion_mask[nbrs[first]]).sum())
+    with pytest.raises(GenerationError,
+                       match=f"global mode: occluded point {first} has {seen} visible"):
+        verify_scene(s, dataclasses.replace(cfg, occlusion_mode="global"))
+    gcfg = _cfg(**GLOBAL_KW)
+    g = generate_scene(gcfg)
+    first = np.flatnonzero(g.occlusion_mask)[0]
+    with pytest.raises(GenerationError, match=f"local mode: occluded point {first} has no"):
+        verify_scene(g, dataclasses.replace(gcfg, occlusion_mode="local"))
+
+
 def test_context_is_scaled_group_indicator():
     cfg = _cfg(context_scale=4.0)
     s = generate_scene(cfg)

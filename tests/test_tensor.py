@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from flowagg import tensor as T
+from flowagg.aggregator import AggregatorConfig, FeatureSet, forward, init_params
+from flowagg.spatial import PointCloud, knn
 from flowagg.tensor import (
     MlpParams,
     NormActParams,
@@ -230,6 +232,57 @@ def test_grad_softmax_rows():
         lambda t: T.reduce_sum(T.mul(T.softmax_rows(t), tensor(w))), x)
 
 
+def _attention_chain(q, k, c):
+    logits = T.matmul(q, T.transpose2(k))
+    if c is not None:
+        logits = T.scale(logits, c)
+    return T.softmax_rows(logits)
+
+
+@pytest.mark.parametrize("n", [7, 300])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("c", [None, 1.0 / np.sqrt(5)])
+def test_attention_weights_bitwise_equals_four_op_chain(n, shared, c):
+    rng = np.random.default_rng(n)
+    qd = rng.normal(size=(n, 5))
+    kd = qd if shared else rng.normal(size=(n + 3, 5))
+    upstream = rng.normal(size=(n, kd.shape[0]))
+    results = []
+    for op in (T.attention_weights, _attention_chain):
+        q = tensor(qd, trainable=True)
+        k = q if shared else tensor(kd, trainable=True)
+        with Tape() as tape:
+            w = op(q, k, c)
+            loss = T.reduce_sum(T.mul(w, tensor(upstream)))
+        grads = backward(tape, loss)
+        results.append([w.data.tobytes(), grads.wrt(q).tobytes(), grads.wrt(k).tobytes()])
+    assert results[0] == results[1]
+
+
+def test_grad_attention_weights():
+    rng = np.random.default_rng(17)
+    q = rng.normal(size=(4, 3))
+    k = rng.normal(size=(5, 3))
+    w = rng.normal(size=(4, 5))
+    _assert_grads_match(
+        lambda tq, tk: T.reduce_sum(T.mul(T.attention_weights(tq, tk, 0.7), tensor(w))), q, k)
+    _assert_grads_match(
+        lambda t: T.reduce_sum(T.mul(T.attention_weights(t, t), tensor(w[:, :4]))), q)
+
+
+def test_softmax_backward_leaves_incoming_gradient_untouched():
+    # add's backward hands one gradient array to both of its inputs.
+    rng = np.random.default_rng(18)
+    x = tensor(rng.normal(size=(6, 3)), trainable=True)
+    for build in (lambda: T.attention_weights(x, x, 0.5), lambda: T.softmax_rows(x)):
+        with Tape() as tape:
+            out = build()
+        g = rng.normal(size=out.shape)
+        before = g.tobytes()
+        tape.nodes[-1].backward_fn(g)
+        assert g.tobytes() == before
+
+
 def test_grad_norm_head_full():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(6, 3))
@@ -304,8 +357,19 @@ def test_replay_reproduces_outputs_bitwise():
     with Tape() as tape:
         out = T.reduce_sum(T.softmax_rows(T.matmul(a, T.transpose2(a))))
     before = out.data.tobytes()
-    tape.replay()
+    assert tape.replay()
     assert out.data.tobytes() == before
+
+    # A full pass with the global route on replays the fused weights node.
+    cfg = AggregatorConfig(context_dim=4, motion_dim=4, qk_dim=3, disp_dim=2, k=3)
+    params = init_params(cfg, seed=14)
+    params.alpha = tensor(0.5, trainable=True)
+    cloud = PointCloud(rng.normal(size=(12, 3)))
+    feats = FeatureSet(rng.normal(size=(12, 4)), rng.normal(size=(12, 4)))
+    with Tape() as tape:
+        forward(params, cloud, feats, knn(cloud, cloud, cfg.k), cfg)
+    assert "attention_weights" in [node.op for node in tape.nodes]
+    assert tape.replay()
 
 
 def test_tensor_factory_rejects_nonfinite():
