@@ -210,11 +210,13 @@ def project_qkv(params: AggregatorParams, feats: FeatureSet,
 
     The query and key projections share one weight matrix, so the returned
     q and k are the same tensor (one matmul, gradients from both uses
-    accumulate on it). v applies the motion-feature projection.
+    accumulate on it). With raw_context_logits, q and k are the context
+    features themselves and the shared projection is skipped. v applies
+    the motion-feature projection.
     """
     _check_dims(params, feats, config)
     x = T.tensor(feats.context)
-    qk = T.matmul(x, params.qk_proj)
+    qk = x if config.raw_context_logits else T.matmul(x, params.qk_proj)
     v = T.matmul(T.tensor(feats.motion), params.v_proj)
     return qk, qk, v
 
@@ -326,13 +328,7 @@ def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet,
     n = len(feats)
     if n < 2:
         raise ShapeError("forward needs at least 2 points (normalization head)")
-    if config.raw_context_logits:
-        _check_dims(params, feats, config)
-        x = T.tensor(feats.context)
-        q = k = x
-        v = T.matmul(T.tensor(feats.motion), params.v_proj)
-    else:
-        q, k, v = project_qkv(params, feats, config)
+    q, k, v = project_qkv(params, feats, config)
     y = T.tensor(feats.motion)
     dm = config.motion_dim
 

@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, parse_config_file, render_config
+from .config import ConfigError, RunConfig, config_defaults, parse_config_file
 from .containers import ContainerError, read_container, write_container
 from .metrics import FlowField, evaluate_split
 from .scenegen import (GenerationError, SyntheticScene, generate_scene,
@@ -125,7 +125,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_defaults(args) -> int:
-    print(render_config(RunConfig()), end="")
+    print(config_defaults(), end="")
     return EXIT_OK
 
 

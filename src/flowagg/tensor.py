@@ -5,10 +5,12 @@ composes.
 Values live in :class:`Tensor`, a thin wrapper over a C-contiguous float64
 numpy array. Operations are plain functions. While a :class:`Tape` is
 active (``with Tape() as tape:``) every operation appends a node recording
-its inputs, a closure that recomputes the forward value, and a closure
-that maps an output gradient to input gradients. ``backward(tape, loss)``
-then runs reverse accumulation and returns exact gradients for every
-tensor created with ``trainable=True``.
+its inputs, the closure that computed its output (``Tape.replay`` runs it
+again), and a closure that maps an output gradient to input gradients.
+Every operation builds its node through one helper, ``_record``, so its
+forward expression is written once. ``backward(tape, loss)`` then runs
+reverse accumulation and returns exact gradients for every tensor created
+with ``trainable=True``.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -141,16 +143,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _elementwise(op, a: Tensor, b: Tensor, fn, da, db) -> Tensor:
-    ad, bd = a.data, b.data
-    out = Tensor(fn(ad, bd))
+def _record(op: str, inputs: tuple[Tensor, ...], fwd: Callable[[], np.ndarray],
+            bwd: Callable[[np.ndarray, np.ndarray], tuple]) -> Tensor:
+    """Compute ``y = fwd()`` and wrap it in a Tensor. While a tape is
+    active, append a node whose replay closure is `fwd` itself and whose
+    backward maps an output gradient g to ``bwd(g, y)``."""
+    y = fwd()
+    out = Tensor(y)
     tape = _active_tape()
     if tape is not None:
-        def backward_fn(g):
-            return (_unbroadcast(da(g, ad, bd), ad.shape),
-                    _unbroadcast(db(g, ad, bd), bd.shape))
-        tape.record(op, (a, b), out, lambda: fn(ad, bd), backward_fn)
+        tape.record(op, inputs, out, fwd, lambda g: bwd(g, y))
     return out
+
+
+def _elementwise(op, a: Tensor, b: Tensor, fn, da, db) -> Tensor:
+    ad, bd = a.data, b.data
+    return _record(op, (a, b), lambda: fn(ad, bd),
+                   lambda g, y: (_unbroadcast(da(g, ad, bd), ad.shape),
+                                 _unbroadcast(db(g, ad, bd), bd.shape)))
 
 
 def add(a, b) -> Tensor:
@@ -176,55 +186,33 @@ def div(a, b) -> Tensor:
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    out = Tensor(-ad)
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("neg", (a,), out, lambda: -ad, lambda g: (-g,))
-    return out
+    return _record("neg", (a,), lambda: -ad, lambda g, y: (-g,))
 
 
 def scale(a, c: float) -> Tensor:
     """Multiply by a python-float constant (no gradient for the constant)."""
     a = _as_tensor(a)
     ad, c = a.data, float(c)
-    out = Tensor(ad * c)
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("scale", (a,), out, lambda: ad * c, lambda g: (g * c,))
-    return out
+    return _record("scale", (a,), lambda: ad * c, lambda g, y: (g * c,))
 
 
 def add_const(a, c: float) -> Tensor:
     a = _as_tensor(a)
     ad, c = a.data, float(c)
-    out = Tensor(ad + c)
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("add_const", (a,), out, lambda: ad + c, lambda g: (g,))
-    return out
+    return _record("add_const", (a,), lambda: ad + c, lambda g, y: (g,))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    out = Tensor(np.maximum(ad, 0.0))
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("relu", (a,), out, lambda: np.maximum(ad, 0.0),
-                    lambda g: (g * (ad > 0.0),))
-    return out
+    return _record("relu", (a,), lambda: np.maximum(ad, 0.0),
+                   lambda g, y: (g * (ad > 0.0),))
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    out_data = np.sqrt(ad)
-    out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("sqrt", (a,), out, lambda: np.sqrt(ad),
-                    lambda g: (g * 0.5 / out_data,))
-    return out
+    return _record("sqrt", (a,), lambda: np.sqrt(ad), lambda g, y: (g * 0.5 / y,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -236,12 +224,8 @@ def softplus(a) -> Tensor:
     """log(1 + exp(x)), overflow-safe; strictly positive output."""
     a = _as_tensor(a)
     ad = a.data
-    out = Tensor(np.logaddexp(0.0, ad))
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("softplus", (a,), out, lambda: np.logaddexp(0.0, ad),
-                    lambda g: (g * _sigmoid(ad),))
-    return out
+    return _record("softplus", (a,), lambda: np.logaddexp(0.0, ad),
+                   lambda g, y: (g * _sigmoid(ad),))
 
 
 def matmul(a, b) -> Tensor:
@@ -250,12 +234,7 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
-    out = Tensor(ad @ bd)
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("matmul", (a, b), out, lambda: ad @ bd,
-                    lambda g: (g @ bd.T, ad.T @ g))
-    return out
+    return _record("matmul", (a, b), lambda: ad @ bd, lambda g, y: (g @ bd.T, ad.T @ g))
 
 
 def transpose2(a) -> Tensor:
@@ -263,13 +242,8 @@ def transpose2(a) -> Tensor:
     ad = a.data
     if ad.ndim != 2:
         raise ShapeError(f"transpose2 expects rank 2, got shape {ad.shape}")
-    out = Tensor(np.ascontiguousarray(ad.T))
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("transpose2", (a,), out,
-                    lambda: np.ascontiguousarray(ad.T),
-                    lambda g: (np.ascontiguousarray(g.T),))
-    return out
+    return _record("transpose2", (a,), lambda: np.ascontiguousarray(ad.T),
+                   lambda g, y: (np.ascontiguousarray(g.T),))
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
@@ -278,51 +252,32 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != ad.size:
         raise ShapeError(f"reshape: cannot view {ad.shape} as {shape}")
-    out = Tensor(np.ascontiguousarray(ad.reshape(shape)))
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("reshape", (a,), out,
-                    lambda: np.ascontiguousarray(ad.reshape(shape)),
-                    lambda g: (g.reshape(ad.shape),))
-    return out
+    return _record("reshape", (a,), lambda: np.ascontiguousarray(ad.reshape(shape)),
+                   lambda g, y: (g.reshape(ad.shape),))
 
 
 def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    out = Tensor(ad.sum(axis=axis, keepdims=keepdims))
-    tape = _active_tape()
-    if tape is not None:
-        def backward_fn(g):
-            if axis is None:
-                return (np.broadcast_to(g, ad.shape).copy(),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, ad.shape).copy(),)
-        tape.record("reduce_sum", (a,), out,
-                    lambda: ad.sum(axis=axis, keepdims=keepdims), backward_fn)
-    return out
+
+    def bwd(g, y):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, ad.shape).copy(),)
+    return _record("reduce_sum", (a,), lambda: ad.sum(axis=axis, keepdims=keepdims), bwd)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate rank-2 tensors along columns."""
-    parts = [_as_tensor(p) for p in parts]
+    parts = tuple(_as_tensor(p) for p in parts)
     datas = [p.data for p in parts]
     rows = {d.shape[0] for d in datas}
     if any(d.ndim != 2 for d in datas) or len(rows) != 1:
         raise ShapeError(f"concat_cols: incompatible shapes {[d.shape for d in datas]}")
-    out = Tensor(np.concatenate(datas, axis=1))
-    tape = _active_tape()
-    if tape is not None:
-        widths = [d.shape[1] for d in datas]
-        def backward_fn(g):
-            grads, at = [], 0
-            for w in widths:
-                grads.append(np.ascontiguousarray(g[:, at:at + w]))
-                at += w
-            return tuple(grads)
-        tape.record("concat_cols", tuple(parts), out,
-                    lambda: np.concatenate(datas, axis=1), backward_fn)
-    return out
+    cuts = np.cumsum([d.shape[1] for d in datas])[:-1]
+    return _record("concat_cols", parts, lambda: np.concatenate(datas, axis=1),
+                   lambda g, y: tuple(np.ascontiguousarray(gp)
+                                      for gp in np.split(g, cuts, axis=1)))
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -335,15 +290,12 @@ def gather_rows(a, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= ad.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {ad.shape[0]} rows")
-    out = Tensor(ad[idx])
-    tape = _active_tape()
-    if tape is not None:
-        def backward_fn(g):
-            acc = np.zeros_like(ad)
-            np.add.at(acc, idx, g)
-            return (acc,)
-        tape.record("gather_rows", (a,), out, lambda: ad[idx], backward_fn)
-    return out
+
+    def bwd(g, y):
+        acc = np.zeros_like(ad)
+        np.add.at(acc, idx, g)
+        return (acc,)
+    return _record("gather_rows", (a,), lambda: ad[idx], bwd)
 
 
 def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:
@@ -352,10 +304,6 @@ def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w
-
-
-def _softmax_rows_data(m: np.ndarray) -> np.ndarray:
-    return _softmax_rows_inplace(m.copy())
 
 
 def _softmax_rows_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -377,50 +325,38 @@ def softmax_rows(m) -> Tensor:
     md = m.data
     if md.ndim != 2:
         raise ShapeError(f"softmax_rows expects rank 2, got shape {md.shape}")
-    out_data = _softmax_rows_data(md)
-    out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None:
-        tape.record("softmax_rows", (m,), out, lambda: _softmax_rows_data(md),
-                    lambda g: (_softmax_rows_grad(g, out_data),))
-    return out
-
-
-def _attention_weights_data(qd: np.ndarray, kt: np.ndarray, c: float | None) -> np.ndarray:
-    w = qd @ kt
-    if c is not None:
-        w *= c
-    return _softmax_rows_inplace(w)
+    return _record("softmax_rows", (m,), lambda: _softmax_rows_inplace(md.copy()),
+                   lambda g, w: (_softmax_rows_grad(g, w),))
 
 
 def attention_weights(q, k, c: float | None = None) -> Tensor:
     """softmax_rows(scale(matmul(q, transpose2(k)), c)) as one tape node.
 
     The scale is skipped when `c` is None. The N x M result is built in a
-    single buffer, and the node keeps only it, q and k transposed, where
-    the four-op chain keeps the logits, the scaled logits and the weights.
-    Forward and gradients repeat that chain's expressions in its order,
-    so both are bit-identical to it, also when q and k are one tensor.
+    single buffer, and the node keeps only it, q and k, where the four-op
+    chain keeps the logits, the scaled logits and the weights. Forward and
+    gradients repeat that chain's expressions in its order, so both are
+    bit-identical to it, also when q and k are one tensor; backward
+    therefore transposes k again instead of keeping the forward's copy.
     """
     q, k = _as_tensor(q), _as_tensor(k)
     qd, kd = q.data, k.data
     if qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1]:
         raise ShapeError(f"attention_weights: incompatible shapes {qd.shape} and {kd.shape}")
     c = None if c is None else float(c)
-    kt = np.ascontiguousarray(kd.T)
-    out_data = _attention_weights_data(qd, kt, c)
-    out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None:
-        def backward_fn(g):
-            gl = _softmax_rows_grad(g, out_data)
-            if c is not None:
-                gl *= c
-            return (gl @ kt.T, np.ascontiguousarray((qd.T @ gl).T))
-        tape.record("attention_weights", (q, k), out,
-                    lambda: _attention_weights_data(qd, np.ascontiguousarray(kd.T), c),
-                    backward_fn)
-    return out
+
+    def fwd():
+        w = qd @ np.ascontiguousarray(kd.T)
+        if c is not None:
+            w *= c
+        return _softmax_rows_inplace(w)
+
+    def bwd(g, w):
+        gl = _softmax_rows_grad(g, w)
+        if c is not None:
+            gl *= c
+        return (gl @ np.ascontiguousarray(kd.T).T, np.ascontiguousarray((qd.T @ gl).T))
+    return _record("attention_weights", (q, k), fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

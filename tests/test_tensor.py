@@ -1,5 +1,8 @@
 """Forward values against loop oracles, gradients against finite differences."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,10 +358,21 @@ def test_replay_reproduces_outputs_bitwise():
     rng = np.random.default_rng(14)
     a = tensor(rng.normal(size=(4, 4)), trainable=True)
     with Tape() as tape:
-        out = T.reduce_sum(T.softmax_rows(T.matmul(a, T.transpose2(a))))
-    before = out.data.tobytes()
+        s = T.softmax_rows(T.matmul(a, T.transpose2(a)))
+        w = T.attention_weights(a, a, 0.5)
+        pos = T.add_const(T.softplus(T.neg(a)), 1.0)
+        r = T.div(T.sqrt(pos), T.relu(pos))
+        cat = T.concat_cols([s, w, r])
+        rows = T.gather_rows(cat, [3, 0, 0, 2])
+        col = T.reduce_sum(T.reshape(T.sub(rows, T.scale(cat, 2.0)), (8, 6)), axis=1)
+        T.reduce_sum(T.add(col, T.mul(col, col)))
+    # Every op name that tensor.py records is on this one tape.
+    ops = set(re.findall(r'(?:_record|_elementwise)\("(\w+)"', inspect.getsource(T)))
+    assert len(ops) == 18
+    assert {node.op for node in tape.nodes} == ops
+    before = [node.output.data.tobytes() for node in tape.nodes]
     assert tape.replay()
-    assert out.data.tobytes() == before
+    assert [node.output.data.tobytes() for node in tape.nodes] == before
 
     # A full pass with the global route on replays the fused weights node.
     cfg = AggregatorConfig(context_dim=4, motion_dim=4, qk_dim=3, disp_dim=2, k=3)
@@ -370,6 +384,23 @@ def test_replay_reproduces_outputs_bitwise():
         forward(params, cloud, feats, knn(cloud, cloud, cfg.k), cfg)
     assert "attention_weights" in [node.op for node in tape.nodes]
     assert tape.replay()
+
+
+def test_replay_detects_a_mutated_input():
+    rng = np.random.default_rng(15)
+    for op in (T.mul, T.attention_weights, lambda a, b: T.softmax_rows(a)):
+        a = tensor(rng.normal(size=(3, 3)))
+        b = tensor(rng.normal(size=(3, 3)))
+        with Tape() as tape:
+            op(a, b)
+        assert tape.replay()
+        a.data[0, 0] += 1.0
+        assert not tape.replay()
+    # The fused node also recomputes k's transpose from k.
+    with Tape() as tape:
+        T.attention_weights(a, b, 0.5)
+    b.data[0, 0] += 1.0
+    assert not tape.replay()
 
 
 def test_tensor_factory_rejects_nonfinite():
