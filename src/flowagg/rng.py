@@ -6,19 +6,20 @@ sequence is part of this package's contract: results must reproduce across
 platforms and library versions.
 
 Draw order is part of the contract too. ``uniform``/``normal`` consume the
-raw 64-bit stream in documented ways (see each method); array fillers draw
-in row-major element order.
+raw 64-bit stream in documented ways (see each method). The array fillers
+take all of a call's raw draws in one batch and transform them as arrays,
+yet give exactly the values, in row-major element order, and the stream
+position that filling element by element with ``uniform``/``normal``
+would give.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-
-
-def _rotl(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & _MASK64
 
 
 class SplitMix64:
@@ -61,17 +62,26 @@ class Xoshiro256StarStar:
         self.s = [mixer.next(), mixer.next(), mixer.next(), mixer.next()]
         self._spare_normal: float | None = None
 
+    def _draw_u64(self, n: int) -> list[int]:
+        """The next n raw outputs; the one place the xoshiro256** step is
+        written. The state words live in locals for the whole batch."""
+        s0, s1, s2, s3 = self.s
+        out = [0] * n
+        for i in range(n):
+            x = (s1 * 5) & _MASK64
+            out[i] = (((x << 7) | (x >> 57)) * 9) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self.s = [s0, s1, s2, s3]
+        return out
+
     def next_u64(self) -> int:
-        s = self.s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        return self._draw_u64(1)[0]
 
     def uniform(self) -> float:
         """One float in [0, 1): the top 53 bits of one u64, scaled."""
@@ -85,25 +95,39 @@ class Xoshiro256StarStar:
         next call without consuming stream. u1 is mapped into (0, 1] so the
         logarithm is always finite.
         """
-        if self._spare_normal is not None:
-            z = self._spare_normal
+        return float(self._normals(1)[0])
+
+    def _normals(self, n: int) -> np.ndarray:
+        """n normals as ``normal`` would return them one by one: the cached
+        spare first, then ceil(rest / 2) Box-Muller pairs from one batch of
+        raw draws, cos in the even slots and sin in the odd ones; an unused
+        last sin becomes the new spare."""
+        out = np.empty(n, dtype=np.float64)
+        start = 0
+        if n and self._spare_normal is not None:
+            out[0] = self._spare_normal
             self._spare_normal = None
-            return z
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-        u2 = (self.next_u64() >> 11) * 2.0 ** -53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        self._spare_normal = float(r * np.sin(theta))
-        return float(r * np.cos(theta))
+            start = 1
+        pairs = (n - start + 1) // 2
+        if pairs:
+            u = np.array(self._draw_u64(2 * pairs), dtype=np.uint64)
+            u1 = ((u[0::2] >> 11) + 1) * 2.0 ** -53
+            u2 = (u[1::2] >> 11) * 2.0 ** -53
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = 2.0 * np.pi * u2
+            z = np.empty(2 * pairs, dtype=np.float64)
+            z[0::2] = r * np.cos(theta)
+            z[1::2] = r * np.sin(theta)
+            out[start:] = z[:n - start]
+            if (n - start) % 2:
+                self._spare_normal = float(z[-1])
+        return out
 
     def uniform_array(self, shape) -> np.ndarray:
         """Float64 array of uniforms filled in row-major order."""
         shape = tuple(int(s) for s in shape)
-        out = np.empty(shape, dtype=np.float64)
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = self.uniform()
-        return out
+        u = np.array(self._draw_u64(math.prod(shape)), dtype=np.uint64)
+        return ((u >> 11).astype(np.float64) * 2.0 ** -53).reshape(shape)
 
     def normal_array(self, shape) -> np.ndarray:
         """Float64 array of standard normals filled in row-major order.
@@ -111,11 +135,7 @@ class Xoshiro256StarStar:
         Continues any cached spare from a previous ``normal`` call first.
         """
         shape = tuple(int(s) for s in shape)
-        out = np.empty(shape, dtype=np.float64)
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = self.normal()
-        return out
+        return self._normals(math.prod(shape)).reshape(shape)
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection on the top bits, so the

@@ -200,15 +200,18 @@ def _sample_blob(cfg: SceneConfig, rng: Xoshiro256StarStar) -> np.ndarray:
     beyond blob_truncation standard deviations resampled away."""
     if cfg.blob_truncation == 0.0:
         return rng.normal_array((cfg.points_per_cluster, 3)) * cfg.cluster_spread
+    # In rounds: draw one triple per missing point and keep the short ones
+    # in stream order. A round never draws past the triple that completes
+    # the blob, so the stream ends where redrawing point by point would.
     limit2 = cfg.blob_truncation * cfg.blob_truncation
-    out = np.empty((cfg.points_per_cluster, 3))
-    for i in range(cfg.points_per_cluster):
-        while True:
-            off = rng.normal_array((3,))
-            if (off ** 2).sum() <= limit2:
-                out[i] = off * cfg.cluster_spread
-                break
-    return out
+    kept = []
+    need = cfg.points_per_cluster
+    while need:
+        off = rng.normal_array((need, 3))
+        off = off[(off ** 2).sum(axis=1) <= limit2]
+        kept.append(off)
+        need -= len(off)
+    return np.concatenate(kept) * cfg.cluster_spread
 
 
 def _sample_geometry(cfg: SceneConfig) -> _Geometry:
@@ -345,24 +348,23 @@ def _occlude_fps(geo: _Geometry, cfg: SceneConfig,
 def _match_closure(geo: _Geometry, cfg: SceneConfig, mask: np.ndarray) -> np.ndarray:
     """Also occlude kept points whose warped position sits within r_match
     of an occluded point's warp; otherwise that survivor would act as the
-    occluded point's counterpart. Iterates to a fixed point."""
+    occluded point's counterpart. Each pass is one k=1 scan from the kept
+    warps to the occluded ones; passes repeat to a fixed point."""
     mask = mask.copy()
     r2 = cfg.r_match * cfg.r_match
-    changed = True
-    while changed:
-        changed = False
+    while True:
         kept = np.flatnonzero(~mask)
         if kept.size == 0:
             raise GenerationError("occlusion closure removed every frame-2 point; "
                                   "clusters are too close for r_match")
-        kept_pts = geo.warped[kept]
-        for i in np.flatnonzero(mask):
-            d2 = ((kept_pts - geo.warped[i]) ** 2).sum(axis=1)
-            clash = kept[d2 <= r2]
-            if clash.size:
-                mask[clash] = True
-                changed = True
-    return mask
+        if kept.size == len(mask):
+            return mask
+        nearest = brute_force_knn(PointCloud(geo.warped[kept]),
+                                  PointCloud(geo.warped[mask]), 1).sq_dists[:, 0]
+        clash = kept[nearest <= r2]
+        if clash.size == 0:
+            return mask
+        mask[clash] = True
 
 
 def verify_scene(scene: SyntheticScene, cfg: SceneConfig) -> None:

@@ -154,8 +154,9 @@ def _rotl(x, r):
     return ((x << r) | (x >> (64 - r))) & MASK64
 
 
-def xoshiro_seq(seed, count):
-    """xoshiro256** outputs, state seeded from splitmix64 like the package."""
+def xoshiro_walk(seed, count):
+    """xoshiro256** outputs and the four state words after them, state
+    seeded from splitmix64 like the package."""
     s = splitmix64_seq(seed, 4)
     out = []
     for _ in range(count):
@@ -167,7 +168,112 @@ def xoshiro_seq(seed, count):
         s[0] ^= s[3]
         s[2] ^= t
         s[3] = _rotl(s[3], 45)
+    return out, s
+
+
+def xoshiro_seq(seed, count):
+    """xoshiro256** outputs, state seeded from splitmix64 like the package."""
+    return xoshiro_walk(seed, count)[0]
+
+
+class RecipeStream:
+    """The generator's draws one value at a time over ``xoshiro_seq``.
+
+    A uniform takes one raw draw; normals come in Box-Muller pairs of two
+    raw draws, computed with numpy scalar ops in the original expression
+    order, the sine cached as the spare for the next normal. Arrays are
+    filled element by element in row-major order. ``state()`` is the
+    generator state after the draws used so far.
+    """
+
+    def __init__(self, seed, count):
+        self.seed = seed
+        self.raw = xoshiro_seq(seed, count)
+        self.used = 0
+        self.spare = None
+
+    def u64(self):
+        v = self.raw[self.used]
+        self.used += 1
+        return v
+
+    def state(self):
+        return xoshiro_walk(self.seed, self.used)[1]
+
+    def uniform(self):
+        return (self.u64() >> 11) * 2.0 ** -53
+
+    def normal(self):
+        if self.spare is not None:
+            z = self.spare
+            self.spare = None
+            return z
+        u1 = ((self.u64() >> 11) + 1) * 2.0 ** -53
+        u2 = (self.u64() >> 11) * 2.0 ** -53
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        self.spare = float(r * np.sin(theta))
+        return float(r * np.cos(theta))
+
+    def _fill(self, shape, draw):
+        out = np.empty(shape, dtype=np.float64)
+        flat = out.reshape(-1)
+        for i in range(flat.size):
+            flat[i] = draw()
+        return out
+
+    def uniform_array(self, shape):
+        return self._fill(shape, self.uniform)
+
+    def normal_array(self, shape):
+        return self._fill(shape, self.normal)
+
+    def randbelow(self, n):
+        nbits = (n - 1).bit_length()
+        if nbits == 0:
+            return 0
+        while True:
+            v = self.u64() >> (64 - nbits)
+            if v < n:
+                return v
+
+
+def truncated_blob_loop(stream, n_points, truncation, spread):
+    """Blob offsets one point at a time: redraw a point's three normals
+    until their squared length is within truncation**2."""
+    limit2 = truncation * truncation
+    out = np.empty((n_points, 3))
+    for i in range(n_points):
+        while True:
+            x, y, z = stream.normal(), stream.normal(), stream.normal()
+            if x * x + y * y + z * z <= limit2:
+                out[i] = [x * spread, y * spread, z * spread]
+                break
     return out
+
+
+def match_closure_loop(warped, mask, r_match):
+    """Occlude every kept point whose warp lies within r_match of an
+    occluded point's warp, pass after pass until a pass adds nothing.
+    Returns the mask and the number of passes."""
+    mask = np.array(mask, dtype=bool)
+    r2 = r_match * r_match
+    passes = 0
+    while True:
+        passes += 1
+        kept = np.flatnonzero(~mask)
+        if kept.size == 0:
+            raise ValueError("closure removed every frame-2 point")
+        clash = []
+        for i in np.flatnonzero(mask):
+            for j in kept:
+                d2 = ((warped[j, 0] - warped[i, 0]) ** 2 + (warped[j, 1] - warped[i, 1]) ** 2
+                      + (warped[j, 2] - warped[i, 2]) ** 2)
+                if d2 <= r2:
+                    clash.append(j)
+        if not clash:
+            return mask, passes
+        mask[clash] = True
 
 
 def forward_loops(raw, points, context, motion, nbr_idx, qk_dim,

@@ -24,6 +24,11 @@ ABLATION_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
 # SHA-256 of `flowagg gen` on ablation_local.cfg (clumps of 8 at N=200).
 # golden_checksums.txt pins only occlusion_local.cfg, whose clumps are 1.
 ABLATION_SCENE_SHA256 = "2366723142f5d69eee8660e8373b4eea9977c9d0dd17b62e05d6641e8c742e95"
+GLOBAL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "occlusion_global.cfg")
+# SHA-256 of `flowagg gen` on occlusion_global.cfg: truncated blobs and
+# whole-cluster occlusion, which the local configs never reach.
+GLOBAL_SCENE_SHA256 = "2ec84cf640812ff6a46d1b5c978093b18dbc8ce62aca4fb245aec2d00723d8b5"
 
 LIGHT_CFG = """
 scene.n_clusters = 2
@@ -72,6 +77,12 @@ def test_gen_clumped_scene_matches_pinned_digest(tmp_path):
     out = tmp_path / "scene.gtc"
     assert main(["gen", "--config", ABLATION_CFG, "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ABLATION_SCENE_SHA256
+
+
+def test_gen_global_scene_matches_pinned_digest(tmp_path):
+    out = tmp_path / "scene.gtc"
+    assert main(["gen", "--config", GLOBAL_CFG, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GLOBAL_SCENE_SHA256
 
 
 def test_train_writes_report_and_params(tmp_path, light_cfg, capsys):

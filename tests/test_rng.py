@@ -103,3 +103,55 @@ def test_shuffle_permutes_deterministically():
     again = list(range(30))
     h.shuffle(again)
     assert again == items
+
+
+FILL_SHAPES = [(), (0,), (1,), (2,), (3,), (2, 3), (1001,), (1000, 16)]
+
+
+def _same_bytes(got, expect):
+    assert got.dtype == np.float64 and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+def _same_position(g, recipe):
+    assert g.s == recipe.state()
+    if recipe.spare is None:
+        assert g._spare_normal is None
+    else:
+        assert np.float64(g._spare_normal).tobytes() == np.float64(recipe.spare).tobytes()
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("shape", FILL_SHAPES)
+def test_array_fillers_match_the_per_element_recipe(shape, spare):
+    g = Xoshiro256StarStar(77)
+    recipe = oracles.RecipeStream(77, 4 * math.prod(shape) + 2)
+    if spare:
+        assert g.normal() == recipe.normal()
+    _same_position(g, recipe)
+    for _ in range(2):
+        _same_bytes(g.normal_array(shape), recipe.normal_array(shape))
+        _same_position(g, recipe)
+        _same_bytes(g.uniform_array(shape), recipe.uniform_array(shape))
+        _same_position(g, recipe)
+
+
+def test_mixed_draws_walk_the_recipe_stream():
+    g = Xoshiro256StarStar(2024)
+    recipe = oracles.RecipeStream(2024, 4000)
+    calls = [
+        ("normal", None), ("normal_array", (5,)), ("uniform_array", (4, 2)),
+        ("randbelow", 7), ("normal", None), ("normal", None), ("normal_array", (0,)),
+        ("normal", None), ("uniform_array", ()), ("normal_array", (3, 3)),
+        ("randbelow", 1000), ("normal_array", ()), ("normal", None),
+        ("randbelow", 2**40 + 3), ("normal_array", (64, 3)), ("uniform_array", (9,)),
+    ]
+    for method, arg in calls:
+        if method == "normal":
+            got, expect = g.normal(), recipe.normal()
+            assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+        elif method == "randbelow":
+            assert g.randbelow(arg) == recipe.randbelow(arg)
+        else:
+            _same_bytes(getattr(g, method)(arg), getattr(recipe, method)(arg))
+        _same_position(g, recipe)

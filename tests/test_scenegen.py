@@ -7,9 +7,13 @@ import pytest
 
 import oracles
 from flowagg.metrics import FlowField
+from flowagg.rng import Xoshiro256StarStar
 from flowagg.scenegen import (
     GenerationError,
     SceneConfig,
+    _Geometry,
+    _match_closure,
+    _sample_blob,
     generate_scene,
     scene_from_tensors,
     scene_tensors,
@@ -245,3 +249,55 @@ def test_features_regenerate_bitwise():
     ctx, mot = synth_features(s, cfg, occlusion_mask=s.occlusion_mask)
     assert ctx.tobytes() == s.context.tobytes()
     assert mot.tobytes() == s.motion_in.tobytes()
+
+
+@pytest.mark.parametrize("truncation", [0.5, 2.5])
+def test_truncated_blob_matches_per_point_rejection(truncation):
+    cfg = _cfg(points_per_cluster=50, cluster_spread=0.3, blob_truncation=truncation)
+    g = Xoshiro256StarStar(8)
+    got = _sample_blob(cfg, g)
+    recipe = oracles.RecipeStream(8, 20000)
+    expect = oracles.truncated_blob_loop(recipe, 50, truncation, 0.3)
+    assert got.shape == (50, 3)
+    assert got.tobytes() == expect.tobytes()
+    assert g.s == recipe.state()
+    assert g._spare_normal == recipe.spare
+
+
+def _geometry(warped):
+    warped = np.asarray(warped, dtype=float)
+    n = len(warped)
+    return _Geometry(warped.copy(), warped, np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
+
+
+def test_match_closure_follows_a_chain_to_its_end():
+    r_match = 1e-3
+    chain = [[0.99 * r_match * i, 0.0, 0.0] for i in range(6)]
+    far = [[5.0, 0.0, 0.0], [5.0, 1.0, 0.0], [0.0, 5.0, 0.0]]
+    geo = _geometry(far[:1] + chain + far[1:])
+    mask = np.zeros(len(geo.warped), dtype=bool)
+    mask[1] = True
+    expect, passes = oracles.match_closure_loop(geo.warped, mask, r_match)
+    assert passes >= 2
+    got = _match_closure(geo, _cfg(r_match=r_match), mask)
+    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(got, [False] + [True] * 6 + [False, False])
+    assert mask.sum() == 1
+
+
+def test_match_closure_rejects_an_emptied_frame2():
+    geo = _geometry([[0.0009 * i, 0.0, 0.0] for i in range(5)])
+    mask = np.zeros(5, dtype=bool)
+    mask[4] = True
+    with pytest.raises(GenerationError, match="every frame-2 point"):
+        _match_closure(geo, _cfg(r_match=1e-3), mask)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_match_closure_matches_the_loop_on_random_clouds(seed):
+    rng = np.random.default_rng(seed)
+    geo = _geometry(rng.uniform(0.0, 1.0, size=(120, 3)))
+    mask = rng.uniform(size=120) < 0.1
+    expect, _ = oracles.match_closure_loop(geo.warped, mask, 0.1)
+    got = _match_closure(geo, _cfg(r_match=0.1), mask)
+    np.testing.assert_array_equal(got, expect)
