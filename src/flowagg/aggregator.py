@@ -25,6 +25,7 @@ tape during the call yields exact gradients for every parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +46,8 @@ class AggregatorConfig:
     scale_logits divides attention logits by sqrt(qk_dim).
     raw_context_logits computes them from unprojected context features.
     use_weight_mlp enables the extra positive per-weight map on the global
-    attention (off by default; it is redundant right after a softmax).
+    attention (off by default; it is redundant right after a softmax). It
+    tapes N x N arrays, so N is bounded by WEIGHT_MLP_MAX_BYTES.
     cross_frame_displacements encodes frame-2 counterpart minus frame-1
     point instead of the in-frame displacement; the forward call then
     needs a row-aligned counterpart cloud, which only unoccluded scenes
@@ -106,10 +108,20 @@ class AttentionMap:
 
     global_weights is N x N row-stochastic; local_weights is N x k aligned
     with the NeighborIndex rows. A disabled route leaves its entry None.
+
+    The default global route keeps no N x N array, on the tape or here:
+    each read of global_weights recomputes the weights from that call's q
+    and k with the kernel the route ran (no tape node, bit for bit the
+    weights it used) and returns a fresh N x N array. With use_weight_mlp
+    the weights are a tape output, and the read returns that array.
     """
 
-    global_weights: np.ndarray | None
+    global_reader: Callable[[], np.ndarray] | None
     local_weights: np.ndarray | None
+
+    @property
+    def global_weights(self) -> np.ndarray | None:
+        return None if self.global_reader is None else self.global_reader()
 
 
 @dataclass
@@ -221,38 +233,83 @@ def project_qkv(params: AggregatorParams, feats: FeatureSet,
     return qk, qk, v
 
 
+# Largest tape the use_weight_mlp route may build, in bytes (1 GiB). That
+# route maps each of the N x N attention weights through the weight MLP, so
+# its tape holds weight_mlp_bytes(N, ...) of N x N arrays, before backward
+# adds its own; past this limit it raises ShapeError before allocating.
+WEIGHT_MLP_MAX_BYTES = 1 << 30
+
+
+def weight_mlp_bytes(n: int, config: AggregatorConfig) -> int:
+    """Bytes of the N x N float64 arrays the use_weight_mlp route tapes:
+    the weights, three per hidden unit (its matmul, bias add and ReLU), the
+    output layer's matmul, bias add, softplus and row normalization."""
+    return 8 * n * n * (5 + 3 * sum(config.weight_hidden))
+
+
+def _logit_scale(q: Tensor, config: AggregatorConfig) -> float | None:
+    return 1.0 / np.sqrt(q.data.shape[1]) if config.scale_logits else None
+
+
+def _mlp_weights(params: AggregatorParams, q: Tensor, k: Tensor,
+                 config: AggregatorConfig) -> Tensor:
+    if params.weight_mlp is None:
+        raise ShapeError("use_weight_mlp is set but params carry no weight_mlp")
+    n = q.data.shape[0]
+    need = weight_mlp_bytes(n, config)
+    if need > WEIGHT_MLP_MAX_BYTES:
+        raise ShapeError(
+            f"use_weight_mlp at N={n} needs about {need / 2**20:.0f} MiB of N x N "
+            f"arrays, over the limit of {WEIGHT_MLP_MAX_BYTES / 2**20:.0f} MiB "
+            f"(WEIGHT_MLP_MAX_BYTES)")
+    w = T.attention_weights(q, k, _logit_scale(q, config))
+    flat = T.reshape(w, (n * n, 1))
+    pos = T.softplus(T.mlp_forward(params.weight_mlp, flat))
+    grid = T.reshape(pos, (n, n))
+    return T.div(grid, T.reduce_sum(grid, axis=1, keepdims=True))
+
+
 def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
                              config: AggregatorConfig) -> Tensor:
-    """Row-stochastic N x N attention over context similarity.
+    """Row-stochastic N x N attention over context similarity, as a tensor.
 
     Logits are q_i . k_j, divided by sqrt(qk_dim) when scale_logits is
     set; rows pass through a softmax. With use_weight_mlp, each weight is
     additionally mapped through a small MLP whose output goes through a
-    softplus (keeping it positive), and rows are renormalized to sum 1.
+    softplus (keeping it positive), and rows are renormalized to sum 1;
+    past WEIGHT_MLP_MAX_BYTES that raises ShapeError before allocating.
 
     Logits, scale and softmax are one fused tape node
     (:func:`.tensor.attention_weights`), so the tape holds a single N x N
-    array for them: the weights.
+    array for them: the weights. ``forward`` does not call this: the
+    default route in :func:`aggregate_global` never makes the array.
     """
-    c = 1.0 / np.sqrt(q.data.shape[1]) if config.scale_logits else None
-    w = T.attention_weights(q, k, c)
     if config.use_weight_mlp:
-        if params.weight_mlp is None:
-            raise ShapeError("use_weight_mlp is set but params carry no weight_mlp")
-        n = w.data.shape[0]
-        flat = T.reshape(w, (n * n, 1))
-        pos = T.softplus(T.mlp_forward(params.weight_mlp, flat))
-        grid = T.reshape(pos, (n, n))
-        w = T.div(grid, T.reduce_sum(grid, axis=1, keepdims=True))
-    return w
+        return _mlp_weights(params, q, k, config)
+    return T.attention_weights(q, k, _logit_scale(q, config))
 
 
-def aggregate_global(weights: Tensor, v: Tensor) -> Tensor:
-    """Blend value rows by attention weights: weights @ v."""
-    if weights.data.ndim != 2 or weights.data.shape[1] != v.data.shape[0]:
-        raise ShapeError(f"aggregate_global: weights {weights.shape} do not "
-                         f"match values {v.shape}")
-    return T.matmul(weights, v)
+def aggregate_global(params: AggregatorParams, q: Tensor, k: Tensor, v: Tensor,
+                     config: AggregatorConfig) -> tuple[Tensor, Callable[[], np.ndarray]]:
+    """Blend value rows by the global attention weights: W @ v, with W as
+    :func:`global_attention_weights` defines it.
+
+    The default route is one :func:`.tensor.attention` node, which runs
+    over blocks of query rows and keeps no N x N array on the tape; the
+    result and gradients equal the weights-then-matmul chain bit for bit
+    up to ATTENTION_BLOCK_ELEMS // N rows. use_weight_mlp needs W as a
+    tensor, so it tapes the weights and a matmul.
+
+    Returns (g_global: N x Dm, a reader that returns W as an N x N array).
+    """
+    if q.data.shape[0] != k.data.shape[0] or k.data.shape[0] != v.data.shape[0]:
+        raise ShapeError(f"aggregate_global: q {q.shape}, k {k.shape} and values "
+                         f"{v.shape} must share N")
+    if config.use_weight_mlp:
+        w = _mlp_weights(params, q, k, config)
+        return T.matmul(w, v), lambda: w.data
+    c = _logit_scale(q, config)
+    return T.attention(q, k, v, c), lambda: T.attention_weights_data(q, k, c)
 
 
 def aggregate_local(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet,
@@ -336,9 +393,7 @@ def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet,
         g_global = T.tensor(np.zeros((n, dm)))
         global_w = None
     else:
-        w = global_attention_weights(params, q, k, config)
-        g_global = aggregate_global(w, v)
-        global_w = w.data
+        g_global, global_w = aggregate_global(params, q, k, v, config)
 
     if config.disable_local:
         g_local = T.tensor(np.zeros((n, dm)))
@@ -354,7 +409,7 @@ def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet,
         y_tilde = T.add(y, T.mlp_forward(params.plain_head, T.add(g_local, g_global)))
     else:
         y_tilde = offset_aggregate(params, y, g_local, g_global)
-    return y_tilde, AttentionMap(global_weights=global_w, local_weights=local_w)
+    return y_tilde, AttentionMap(global_reader=global_w, local_weights=local_w)
 
 
 def downstream_features(y_tilde: Tensor, feats: FeatureSet) -> Tensor:

@@ -247,6 +247,14 @@ def transpose2(a) -> Tensor:
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
+    """The same values under a new shape of equal size.
+
+    The output aliases its input: for a contiguous input (every tensor
+    here) its data is a view of the input's data, not a copy. An in-place
+    change to the input therefore shows in both, and ``Tape.replay``
+    cannot see it through this node. It is left a view on purpose: the
+    weight-MLP route reshapes an N x N array, which a copy would double.
+    """
     a = _as_tensor(a)
     ad = a.data
     shape = tuple(int(s) for s in shape)
@@ -306,10 +314,12 @@ def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _softmax_rows_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(g - rowsum(g * w)) * w in a fresh array; `g` is left untouched,
-    since ``add``'s backward hands one gradient array to both inputs."""
-    out = g * w
+def _softmax_rows_grad(g: np.ndarray, w: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """(g - rowsum(g * w)) * w written into `out` (fresh when None), which
+    is returned; `g` is left untouched, since ``add``'s backward hands one
+    gradient array to both inputs."""
+    out = np.multiply(g, w, out=out)
     inner = out.sum(axis=1, keepdims=True)
     np.subtract(g, inner, out=out)
     out *= w
@@ -329,6 +339,33 @@ def softmax_rows(m) -> Tensor:
                    lambda g, w: (_softmax_rows_grad(g, w),))
 
 
+def _attention_rows(q_rows: np.ndarray, kt: np.ndarray, c: float | None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """softmax_rows(c · q_rows @ kt) written into `out` (fresh when None),
+    which is returned; `kt` is k transposed, C-contiguous. The one kernel
+    behind every attention weight in this module."""
+    w = np.matmul(q_rows, kt, out=out)
+    if c is not None:
+        w *= c
+    return _softmax_rows_inplace(w)
+
+
+def _check_attention(op: str, qd: np.ndarray, kd: np.ndarray, vd: np.ndarray | None = None):
+    if (qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1]
+            or not (qd.shape[0] and kd.shape[0])
+            or (vd is not None and (vd.ndim != 2 or vd.shape[0] != kd.shape[0]))):
+        shapes = [a.shape for a in (qd, kd, vd) if a is not None]
+        raise ShapeError(f"{op}: incompatible shapes {shapes}")
+
+
+def attention_weights_data(q, k, c: float | None = None) -> np.ndarray:
+    """The N x M weights of ``attention_weights(q, k, c)``, bit for bit, as
+    a plain array. Records no tape node, also while a tape is active."""
+    qd, kd = _as_tensor(q).data, _as_tensor(k).data
+    _check_attention("attention_weights", qd, kd)
+    return _attention_rows(qd, np.ascontiguousarray(kd.T), None if c is None else float(c))
+
+
 def attention_weights(q, k, c: float | None = None) -> Tensor:
     """softmax_rows(scale(matmul(q, transpose2(k)), c)) as one tape node.
 
@@ -341,22 +378,93 @@ def attention_weights(q, k, c: float | None = None) -> Tensor:
     """
     q, k = _as_tensor(q), _as_tensor(k)
     qd, kd = q.data, k.data
-    if qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1]:
-        raise ShapeError(f"attention_weights: incompatible shapes {qd.shape} and {kd.shape}")
+    _check_attention("attention_weights", qd, kd)
     c = None if c is None else float(c)
-
-    def fwd():
-        w = qd @ np.ascontiguousarray(kd.T)
-        if c is not None:
-            w *= c
-        return _softmax_rows_inplace(w)
 
     def bwd(g, w):
         gl = _softmax_rows_grad(g, w)
         if c is not None:
             gl *= c
         return (gl @ np.ascontiguousarray(kd.T).T, np.ascontiguousarray((qd.T @ gl).T))
-    return _record("attention_weights", (q, k), fwd, bwd)
+    return _record("attention_weights", (q, k),
+                   lambda: _attention_rows(qd, np.ascontiguousarray(kd.T), c), bwd)
+
+
+# Elements of one block of attention weights (query rows x keys). Every
+# per-block array then stays below 1 MiB, glibc malloc's mmap threshold
+# when it is pinned there, so the blocks reuse heap memory instead of
+# mapping fresh pages. Any N up to ATTENTION_BLOCK_ELEMS // M runs as one
+# block, which repeats the unblocked chain's expressions bit for bit.
+ATTENTION_BLOCK_ELEMS = (1 << 17) - 512
+
+
+def attention(q, k, v, c: float | None = None) -> Tensor:
+    """softmax(c · q kᵀ) v as one tape node that never holds the N x M
+    weights: ``matmul(attention_weights(q, k, c), v)`` in O(N + M) memory.
+
+    q is N x D, k is M x D and v is M x Dv; the scale is skipped when `c`
+    is None. Forward runs over blocks of query rows, each of at most
+    ATTENTION_BLOCK_ELEMS weights, in one reused buffer. The node keeps q,
+    k, v, k's transpose and that buffer, which still holds the last
+    block's weights.
+    Backward walks the blocks from last to first, recomputes each block's
+    weights except the one the buffer holds, and accumulates the
+    gradients of q, k and v (FlashAttention's recompute, Dao et al. 2022).
+
+    A one-block call repeats the two-node chain's expressions in its
+    order, so its output and gradients are bit-identical to the chain.
+    Over several blocks the output rows still come from the same
+    expressions; the k and v gradients are sums over blocks, so they
+    agree with the chain to rounding only.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    qd, kd, vd = q.data, k.data, v.data
+    _check_attention("attention", qd, kd, vd)
+    c = None if c is None else float(c)
+    n, m = qd.shape[0], kd.shape[0]
+    rows = max(1, ATTENTION_BLOCK_ELEMS // m)
+    blocks = [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+    buf = np.empty((min(rows, n), m))
+    kt = held = None   # k transposed; the index of the block `buf` holds
+
+    def weights(b: int) -> np.ndarray:
+        nonlocal held
+        r0, r1 = blocks[b]
+        w = buf[:r1 - r0]
+        if held != b:
+            _attention_rows(qd[r0:r1], kt, c, out=w)
+            held = b
+        return w
+
+    def fwd():
+        nonlocal kt, held
+        kt, held = np.ascontiguousarray(kd.T), None
+        out = np.empty((n, vd.shape[1]))
+        for b, (r0, r1) in enumerate(blocks):
+            np.matmul(weights(b), vd, out=out[r0:r1])
+        return out
+
+    def bwd(g, y):
+        # Per block: matmul's backward, then attention_weights', in the
+        # chain's order.
+        dq = np.empty(qd.shape)
+        dw, dl = np.empty_like(buf), np.empty_like(buf)
+        for b in reversed(range(len(blocks))):
+            r0, r1 = blocks[b]
+            w, gb = weights(b), g[r0:r1]
+            gl = _softmax_rows_grad(np.matmul(gb, vd.T, out=dw[:r1 - r0]), w, out=dl[:r1 - r0])
+            if c is not None:
+                gl *= c
+            np.matmul(gl, kt.T, out=dq[r0:r1])
+            if b == len(blocks) - 1:
+                dv, dkt = w.T @ gb, qd[r0:r1].T @ gl
+                vpart, kpart = np.empty_like(dv), np.empty_like(dkt)
+            else:
+                dv += np.matmul(w.T, gb, out=vpart)
+                dkt += np.matmul(qd[r0:r1].T, gl, out=kpart)
+        return dq, np.ascontiguousarray(dkt.T), dv
+
+    return _record("attention", (q, k, v), fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +567,7 @@ class Gradients:
 
     def __init__(self, by_id: dict[int, np.ndarray], tensors: dict[int, Tensor]):
         self._by_id = by_id
-        self._tensors = tensors
+        self._tensors = tensors   # keeps every keyed tensor alive, so no id is reused
 
     def __contains__(self, t: Tensor) -> bool:
         return id(t) in self._by_id
@@ -469,10 +577,6 @@ class Gradients:
         the backward root."""
         g = self._by_id.get(id(t))
         return np.zeros_like(t.data) if g is None else g
-
-    def trainable_items(self) -> list[tuple[Tensor, np.ndarray]]:
-        return [(self._tensors[k], g) for k, g in self._by_id.items()
-                if self._tensors[k].trainable]
 
 
 def backward(tape: Tape, output: Tensor) -> Gradients:

@@ -1,6 +1,7 @@
 """Aggregation module against by-hand composition and its own invariants."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import oracles
 from flowagg import tensor as T
 from flowagg.aggregator import (
+    WEIGHT_MLP_MAX_BYTES,
     AggregatorConfig,
     FeatureSet,
     aggregate_global,
@@ -18,6 +20,7 @@ from flowagg.aggregator import (
     init_params,
     offset_aggregate,
     project_qkv,
+    weight_mlp_bytes,
 )
 from flowagg.rng import Xoshiro256StarStar, derive_seed
 from flowagg.spatial import PointCloud, knn
@@ -108,10 +111,13 @@ def test_strong_orthogonal_queries_attend_to_self():
 
 def test_aggregate_global_matches_oracle():
     rng = np.random.default_rng(0)
-    w = oracles.softmax_rows_direct(rng.normal(size=(5, 5)))
-    v = rng.normal(size=(5, 3))
-    got = aggregate_global(tensor(w), tensor(v)).data
-    np.testing.assert_allclose(got, oracles.matmul_loops(w, v), rtol=0, atol=1e-12)
+    q, k, v = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+    for scale in (True, False):
+        cfg = dataclasses.replace(SMALL, scale_logits=scale)
+        got, weights = aggregate_global(init_params(cfg, 0), tensor(q), tensor(k), tensor(v), cfg)
+        w = oracles.softmax_rows_direct(oracles.matmul_loops(q, k.T) / (np.sqrt(3) if scale else 1))
+        np.testing.assert_allclose(weights(), w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.data, oracles.matmul_loops(w, v), rtol=0, atol=1e-12)
 
 
 def test_local_weights_row_stochastic_and_match_oracle():
@@ -287,14 +293,60 @@ def test_shared_projection_accumulates_query_and_key_gradients():
     assert np.abs(g).max() > 0.0
 
 
-def test_global_route_tapes_one_n_by_n_array():
+def test_global_route_tapes_no_n_by_n_array():
     n = 9
     params, cloud, feats, nbrs = _instance(4, n, alpha=0.3)
     with Tape() as tape:
         _, amap = forward(params, cloud, feats, nbrs, SMALL)
-    square = [node for node in tape.nodes if node.output.shape == (n, n)]
-    assert len(square) == 1
-    assert amap.global_weights is square[0].output.data
+        taped = len(tape.nodes)
+        weights = amap.global_weights
+    assert not [node for node in tape.nodes if n * n in (node.output.size, *node.output.shape)]
+    assert "attention" in [node.op for node in tape.nodes]
+    # Reading the map recomputes the weights the route used, bit for bit,
+    # and records nothing.
+    assert len(tape.nodes) == taped
+    q, k, _ = project_qkv(params, feats, SMALL)
+    want = T.attention_weights(q, k, 1.0 / np.sqrt(SMALL.qk_dim)).data
+    assert weights.tobytes() == want.tobytes()
+
+
+def test_global_route_peak_memory_stays_below_one_n_by_n_array():
+    n = 1500
+    cfg = AggregatorConfig(context_dim=8, motion_dim=8, qk_dim=4, disp_dim=2, k=2,
+                           disable_local=True)
+    params, cloud, feats, nbrs = _instance(5, n, cfg, alpha=0.5)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out, _ = forward(params, cloud, feats, nbrs, cfg)
+            loss = T.reduce_sum(T.mul(out, out))
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+def test_weight_mlp_over_budget_raises_before_allocating():
+    cfg = dataclasses.replace(SMALL, use_weight_mlp=True)
+    n = 3000   # 29 N x N arrays: about 2 GiB
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    q, v = tensor(rng.normal(size=(n, 3))), tensor(rng.normal(size=(n, 4)))
+    assert weight_mlp_bytes(n, cfg) > WEIGHT_MLP_MAX_BYTES
+    for call in (lambda: aggregate_global(params, q, q, v, cfg),
+                 lambda: global_attention_weights(params, q, q, cfg)):
+        tracemalloc.start()
+        try:
+            with Tape() as tape, pytest.raises(ShapeError) as err:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8 * 8 and not tape.nodes
+        assert f"N={n}" in str(err.value)
+        assert f"{weight_mlp_bytes(n, cfg) / 2**20:.0f} MiB" in str(err.value)
+        assert f"{WEIGHT_MLP_MAX_BYTES / 2**20:.0f} MiB" in str(err.value)
 
 
 def test_downstream_features_concatenate():

@@ -273,11 +273,101 @@ def test_grad_attention_weights():
         lambda t: T.reduce_sum(T.mul(T.attention_weights(t, t), tensor(w[:, :4]))), q)
 
 
+def _attention_run(op, n, shared, c, extra_keys=3):
+    """Output and (q, k, v) gradients of op(q, k, v, c) under a fixed
+    upstream gradient; q and k are one tensor when `shared`."""
+    rng = np.random.default_rng(n)
+    qd = rng.normal(size=(n, 5))
+    kd = qd if shared else rng.normal(size=(n + extra_keys, 5))
+    vd = rng.normal(size=(kd.shape[0], 4))
+    upstream = rng.normal(size=(n, 4))
+    q = tensor(qd, trainable=True)
+    k = q if shared else tensor(kd, trainable=True)
+    v = tensor(vd, trainable=True)
+    with Tape() as tape:
+        out = op(q, k, v, c)
+        loss = T.reduce_sum(T.mul(out, tensor(upstream)))
+    grads = backward(tape, loss)
+    return [out.data, grads.wrt(q), grads.wrt(k), grads.wrt(v)]
+
+
+def _attention_chain_then_blend(q, k, v, c):
+    return T.matmul(T.attention_weights(q, k, c), v)
+
+
+@pytest.mark.parametrize("n", [7, 300])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("c", [None, 1.0 / np.sqrt(5)])
+def test_attention_one_block_bitwise_equals_weights_then_matmul(n, shared, c):
+    fused = _attention_run(T.attention, n, shared, c)
+    chain = _attention_run(_attention_chain_then_blend, n, shared, c)
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+
+
+def _count_attention_blocks(monkeypatch) -> list[int]:
+    """Rows of every block of weights computed from here on."""
+    rows = []
+    kernel = T._attention_rows
+
+    def counted(q_rows, *args, **kwargs):
+        rows.append(q_rows.shape[0])
+        return kernel(q_rows, *args, **kwargs)
+    monkeypatch.setattr(T, "_attention_rows", counted)
+    return rows
+
+
+def test_attention_one_block_recomputes_nothing(monkeypatch):
+    rows = _count_attention_blocks(monkeypatch)
+    _attention_run(T.attention, 300, False, 0.5)
+    assert rows == [300]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("c", [None, 0.4])
+def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
+    chain = _attention_run(_attention_chain_then_blend, 50, shared, c, extra_keys=0)
+    # 8-row blocks over 50 queries: six full blocks and one of 2 rows.
+    # Backward recomputes every block but the last, which forward left
+    # in the buffer.
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
+    rows = _count_attention_blocks(monkeypatch)
+    blocked = _attention_run(T.attention, 50, shared, c, extra_keys=0)
+    assert rows == [8] * 6 + [2] + [8] * 6
+    assert blocked[0].tobytes() == chain[0].tobytes()
+    for got, want in zip(blocked[1:], chain[1:]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_grad_attention():
+    rng = np.random.default_rng(19)
+    q = rng.normal(size=(4, 3))
+    k = rng.normal(size=(5, 3))
+    v = rng.normal(size=(5, 2))
+    w = rng.normal(size=(4, 2))
+    _assert_grads_match(
+        lambda tq, tk, tv: T.reduce_sum(T.mul(T.attention(tq, tk, tv, 0.7), tensor(w))),
+        q, k, v)
+    _assert_grads_match(
+        lambda t: T.reduce_sum(T.mul(T.attention(t, t, t), tensor(w[:, :1]))), q[:, :1])
+
+
+def test_attention_rejects_mismatched_operands():
+    q, k = tensor(np.zeros((4, 3))), tensor(np.zeros((5, 3)))
+    for v in (np.zeros((4, 2)), np.zeros(5)):
+        with pytest.raises(ShapeError):
+            T.attention(q, k, tensor(v))
+    with pytest.raises(ShapeError):
+        T.attention(q, tensor(np.zeros((5, 2))), tensor(np.zeros((5, 2))))
+    with pytest.raises(ShapeError):
+        T.attention(q, tensor(np.zeros((0, 3))), tensor(np.zeros((0, 2))))
+
+
 def test_softmax_backward_leaves_incoming_gradient_untouched():
     # add's backward hands one gradient array to both of its inputs.
     rng = np.random.default_rng(18)
     x = tensor(rng.normal(size=(6, 3)), trainable=True)
-    for build in (lambda: T.attention_weights(x, x, 0.5), lambda: T.softmax_rows(x)):
+    for build in (lambda: T.attention_weights(x, x, 0.5), lambda: T.softmax_rows(x),
+                  lambda: T.attention(x, x, x, 0.5)):
         with Tape() as tape:
             out = build()
         g = rng.normal(size=out.shape)
@@ -362,19 +452,19 @@ def test_replay_reproduces_outputs_bitwise():
         w = T.attention_weights(a, a, 0.5)
         pos = T.add_const(T.softplus(T.neg(a)), 1.0)
         r = T.div(T.sqrt(pos), T.relu(pos))
-        cat = T.concat_cols([s, w, r])
+        cat = T.concat_cols([s, T.attention(a, w, r, 0.5), r])
         rows = T.gather_rows(cat, [3, 0, 0, 2])
         col = T.reduce_sum(T.reshape(T.sub(rows, T.scale(cat, 2.0)), (8, 6)), axis=1)
         T.reduce_sum(T.add(col, T.mul(col, col)))
     # Every op name that tensor.py records is on this one tape.
     ops = set(re.findall(r'(?:_record|_elementwise)\("(\w+)"', inspect.getsource(T)))
-    assert len(ops) == 18
+    assert len(ops) == 19
     assert {node.op for node in tape.nodes} == ops
     before = [node.output.data.tobytes() for node in tape.nodes]
     assert tape.replay()
     assert [node.output.data.tobytes() for node in tape.nodes] == before
 
-    # A full pass with the global route on replays the fused weights node.
+    # A full pass with the global route on replays the attention node.
     cfg = AggregatorConfig(context_dim=4, motion_dim=4, qk_dim=3, disp_dim=2, k=3)
     params = init_params(cfg, seed=14)
     params.alpha = tensor(0.5, trainable=True)
@@ -382,7 +472,7 @@ def test_replay_reproduces_outputs_bitwise():
     feats = FeatureSet(rng.normal(size=(12, 4)), rng.normal(size=(12, 4)))
     with Tape() as tape:
         forward(params, cloud, feats, knn(cloud, cloud, cfg.k), cfg)
-    assert "attention_weights" in [node.op for node in tape.nodes]
+    assert "attention" in [node.op for node in tape.nodes]
     assert tape.replay()
 
 
@@ -401,6 +491,28 @@ def test_replay_detects_a_mutated_input():
         T.attention_weights(a, b, 0.5)
     b.data[0, 0] += 1.0
     assert not tape.replay()
+
+
+@pytest.mark.parametrize("block_elems", [None, 3 * 12])
+def test_attention_replays_and_backpropagates_twice(monkeypatch, block_elems):
+    if block_elems is not None:
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", block_elems)   # 4 blocks
+    rng = np.random.default_rng(16)
+    for mutated in range(3):
+        ops = [tensor(rng.normal(size=(10, 3)), trainable=True),
+               tensor(rng.normal(size=(12, 3)), trainable=True),
+               tensor(rng.normal(size=(12, 2)), trainable=True)]
+        with Tape() as tape:
+            out = T.attention(*ops, 0.5)
+            loss = T.reduce_sum(T.mul(out, out))
+        # Backward leaves the buffer at another block than forward did;
+        # a second backward must still see each block's own weights.
+        first, second = (backward(tape, loss) for _ in range(2))
+        for t in ops:
+            assert first.wrt(t).tobytes() == second.wrt(t).tobytes()
+        assert tape.replay()
+        ops[mutated].data[-1, 0] += 1.0
+        assert not tape.replay()
 
 
 def test_tensor_factory_rejects_nonfinite():
