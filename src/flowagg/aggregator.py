@@ -47,7 +47,9 @@ class AggregatorConfig:
     raw_context_logits computes them from unprojected context features.
     use_weight_mlp enables the extra positive per-weight map on the global
     attention (off by default; it is redundant right after a softmax). It
-    tapes N x N arrays, so N is bounded by WEIGHT_MLP_MAX_BYTES.
+    builds the weights as tensors through global_attention_weights and
+    tapes weight_mlp_bytes of N x N arrays, so N is bounded by
+    DENSE_WEIGHTS_MAX_BYTES (about 2,080 at the default widths).
     cross_frame_displacements encodes frame-2 counterpart minus frame-1
     point instead of the in-frame displacement; the forward call then
     needs a row-aligned counterpart cloud, which only unoccluded scenes
@@ -112,8 +114,10 @@ class AttentionMap:
     The default global route keeps no N x N array, on the tape or here:
     each read of global_weights recomputes the weights from that call's q
     and k with the kernel the route ran (no tape node, bit for bit the
-    weights it used) and returns a fresh N x N array. With use_weight_mlp
-    the weights are a tape output, and the read returns that array.
+    weights it used) and returns a fresh N x N array; past
+    DENSE_WEIGHTS_MAX_BYTES it raises ShapeError before allocating. With
+    use_weight_mlp the weights are a tape output, and the read returns
+    that array.
     """
 
     global_reader: Callable[[], np.ndarray] | None
@@ -233,40 +237,30 @@ def project_qkv(params: AggregatorParams, feats: FeatureSet,
     return qk, qk, v
 
 
-# Largest tape the use_weight_mlp route may build, in bytes (1 GiB). That
-# route maps each of the N x N attention weights through the weight MLP, so
-# its tape holds weight_mlp_bytes(N, ...) of N x N arrays, before backward
-# adds its own; past this limit it raises ShapeError before allocating.
-WEIGHT_MLP_MAX_BYTES = 1 << 30
+# Largest N x N memory in bytes (1 GiB) that the use_weight_mlp route may
+# tape (weight_mlp_bytes) or one read of the default route's global weights
+# may return (8 N²); past it both raise ShapeError before allocating.
+DENSE_WEIGHTS_MAX_BYTES = 1 << 30
+
+
+def _check_dense_bytes(what: str, n: int, need: int) -> None:
+    if need > DENSE_WEIGHTS_MAX_BYTES:
+        raise ShapeError(
+            f"{what} at N={n} needs about {need / 2**20:.0f} MiB of N x N "
+            f"arrays, over the limit of {DENSE_WEIGHTS_MAX_BYTES / 2**20:.0f} MiB "
+            f"(DENSE_WEIGHTS_MAX_BYTES)")
 
 
 def weight_mlp_bytes(n: int, config: AggregatorConfig) -> int:
     """Bytes of the N x N float64 arrays the use_weight_mlp route tapes:
-    the weights, three per hidden unit (its matmul, bias add and ReLU), the
-    output layer's matmul, bias add, softplus and row normalization."""
-    return 8 * n * n * (5 + 3 * sum(config.weight_hidden))
+    the logits, the scaled logits (with scale_logits) and the weights,
+    three per hidden unit (its matmul, bias add and ReLU), the output
+    layer's matmul, bias add, softplus and row normalization."""
+    return 8 * n * n * (6 + config.scale_logits + 3 * sum(config.weight_hidden))
 
 
 def _logit_scale(q: Tensor, config: AggregatorConfig) -> float | None:
     return 1.0 / np.sqrt(q.data.shape[1]) if config.scale_logits else None
-
-
-def _mlp_weights(params: AggregatorParams, q: Tensor, k: Tensor,
-                 config: AggregatorConfig) -> Tensor:
-    if params.weight_mlp is None:
-        raise ShapeError("use_weight_mlp is set but params carry no weight_mlp")
-    n = q.data.shape[0]
-    need = weight_mlp_bytes(n, config)
-    if need > WEIGHT_MLP_MAX_BYTES:
-        raise ShapeError(
-            f"use_weight_mlp at N={n} needs about {need / 2**20:.0f} MiB of N x N "
-            f"arrays, over the limit of {WEIGHT_MLP_MAX_BYTES / 2**20:.0f} MiB "
-            f"(WEIGHT_MLP_MAX_BYTES)")
-    w = T.attention_weights(q, k, _logit_scale(q, config))
-    flat = T.reshape(w, (n * n, 1))
-    pos = T.softplus(T.mlp_forward(params.weight_mlp, flat))
-    grid = T.reshape(pos, (n, n))
-    return T.div(grid, T.reduce_sum(grid, axis=1, keepdims=True))
 
 
 def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
@@ -277,16 +271,27 @@ def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
     set; rows pass through a softmax. With use_weight_mlp, each weight is
     additionally mapped through a small MLP whose output goes through a
     softplus (keeping it positive), and rows are renormalized to sum 1;
-    past WEIGHT_MLP_MAX_BYTES that raises ShapeError before allocating.
+    past DENSE_WEIGHTS_MAX_BYTES that raises ShapeError before allocating.
 
-    Logits, scale and softmax are one fused tape node
-    (:func:`.tensor.attention_weights`), so the tape holds a single N x N
-    array for them: the weights. ``forward`` does not call this: the
-    default route in :func:`aggregate_global` never makes the array.
+    Every step is its own tape node (matmul, transpose2, scale,
+    softmax_rows, then the weight MLP), so the tape holds each N x N
+    intermediate. The use_weight_mlp route of :func:`aggregate_global`
+    calls this; the default route never makes the array.
     """
+    n = q.data.shape[0]
     if config.use_weight_mlp:
-        return _mlp_weights(params, q, k, config)
-    return T.attention_weights(q, k, _logit_scale(q, config))
+        if params.weight_mlp is None:
+            raise ShapeError("use_weight_mlp is set but params carry no weight_mlp")
+        _check_dense_bytes("use_weight_mlp", n, weight_mlp_bytes(n, config))
+    c = _logit_scale(q, config)
+    logits = T.matmul(q, T.transpose2(k))
+    w = T.softmax_rows(logits if c is None else T.scale(logits, c))
+    if not config.use_weight_mlp:
+        return w
+    flat = T.reshape(w, (n * n, 1))
+    pos = T.softplus(T.mlp_forward(params.weight_mlp, flat))
+    grid = T.reshape(pos, (n, n))
+    return T.div(grid, T.reduce_sum(grid, axis=1, keepdims=True))
 
 
 def aggregate_global(params: AggregatorParams, q: Tensor, k: Tensor, v: Tensor,
@@ -298,18 +303,24 @@ def aggregate_global(params: AggregatorParams, q: Tensor, k: Tensor, v: Tensor,
     over blocks of query rows and keeps no N x N array on the tape; the
     result and gradients equal the weights-then-matmul chain bit for bit
     up to ATTENTION_BLOCK_ELEMS // N rows. use_weight_mlp needs W as a
-    tensor, so it tapes the weights and a matmul.
+    tensor, so it tapes :func:`global_attention_weights` and a matmul.
 
-    Returns (g_global: N x Dm, a reader that returns W as an N x N array).
+    Returns (g_global: N x Dm, a reader that returns W as an N x N array;
+    on the default route it is bounded by DENSE_WEIGHTS_MAX_BYTES).
     """
     if q.data.shape[0] != k.data.shape[0] or k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(f"aggregate_global: q {q.shape}, k {k.shape} and values "
                          f"{v.shape} must share N")
     if config.use_weight_mlp:
-        w = _mlp_weights(params, q, k, config)
+        w = global_attention_weights(params, q, k, config)
         return T.matmul(w, v), lambda: w.data
     c = _logit_scale(q, config)
-    return T.attention(q, k, v, c), lambda: T.attention_weights_data(q, k, c)
+
+    def read() -> np.ndarray:
+        n = q.data.shape[0]
+        _check_dense_bytes("reading global_weights", n, 8 * n * n)
+        return T.attention_weights_data(q, k, c)
+    return T.attention(q, k, v, c), read
 
 
 def aggregate_local(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet,

@@ -342,8 +342,10 @@ def softmax_rows(m) -> Tensor:
 def _attention_rows(q_rows: np.ndarray, kt: np.ndarray, c: float | None,
                     out: np.ndarray | None = None) -> np.ndarray:
     """softmax_rows(c · q_rows @ kt) written into `out` (fresh when None),
-    which is returned; `kt` is k transposed, C-contiguous. The one kernel
-    behind every attention weight in this module."""
+    which is returned; `kt` is k transposed, C-contiguous. The kernel of
+    :func:`attention` and :func:`attention_weights_data`. It repeats the
+    expressions of ``softmax_rows(scale(matmul(q, transpose2(k)), c))``,
+    so its weights equal that chain's bit for bit."""
     w = np.matmul(q_rows, kt, out=out)
     if c is not None:
         w *= c
@@ -359,35 +361,12 @@ def _check_attention(op: str, qd: np.ndarray, kd: np.ndarray, vd: np.ndarray | N
 
 
 def attention_weights_data(q, k, c: float | None = None) -> np.ndarray:
-    """The N x M weights of ``attention_weights(q, k, c)``, bit for bit, as
-    a plain array. Records no tape node, also while a tape is active."""
+    """The N x M weights ``softmax_rows(scale(matmul(q, transpose2(k)), c))``
+    (no scale when `c` is None), bit for bit, as a plain array. Records no
+    tape node, also while a tape is active."""
     qd, kd = _as_tensor(q).data, _as_tensor(k).data
-    _check_attention("attention_weights", qd, kd)
+    _check_attention("attention_weights_data", qd, kd)
     return _attention_rows(qd, np.ascontiguousarray(kd.T), None if c is None else float(c))
-
-
-def attention_weights(q, k, c: float | None = None) -> Tensor:
-    """softmax_rows(scale(matmul(q, transpose2(k)), c)) as one tape node.
-
-    The scale is skipped when `c` is None. The N x M result is built in a
-    single buffer, and the node keeps only it, q and k, where the four-op
-    chain keeps the logits, the scaled logits and the weights. Forward and
-    gradients repeat that chain's expressions in its order, so both are
-    bit-identical to it, also when q and k are one tensor; backward
-    therefore transposes k again instead of keeping the forward's copy.
-    """
-    q, k = _as_tensor(q), _as_tensor(k)
-    qd, kd = q.data, k.data
-    _check_attention("attention_weights", qd, kd)
-    c = None if c is None else float(c)
-
-    def bwd(g, w):
-        gl = _softmax_rows_grad(g, w)
-        if c is not None:
-            gl *= c
-        return (gl @ np.ascontiguousarray(kd.T).T, np.ascontiguousarray((qd.T @ gl).T))
-    return _record("attention_weights", (q, k),
-                   lambda: _attention_rows(qd, np.ascontiguousarray(kd.T), c), bwd)
 
 
 # Elements of one block of attention weights (query rows x keys). Every
@@ -400,7 +379,8 @@ ATTENTION_BLOCK_ELEMS = (1 << 17) - 512
 
 def attention(q, k, v, c: float | None = None) -> Tensor:
     """softmax(c · q kᵀ) v as one tape node that never holds the N x M
-    weights: ``matmul(attention_weights(q, k, c), v)`` in O(N + M) memory.
+    weights: ``matmul(softmax_rows(scale(matmul(q, transpose2(k)), c)), v)``
+    in O(N + M) memory.
 
     q is N x D, k is M x D and v is M x Dv; the scale is skipped when `c`
     is None. Forward runs over blocks of query rows, each of at most
@@ -411,8 +391,8 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
     weights except the one the buffer holds, and accumulates the
     gradients of q, k and v (FlashAttention's recompute, Dao et al. 2022).
 
-    A one-block call repeats the two-node chain's expressions in its
-    order, so its output and gradients are bit-identical to the chain.
+    A one-block call repeats that chain's expressions in its order, so
+    its output and gradients are bit-identical to the chain.
     Over several blocks the output rows still come from the same
     expressions; the k and v gradients are sums over blocks, so they
     agree with the chain to rounding only.
@@ -445,8 +425,8 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
         return out
 
     def bwd(g, y):
-        # Per block: matmul's backward, then attention_weights', in the
-        # chain's order.
+        # Per block: the backward of the chain's ops, in the chain's
+        # order (matmul, softmax_rows, scale, matmul, transpose2).
         dq = np.empty(qd.shape)
         dw, dl = np.empty_like(buf), np.empty_like(buf)
         for b in reversed(range(len(blocks))):
@@ -583,7 +563,9 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
     """Reverse accumulation from a scalar recorded on `tape`.
 
     The scalar must be the output of one of the tape's nodes; gradients are
-    exact (not approximated) for every tensor reachable from it.
+    exact (not approximated) for every tensor reachable from it. A node
+    whose backward returns a gradient shaped unlike its input raises
+    TapeError.
     """
     if output.data.size != 1:
         raise TapeError(f"backward target must be a scalar, got shape {output.shape}")
@@ -598,11 +580,10 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
             continue
         input_grads = node.backward_fn(g)
         for t, gi in zip(node.inputs, input_grads):
-            if gi is None:
-                continue
             gi = np.asarray(gi, dtype=np.float64)
             if gi.shape != t.data.shape:
-                gi = gi.reshape(t.data.shape)
+                raise TapeError(f"{node.op}: backward gave a gradient of shape "
+                                f"{gi.shape} for an input of shape {t.data.shape}")
             key = id(t)
             if key in grads:
                 grads[key] = grads[key] + gi

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .aggregator import (AggregatorConfig, AggregatorParams, FeatureSet, forward,
-                         init_params)
+from .aggregator import (AggregatorConfig, AggregatorParams, FeatureSet, _uniform_init,
+                         forward, init_params)
 from .config import RunConfig, TrainSettings, render_config
 from .metrics import FlowField, FlowMetrics, evaluate_split
 from .rng import Xoshiro256StarStar, derive_seed
@@ -48,12 +48,8 @@ class DecoderParams:
 
 def init_decoder(motion_dim: int, seed: int) -> DecoderParams:
     rng = Xoshiro256StarStar(derive_seed(seed, 2))
-    bound = 1.0 / np.sqrt(motion_dim)
-    return DecoderParams(
-        weight=Tensor((rng.uniform_array((motion_dim, 3)) * 2.0 - 1.0) * bound,
-                      trainable=True),
-        bias=Tensor((rng.uniform_array((3,)) * 2.0 - 1.0) * bound, trainable=True),
-    )
+    return DecoderParams(weight=_uniform_init(rng, (motion_dim, 3), motion_dim),
+                         bias=_uniform_init(rng, (3,), motion_dim))
 
 
 def decode_flow(decoder: DecoderParams, y_tilde: Tensor) -> Tensor:
@@ -294,10 +290,9 @@ def run_occlusion_experiment(cfg: RunConfig,
     """
     if scene is None:
         scene = generate_scene(cfg.scene)
-    base = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, freeze_alpha=True))
     return {
         "full": train(cfg, scene=scene),
-        "baseline": train(base, scene=scene),
+        "baseline": train(_variant_config(cfg, "backbone_only"), scene=scene),
     }
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import oracles
+from flowagg import aggregator
 from flowagg import tensor as T
 from flowagg.aggregator import (
-    WEIGHT_MLP_MAX_BYTES,
+    DENSE_WEIGHTS_MAX_BYTES,
     AggregatorConfig,
     FeatureSet,
     aggregate_global,
@@ -306,8 +307,29 @@ def test_global_route_tapes_no_n_by_n_array():
     # and records nothing.
     assert len(tape.nodes) == taped
     q, k, _ = project_qkv(params, feats, SMALL)
-    want = T.attention_weights(q, k, 1.0 / np.sqrt(SMALL.qk_dim)).data
+    want = global_attention_weights(params, q, k, SMALL).data
     assert weights.tobytes() == want.tobytes()
+
+
+def test_global_weights_read_over_budget_raises_before_allocating(monkeypatch):
+    n = 200
+    params, cloud, feats, nbrs = _instance(6, n, alpha=0.4)
+    with Tape() as tape:
+        _, amap = forward(params, cloud, feats, nbrs, SMALL)
+        taped = len(tape.nodes)
+        monkeypatch.setattr(aggregator, "DENSE_WEIGHTS_MAX_BYTES", 8 * n * n)
+        assert amap.global_weights.shape == (n, n)
+        monkeypatch.setattr(aggregator, "DENSE_WEIGHTS_MAX_BYTES", 8 * n * n - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError) as err:
+                _ = amap.global_weights
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < n * 64
+    assert len(tape.nodes) == taped
+    assert f"N={n}" in str(err.value)
 
 
 def test_global_route_peak_memory_stays_below_one_n_by_n_array():
@@ -333,7 +355,7 @@ def test_weight_mlp_over_budget_raises_before_allocating():
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
     q, v = tensor(rng.normal(size=(n, 3))), tensor(rng.normal(size=(n, 4)))
-    assert weight_mlp_bytes(n, cfg) > WEIGHT_MLP_MAX_BYTES
+    assert weight_mlp_bytes(n, cfg) > DENSE_WEIGHTS_MAX_BYTES
     for call in (lambda: aggregate_global(params, q, q, v, cfg),
                  lambda: global_attention_weights(params, q, q, cfg)):
         tracemalloc.start()
@@ -346,7 +368,29 @@ def test_weight_mlp_over_budget_raises_before_allocating():
         assert peak < n * 8 * 8 and not tape.nodes
         assert f"N={n}" in str(err.value)
         assert f"{weight_mlp_bytes(n, cfg) / 2**20:.0f} MiB" in str(err.value)
-        assert f"{WEIGHT_MLP_MAX_BYTES / 2**20:.0f} MiB" in str(err.value)
+        assert f"{DENSE_WEIGHTS_MAX_BYTES / 2**20:.0f} MiB" in str(err.value)
+
+
+@pytest.mark.parametrize("scale", [True, False])
+@pytest.mark.parametrize("hidden", [(8,), (3, 2)])
+def test_weight_mlp_bytes_equals_the_taped_n_by_n_arrays(monkeypatch, scale, hidden):
+    n = 30
+    cfg = dataclasses.replace(SMALL, use_weight_mlp=True, scale_logits=scale,
+                              weight_hidden=hidden)
+    params, _, feats, _ = _instance(17, n, cfg)
+    calls = []
+    real = aggregator.global_attention_weights
+    monkeypatch.setattr(aggregator, "global_attention_weights",
+                        lambda *args: calls.append(args) or real(*args))
+    with Tape() as tape:
+        q, k, v = project_qkv(params, feats, cfg)
+        aggregate_global(params, q, k, v, cfg)
+    assert len(calls) == 1
+    # The reshape nodes are views of their inputs and own no memory.
+    owned = [node.output.data for node in tape.nodes
+             if node.output.size % (n * n) == 0
+             and not any(np.shares_memory(node.output.data, t.data) for t in node.inputs)]
+    assert sum(a.nbytes for a in owned) == weight_mlp_bytes(n, cfg)
 
 
 def test_downstream_features_concatenate():

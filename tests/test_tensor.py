@@ -246,31 +246,14 @@ def _attention_chain(q, k, c):
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("c", [None, 1.0 / np.sqrt(5)])
 def test_attention_weights_bitwise_equals_four_op_chain(n, shared, c):
+    # The untaped reader behind AttentionMap.global_weights.
     rng = np.random.default_rng(n)
-    qd = rng.normal(size=(n, 5))
-    kd = qd if shared else rng.normal(size=(n + 3, 5))
-    upstream = rng.normal(size=(n, kd.shape[0]))
-    results = []
-    for op in (T.attention_weights, _attention_chain):
-        q = tensor(qd, trainable=True)
-        k = q if shared else tensor(kd, trainable=True)
-        with Tape() as tape:
-            w = op(q, k, c)
-            loss = T.reduce_sum(T.mul(w, tensor(upstream)))
-        grads = backward(tape, loss)
-        results.append([w.data.tobytes(), grads.wrt(q).tobytes(), grads.wrt(k).tobytes()])
-    assert results[0] == results[1]
-
-
-def test_grad_attention_weights():
-    rng = np.random.default_rng(17)
-    q = rng.normal(size=(4, 3))
-    k = rng.normal(size=(5, 3))
-    w = rng.normal(size=(4, 5))
-    _assert_grads_match(
-        lambda tq, tk: T.reduce_sum(T.mul(T.attention_weights(tq, tk, 0.7), tensor(w))), q, k)
-    _assert_grads_match(
-        lambda t: T.reduce_sum(T.mul(T.attention_weights(t, t), tensor(w[:, :4]))), q)
+    q = tensor(rng.normal(size=(n, 5)))
+    k = q if shared else tensor(rng.normal(size=(n + 3, 5)))
+    with Tape() as tape:
+        got = T.attention_weights_data(q, k, c)
+    assert not tape.nodes
+    assert got.tobytes() == _attention_chain(q, k, c).data.tobytes()
 
 
 def _attention_run(op, n, shared, c, extra_keys=3):
@@ -292,7 +275,7 @@ def _attention_run(op, n, shared, c, extra_keys=3):
 
 
 def _attention_chain_then_blend(q, k, v, c):
-    return T.matmul(T.attention_weights(q, k, c), v)
+    return T.matmul(_attention_chain(q, k, c), v)
 
 
 @pytest.mark.parametrize("n", [7, 300])
@@ -366,14 +349,15 @@ def test_softmax_backward_leaves_incoming_gradient_untouched():
     # add's backward hands one gradient array to both of its inputs.
     rng = np.random.default_rng(18)
     x = tensor(rng.normal(size=(6, 3)), trainable=True)
-    for build in (lambda: T.attention_weights(x, x, 0.5), lambda: T.softmax_rows(x),
+    for build in (lambda: _attention_chain(x, x, 0.5), lambda: T.softmax_rows(x),
                   lambda: T.attention(x, x, x, 0.5)):
         with Tape() as tape:
-            out = build()
-        g = rng.normal(size=out.shape)
-        before = g.tobytes()
-        tape.nodes[-1].backward_fn(g)
-        assert g.tobytes() == before
+            build()
+        for node in tape.nodes:
+            g = rng.normal(size=node.output.shape)
+            before = g.tobytes()
+            node.backward_fn(g)
+            assert g.tobytes() == before
 
 
 def test_grad_norm_head_full():
@@ -427,6 +411,19 @@ def test_unreachable_tensor_gets_zero_gradient():
     np.testing.assert_array_equal(backward(tape, out).wrt(y), np.zeros((2, 2)))
 
 
+def test_backward_rejects_a_gradient_of_the_wrong_shape():
+    # A node whose backward hands its input the gradient in the output's
+    # (transposed) layout: same size, wrong shape.
+    x = tensor(np.arange(6.0).reshape(2, 3), trainable=True)
+    with Tape() as tape:
+        xt = Tensor(np.ascontiguousarray(x.data.T))
+        tape.record("bad_transpose", (x,), xt, lambda: np.ascontiguousarray(x.data.T),
+                    lambda g: (g,))
+        loss = T.reduce_sum(T.mul(xt, xt))
+    with pytest.raises(TapeError, match=r"bad_transpose.*\(3, 2\).*\(2, 3\)"):
+        backward(tape, loss)
+
+
 def test_backward_rejects_nonscalar_and_foreign_targets():
     x = tensor(np.ones((2, 2)))
     with Tape() as tape:
@@ -449,16 +446,15 @@ def test_replay_reproduces_outputs_bitwise():
     a = tensor(rng.normal(size=(4, 4)), trainable=True)
     with Tape() as tape:
         s = T.softmax_rows(T.matmul(a, T.transpose2(a)))
-        w = T.attention_weights(a, a, 0.5)
         pos = T.add_const(T.softplus(T.neg(a)), 1.0)
         r = T.div(T.sqrt(pos), T.relu(pos))
-        cat = T.concat_cols([s, T.attention(a, w, r, 0.5), r])
+        cat = T.concat_cols([s, T.attention(a, s, r, 0.5), r])
         rows = T.gather_rows(cat, [3, 0, 0, 2])
         col = T.reduce_sum(T.reshape(T.sub(rows, T.scale(cat, 2.0)), (8, 6)), axis=1)
         T.reduce_sum(T.add(col, T.mul(col, col)))
     # Every op name that tensor.py records is on this one tape.
     ops = set(re.findall(r'(?:_record|_elementwise)\("(\w+)"', inspect.getsource(T)))
-    assert len(ops) == 19
+    assert len(ops) == 18
     assert {node.op for node in tape.nodes} == ops
     before = [node.output.data.tobytes() for node in tape.nodes]
     assert tape.replay()
@@ -478,7 +474,8 @@ def test_replay_reproduces_outputs_bitwise():
 
 def test_replay_detects_a_mutated_input():
     rng = np.random.default_rng(15)
-    for op in (T.mul, T.attention_weights, lambda a, b: T.softmax_rows(a)):
+    for op in (T.mul, lambda a, b: _attention_chain(a, b, 0.5),
+               lambda a, b: T.softmax_rows(a)):
         a = tensor(rng.normal(size=(3, 3)))
         b = tensor(rng.normal(size=(3, 3)))
         with Tape() as tape:
@@ -488,7 +485,7 @@ def test_replay_detects_a_mutated_input():
         assert not tape.replay()
     # The fused node also recomputes k's transpose from k.
     with Tape() as tape:
-        T.attention_weights(a, b, 0.5)
+        T.attention(a, b, a, 0.5)
     b.data[0, 0] += 1.0
     assert not tape.replay()
 
