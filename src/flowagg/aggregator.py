@@ -81,6 +81,9 @@ class AggregatorConfig:
         for name in ("context_dim", "motion_dim", "qk_dim", "disp_dim", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("disp_hidden", "score_hidden", "weight_hidden", "plain_hidden"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise ValueError(f"{name} widths must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import sys
 
 from .config import ConfigError, RunConfig, config_defaults, parse_config_file
 from .containers import ContainerError, read_container, write_container
-from .metrics import FlowField, evaluate_split
+from .metrics import FlowField, evaluate_split, metric_lines
 from .scenegen import (GenerationError, SyntheticScene, generate_scene,
                        scene_from_tensors, scene_tensors)
 from .train import (DivergenceError, ExperimentReport, ablation_table, grad_check,
@@ -88,14 +88,8 @@ def cmd_eval(args) -> int:
         raise ContainerError(
             f"prediction has {len(pred)} points, scene has {len(scene)}")
     occ, vis, everything = evaluate_split(pred, scene.gt_flow, scene.occlusion_mask)
-    for split, m in (("all", everything), ("occluded", occ), ("visible", vis)):
-        if m is None:
-            continue
-        print(f"epe_{split}={m.epe_m!r}")
-        print(f"acc_strict_{split}={m.acc_strict!r}")
-        print(f"acc_relax_{split}={m.acc_relax!r}")
-        print(f"outliers_{split}={m.outliers!r}")
-        print(f"n_points_{split}={m.n_points}")
+    for line in metric_lines((("all", everything), ("occluded", occ), ("visible", vis))):
+        print(line)
     return EXIT_OK
 
 

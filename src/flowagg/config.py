@@ -7,14 +7,17 @@ scene parameters), ``module`` (aggregator dimensions and switches), and
 file is a valid config; unknown or duplicate keys are rejected by name,
 and parsing is order-independent.
 
-Value syntax per field type: integers and floats as Python literals,
-booleans ``true``/``false``, strings bare, integer tuples comma-separated
-(``16,32``; empty value for the empty tuple).
+Value syntax per field type: integers and floats as Python literals
+(floats must be finite: ``nan`` and ``inf`` are rejected), booleans
+``true``/``false``, strings bare, integer tuples comma-separated
+(``16,32``; empty value for the empty tuple). Validation then checks
+ranges; for instance every ``module.*_hidden`` width must be positive.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -49,13 +52,13 @@ class TrainSettings:
     def validate(self) -> None:
         if self.steps < 0:
             raise ConfigError("train.steps must be non-negative")
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise ConfigError("train.learning_rate must be non-negative")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"train.optimizer must be sgd or adam, got {self.optimizer!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
+        if not self.adam_eps > 0.0:
             raise ConfigError("train.adam_eps must be positive")
 
 
@@ -87,7 +90,10 @@ def _parse_value(raw: str, typ, key: str):
         if typ is int:
             return int(raw)
         if typ is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError("floats must be finite")
+            return value
         if typ is bool:
             if raw == "true":
                 return True

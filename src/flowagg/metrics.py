@@ -7,13 +7,15 @@ implementations that agree per point agree exactly in the aggregate.
 Accuracy and outlier rates test each point against an absolute error
 threshold or a threshold relative to the true flow magnitude, whichever is
 satisfied (strict inequalities). The relative alternative is skipped for
-points whose true flow is exactly zero.
+points whose true flow is exactly zero. ``metric_lines`` is the one place
+that names the metric keys in the key=value reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -82,43 +84,44 @@ def epe(predicted: FlowField, target: FlowField) -> float:
     return math.fsum(errs.tolist()) / errs.size
 
 
+def _check_mask(mask, n: int, what: str) -> np.ndarray:
+    mask = np.asarray(mask)
+    if mask.dtype != np.bool_ or mask.shape != (n,):
+        raise ValueError(f"{what} must be boolean of shape ({n},), "
+                         f"got {mask.dtype} {mask.shape}")
+    return mask
+
+
+def _errors_and_magnitudes(predicted: FlowField,
+                           target: FlowField) -> tuple[np.ndarray, np.ndarray]:
+    return per_point_epe(predicted, target), np.sqrt((target.vectors ** 2).sum(axis=1))
+
+
+def _aggregate(errs: np.ndarray, mags: np.ndarray) -> FlowMetrics:
+    """Metrics over per-point errors and true-flow magnitudes. Where the
+    true flow is zero the relative error is NaN, which passes no test."""
+    n = errs.size
+    if n == 0:
+        raise EmptySelectionError("no points selected: cannot aggregate metrics")
+    rel = np.divide(errs, mags, out=np.full(n, np.nan), where=mags > 0.0)
+    strict, relax, out = (int(np.count_nonzero(hit)) / n for hit in (
+        (errs < ACC_STRICT_ABS) | (rel < ACC_STRICT_REL),
+        (errs < ACC_RELAX_ABS) | (rel < ACC_RELAX_REL),
+        (errs > OUTLIER_ABS) | (rel > OUTLIER_REL)))
+    return FlowMetrics(math.fsum(errs.tolist()) / n, strict, relax, out, n)
+
+
 def evaluate(predicted: FlowField, target: FlowField,
              mask: np.ndarray | None = None) -> FlowMetrics:
     """Compute all aggregate metrics, optionally over a boolean subset.
 
     `mask` selects which points participate; selecting none is an error.
     """
-    errs = per_point_epe(predicted, target)
-    mags = np.sqrt((target.vectors ** 2).sum(axis=1))
+    errs, mags = _errors_and_magnitudes(predicted, target)
     if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype != np.bool_ or mask.shape != (len(predicted),):
-            raise ValueError(f"mask must be boolean of shape ({len(predicted)},), "
-                             f"got {mask.dtype} {mask.shape}")
-        errs = errs[mask]
-        mags = mags[mask]
-    n = errs.size
-    if n == 0:
-        raise EmptySelectionError("no points selected: cannot aggregate metrics")
-
-    strict = 0
-    relax = 0
-    out = 0
-    for e, m in zip(errs.tolist(), mags.tolist()):
-        rel_ok = m > 0.0
-        if e < ACC_STRICT_ABS or (rel_ok and e / m < ACC_STRICT_REL):
-            strict += 1
-        if e < ACC_RELAX_ABS or (rel_ok and e / m < ACC_RELAX_REL):
-            relax += 1
-        if e > OUTLIER_ABS or (rel_ok and e / m > OUTLIER_REL):
-            out += 1
-    return FlowMetrics(
-        epe_m=math.fsum(errs.tolist()) / n,
-        acc_strict=strict / n,
-        acc_relax=relax / n,
-        outliers=out / n,
-        n_points=n,
-    )
+        mask = _check_mask(mask, len(predicted), "mask")
+        errs, mags = errs[mask], mags[mask]
+    return _aggregate(errs, mags)
 
 
 def evaluate_split(
@@ -128,13 +131,28 @@ def evaluate_split(
 
     An empty occluded or visible subset yields None for that record (its
     metrics are undefined over zero points) while the other records are
-    still computed; an entirely empty cloud raises.
+    still computed; an entirely empty cloud raises. The per-point errors
+    are computed once and shared by the three records.
     """
-    occlusion_mask = np.asarray(occlusion_mask)
-    if occlusion_mask.dtype != np.bool_ or occlusion_mask.shape != (len(predicted),):
-        raise ValueError(
-            f"occlusion mask must be boolean of shape ({len(predicted)},), "
-            f"got {occlusion_mask.dtype} {occlusion_mask.shape}")
-    occ = evaluate(predicted, target, occlusion_mask) if occlusion_mask.any() else None
-    vis = evaluate(predicted, target, ~occlusion_mask) if (~occlusion_mask).any() else None
-    return occ, vis, evaluate(predicted, target)
+    occ = _check_mask(occlusion_mask, len(predicted), "occlusion mask")
+    errs, mags = _errors_and_magnitudes(predicted, target)
+    vis = ~occ
+    return (_aggregate(errs[occ], mags[occ]) if occ.any() else None,
+            _aggregate(errs[vis], mags[vis]) if vis.any() else None,
+            _aggregate(errs, mags))
+
+
+def metric_lines(splits: Iterable[tuple[str, FlowMetrics | None]],
+                 prefix: str = "") -> list[str]:
+    """key=value lines for each (split name, metrics) pair, in the order
+    given; a None record is skipped. Floats are written as their repr."""
+    lines = []
+    for split, m in splits:
+        if m is None:
+            continue
+        lines += [f"{prefix}epe_{split}={m.epe_m!r}",
+                  f"{prefix}acc_strict_{split}={m.acc_strict!r}",
+                  f"{prefix}acc_relax_{split}={m.acc_relax!r}",
+                  f"{prefix}outliers_{split}={m.outliers!r}",
+                  f"{prefix}n_points_{split}={m.n_points}"]
+    return lines

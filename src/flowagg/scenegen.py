@@ -92,11 +92,11 @@ class SceneConfig:
     def validate(self) -> None:
         if self.n_clusters < 1 or self.points_per_cluster < 1:
             raise GenerationError("need at least one cluster and one point per cluster")
-        if self.cluster_spread <= 0.0 or self.center_spread < 0.0:
+        if not (self.cluster_spread > 0.0 and self.center_spread >= 0.0):
             raise GenerationError("cluster_spread must be positive, center_spread non-negative")
-        if self.min_center_sep < 0.0 or self.blob_truncation < 0.0:
+        if not (self.min_center_sep >= 0.0 and self.blob_truncation >= 0.0):
             raise GenerationError("min_center_sep and blob_truncation must be non-negative")
-        if self.translation_range < 0.0 or self.rotation_range < 0.0:
+        if not (self.translation_range >= 0.0 and self.rotation_range >= 0.0):
             raise GenerationError("motion ranges must be non-negative")
         if not 0.0 <= self.occlusion_fraction < 1.0:
             raise GenerationError(
@@ -107,9 +107,9 @@ class SceneConfig:
             raise GenerationError("occlusion_clump must be at least 1")
         if self.motion_corruption not in CORRUPTION_MODES:
             raise GenerationError(f"unknown motion_corruption {self.motion_corruption!r}")
-        if self.corruption_noise_std < 0.0 or self.feature_noise_std < 0.0:
+        if not (self.corruption_noise_std >= 0.0 and self.feature_noise_std >= 0.0):
             raise GenerationError("noise levels must be non-negative")
-        if self.context_scale <= 0.0:
+        if not self.context_scale > 0.0:
             raise GenerationError("context_scale must be positive")
         if self.clusters_per_group < 1 or self.n_clusters % self.clusters_per_group:
             raise GenerationError(
@@ -124,7 +124,7 @@ class SceneConfig:
             raise GenerationError("constraint_k must be positive")
         if self.constraint_k > self.n_clusters * self.points_per_cluster - 1:
             raise GenerationError("constraint_k exceeds the number of other points")
-        if self.r_match <= 0.0:
+        if not self.r_match > 0.0:
             raise GenerationError("r_match must be positive")
 
     @property
@@ -302,7 +302,6 @@ def _occlude_global(geo: _Geometry, cfg: SceneConfig,
                     rng: Xoshiro256StarStar) -> np.ndarray:
     """Occlude whole clusters, visiting groups round-robin so occlusion is
     spread across groups rather than wiping one group out."""
-    n = len(geo.frame1)
     target_clusters = round(cfg.occlusion_fraction * cfg.n_clusters)
     if target_clusters == 0:
         raise GenerationError(
@@ -310,24 +309,16 @@ def _occlude_global(geo: _Geometry, cfg: SceneConfig,
             f"whole clusters of {cfg.n_clusters}; raise the fraction")
     if target_clusters >= cfg.n_clusters:
         raise GenerationError("global occlusion: cannot occlude every cluster")
+    cpg = cfg.clusters_per_group
     group_order = list(range(cfg.n_groups))
     rng.shuffle(group_order)
-    remaining: dict[int, list[int]] = {}
+    members: dict[int, list[int]] = {}
     for g in group_order:
-        members = list(range(g * cfg.clusters_per_group, (g + 1) * cfg.clusters_per_group))
-        rng.shuffle(members)
-        remaining[g] = members
-    chosen: list[int] = []
-    while len(chosen) < target_clusters:
-        for g in group_order:
-            if len(chosen) == target_clusters:
-                break
-            if remaining[g]:
-                chosen.append(remaining[g].pop())
-    mask = np.zeros(n, dtype=bool)
-    for c in chosen:
-        mask[geo.cluster_id == c] = True
-    return mask
+        members[g] = list(range(g * cpg, (g + 1) * cpg))
+        rng.shuffle(members[g])
+    # Round r takes each group's r-th cluster from the end of its shuffle.
+    chosen = [members[g][-1 - r] for r in range(cpg) for g in group_order][:target_clusters]
+    return np.isin(geo.cluster_id, chosen)
 
 
 def _occlude_fps(geo: _Geometry, cfg: SceneConfig,

@@ -9,8 +9,9 @@ its inputs, the closure that computed its output (``Tape.replay`` runs it
 again), and a closure that maps an output gradient to input gradients.
 Every operation builds its node through one helper, ``_record``, so its
 forward expression is written once. ``backward(tape, loss)`` then runs
-reverse accumulation and returns exact gradients for every tensor created
-with ``trainable=True``.
+reverse accumulation and returns exact gradients for every leaf tensor
+reachable from the loss, whether or not it was created with
+``trainable=True`` (that flag only labels parameters in a tensor's repr).
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -44,8 +45,9 @@ class NumericalError(ArithmeticError):
 class Tensor:
     """A float64 array participating in tape recording.
 
-    ``data`` holds the values in row-major order. ``trainable`` marks leaf
-    tensors whose gradients ``backward`` should report. Do not mutate
+    ``data`` holds the values in row-major order. ``trainable`` labels
+    parameters (it shows in the repr; ``backward`` reports every reachable
+    leaf either way). Tensors hash and compare by identity. Do not mutate
     ``data`` in place; optimizers rebind it instead.
     """
 
@@ -543,19 +545,16 @@ def norm_act_head(p: NormActParams, x) -> Tensor:
 
 
 class Gradients:
-    """Gradients keyed by tensor identity, as returned by ``backward``."""
+    """Gradients keyed by tensor, as returned by ``backward``. Tensors hash
+    by identity, and a key keeps its tensor alive."""
 
-    def __init__(self, by_id: dict[int, np.ndarray], tensors: dict[int, Tensor]):
-        self._by_id = by_id
-        self._tensors = tensors   # keeps every keyed tensor alive, so no id is reused
-
-    def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._by_id
+    def __init__(self, by_tensor: dict[Tensor, np.ndarray]):
+        self._by_tensor = by_tensor
 
     def wrt(self, t: Tensor) -> np.ndarray:
         """Gradient with respect to `t`; zeros if `t` is unreachable from
         the backward root."""
-        g = self._by_id.get(id(t))
+        g = self._by_tensor.get(t)
         return np.zeros_like(t.data) if g is None else g
 
 
@@ -563,7 +562,8 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
     """Reverse accumulation from a scalar recorded on `tape`.
 
     The scalar must be the output of one of the tape's nodes; gradients are
-    exact (not approximated) for every tensor reachable from it. A node
+    exact (not approximated) for every leaf tensor reachable from it,
+    whether or not it was created with ``trainable=True``. A node
     whose backward returns a gradient shaped unlike its input raises
     TapeError.
     """
@@ -571,11 +571,9 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
         raise TapeError(f"backward target must be a scalar, got shape {output.shape}")
     if not any(node.output is output for node in tape.nodes):
         raise TapeError("backward target was not produced on this tape")
-    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-    tensors: dict[int, Tensor] = {id(output): output}
+    grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.output), None)
-        tensors.pop(id(node.output), None)
+        g = grads.pop(node.output, None)
         if g is None:
             continue
         input_grads = node.backward_fn(g)
@@ -584,13 +582,8 @@ def backward(tape: Tape, output: Tensor) -> Gradients:
             if gi.shape != t.data.shape:
                 raise TapeError(f"{node.op}: backward gave a gradient of shape "
                                 f"{gi.shape} for an input of shape {t.data.shape}")
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-                tensors[key] = t
-    return Gradients(grads, tensors)
+            grads[t] = grads[t] + gi if t in grads else gi
+    return Gradients(grads)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, eps: float = 1e-5) -> np.ndarray:

@@ -20,7 +20,7 @@ from . import tensor as T
 from .aggregator import (AggregatorConfig, AggregatorParams, FeatureSet, _uniform_init,
                          forward, init_params)
 from .config import RunConfig, TrainSettings, render_config
-from .metrics import FlowField, FlowMetrics, evaluate_split
+from .metrics import FlowField, FlowMetrics, evaluate_split, metric_lines
 from .rng import Xoshiro256StarStar, derive_seed
 from .scenegen import SyntheticScene, generate_scene
 from .spatial import NeighborIndex, PointCloud, knn
@@ -134,17 +134,9 @@ def report_lines(report: ExperimentReport) -> list[str]:
     lines = [f"config.{line}" for line in report.config_text.strip().splitlines()]
     lines.append("steps=" + str(len(report.loss_series)))
     lines.append("loss_series=" + ",".join(repr(v) for v in report.loss_series))
-    for split, m in (("occluded", report.metrics_occluded),
-                     ("visible", report.metrics_visible),
-                     ("all", report.metrics_all)):
-        if m is None:
-            continue
-        lines.append(f"final_epe_{split}={m.epe_m!r}")
-        lines.append(f"final_acc_strict_{split}={m.acc_strict!r}")
-        lines.append(f"final_acc_relax_{split}={m.acc_relax!r}")
-        lines.append(f"final_outliers_{split}={m.outliers!r}")
-        lines.append(f"final_n_points_{split}={m.n_points}")
-    return lines
+    return lines + metric_lines((("occluded", report.metrics_occluded),
+                                 ("visible", report.metrics_visible),
+                                 ("all", report.metrics_all)), prefix="final_")
 
 
 def named_model_tensors(params: AggregatorParams,
@@ -159,12 +151,10 @@ def _scene_neighbors(scene: SyntheticScene, module: AggregatorConfig) -> Neighbo
                include_self=module.include_self_neighbors)
 
 
-def _predict(params: AggregatorParams, decoder: DecoderParams,
-             scene: SyntheticScene, nbrs: NeighborIndex,
-             module: AggregatorConfig) -> tuple[Tensor, Tensor]:
-    feats = FeatureSet(scene.context, scene.motion_in)
-    y_tilde, _ = forward(params, scene.frame1, feats, nbrs, module)
-    return decode_flow(decoder, y_tilde), y_tilde
+def _predict(params: AggregatorParams, decoder: DecoderParams, cloud: PointCloud,
+             feats: FeatureSet, nbrs: NeighborIndex, module: AggregatorConfig) -> Tensor:
+    """Per-point flow prediction: the aggregator, then the decoder."""
+    return decode_flow(decoder, forward(params, cloud, feats, nbrs, module)[0])
 
 
 def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentReport:
@@ -180,6 +170,7 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     if scene is None:
         scene = generate_scene(cfg.scene)
     nbrs = _scene_neighbors(scene, cfg.module)
+    feats = FeatureSet(scene.context, scene.motion_in)
     params = init_params(cfg.module, cfg.train.seed)
     decoder = init_decoder(cfg.module.motion_dim, cfg.train.seed)
     named = params.named_tensors() + decoder.named_tensors()
@@ -190,7 +181,7 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     losses: list[float] = []
     for step in range(cfg.train.steps):
         with Tape() as tape:
-            pred, _ = _predict(params, decoder, scene, nbrs, cfg.module)
+            pred = _predict(params, decoder, scene.frame1, feats, nbrs, cfg.module)
             loss = loss_epe(pred, scene.gt_flow)
         value = float(loss.data)
         if not math.isfinite(value):
@@ -198,7 +189,7 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
         losses.append(value)
         opt.step(named, backward(tape, loss))
 
-    pred, _ = _predict(params, decoder, scene, nbrs, cfg.module)
+    pred = _predict(params, decoder, scene.frame1, feats, nbrs, cfg.module)
     if not np.isfinite(pred.data).all():
         raise DivergenceError(cfg.train.steps, float("nan"))
     occ, vis, everything = evaluate_split(
@@ -241,9 +232,11 @@ def grad_check(cfg: RunConfig | None = None, corrupt: bool = False) -> float:
     params.alpha.data = np.asarray(0.5 + 0.5 * rng.uniform())
     named = params.named_tensors() + decoder.named_tensors()
 
+    def loss_at() -> Tensor:
+        return loss_epe(_predict(params, decoder, cloud, feats, nbrs, module), gt)
+
     with Tape() as tape:
-        y_tilde, _ = forward(params, cloud, feats, nbrs, module)
-        loss = loss_epe(decode_flow(decoder, y_tilde), gt)
+        loss = loss_at()
     grads = backward(tape, loss)
 
     worst = 0.0
@@ -256,8 +249,7 @@ def grad_check(cfg: RunConfig | None = None, corrupt: bool = False) -> float:
             saved = _t.data
             _t.data = values.reshape(saved.shape)
             try:
-                y2, _ = forward(params, cloud, feats, nbrs, module)
-                return float(loss_epe(decode_flow(decoder, y2), gt).data)
+                return float(loss_at().data)
             finally:
                 _t.data = saved
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import flowagg
 from flowagg.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -29,6 +30,8 @@ GLOBAL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
 # SHA-256 of `flowagg gen` on occlusion_global.cfg: truncated blobs and
 # whole-cluster occlusion, which the local configs never reach.
 GLOBAL_SCENE_SHA256 = "2ec84cf640812ff6a46d1b5c978093b18dbc8ce62aca4fb245aec2d00723d8b5"
+
+SMOKE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
 
 LIGHT_CFG = """
 scene.n_clusters = 2
@@ -128,6 +131,41 @@ def test_eval_scores_prediction(tmp_path, light_cfg, capsys):
     assert "acc_strict_all=1.0" in stdout
 
 
+# `flowagg eval` stdout on smoke.cfg's scene for the prediction built in
+# test_eval_stdout_is_pinned: splits all, occluded, visible; floats as repr.
+SMOKE_EVAL_STDOUT = (
+    "epe_all=0.20300342302022856\n"
+    "acc_strict_all=0.16\n"
+    "acc_relax_all=0.16\n"
+    "outliers_all=0.56\n"
+    "n_points_all=50\n"
+    "epe_occluded=0.1768992291796613\n"
+    "acc_strict_occluded=0.26666666666666666\n"
+    "acc_relax_occluded=0.26666666666666666\n"
+    "outliers_occluded=0.26666666666666666\n"
+    "n_points_occluded=15\n"
+    "epe_visible=0.21419093466618594\n"
+    "acc_strict_visible=0.11428571428571428\n"
+    "acc_relax_visible=0.11428571428571428\n"
+    "outliers_visible=0.6857142857142857\n"
+    "n_points_visible=35\n"
+)
+
+
+def test_eval_stdout_is_pinned(tmp_path, capsys):
+    scene_path = tmp_path / "scene.gtc"
+    assert main(["gen", "--config", SMOKE_CFG, "--out", str(scene_path)]) == EXIT_OK
+    capsys.readouterr()
+    gt = read_container(scene_path)["gt_flow"]
+    n = gt.shape[0]
+    pred = gt + 0.2 * np.sin(np.arange(n * 3).reshape(n, 3) * 0.7)
+    pred[::7] = gt[::7]
+    pred_path = tmp_path / "pred.gtc"
+    write_container(pred_path, [("flow", pred)])
+    assert main(["eval", "--pred", str(pred_path), "--scene", str(scene_path)]) == EXIT_OK
+    assert capsys.readouterr().out == SMOKE_EVAL_STDOUT
+
+
 def test_eval_rejects_missing_flow_tensor(tmp_path, light_cfg):
     scene_path = tmp_path / "scene.gtc"
     main(["gen", "--config", light_cfg, "--out", str(scene_path)])
@@ -203,6 +241,48 @@ def test_divergence_exits_4(tmp_path):
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGED
 
 
+def _smoke_with(tmp_path, override):
+    """smoke.cfg with the `key = value` lines of `override` replacing its own."""
+    keys = {line.split("=")[0].strip() for line in override.splitlines()}
+    with open(SMOKE_CFG, encoding="utf-8") as fh:
+        kept = [line for line in fh if line.split("=")[0].strip() not in keys]
+    path = tmp_path / "override.cfg"
+    path.write_text("".join(kept) + override)
+    return str(path)
+
+
+@pytest.mark.parametrize("override", [
+    "module.disp_hidden = 0\n",
+    "module.disp_hidden = -3\n",
+    "module.score_hidden = 0\n",
+    "module.plain_aggregator = true\nmodule.plain_hidden = 0\n",
+    "module.use_weight_mlp = true\nmodule.weight_hidden = 0\n",
+])
+def test_non_positive_hidden_width_exits_2(tmp_path, override, capsys):
+    cfg = _smoke_with(tmp_path, override)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "_hidden widths must be positive" in capsys.readouterr().err
+
+
+def test_empty_hidden_widths_train(tmp_path):
+    cfg = _smoke_with(tmp_path, "module.disp_hidden =\nmodule.score_hidden =\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command,key", [
+    ("gen", "scene.r_match"),
+    ("train", "scene.r_match"),
+    ("train", "train.learning_rate"),
+    ("train", "train.adam_eps"),
+])
+def test_nan_config_value_exits_2(tmp_path, command, key, capsys):
+    cfg = _smoke_with(tmp_path, f"{key} = nan\n")
+    out = tmp_path / ("scene.gtc" if command == "gen" else "run")
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # --out is required
@@ -210,7 +290,11 @@ def test_usage_error_exits_2():
 
 
 def test_console_entry_point_runs():
+    # The subprocess runs the package under test, whether it was imported
+    # from an install or through pytest's `pythonpath` setting.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowagg.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "flowagg.cli", "defaults"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == EXIT_OK
     assert "scene.n_clusters" in proc.stdout

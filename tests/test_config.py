@@ -1,15 +1,23 @@
 """Config text format: parse/render round trips and rejection paths."""
 
+import dataclasses
+
 import pytest
 
+from flowagg.aggregator import AggregatorConfig
 from flowagg.config import (
     ConfigError,
     RunConfig,
+    TrainSettings,
     config_defaults,
     parse_config,
     parse_config_file,
     render_config,
 )
+from flowagg.scenegen import GenerationError, SceneConfig
+
+SCENE_FLOATS = [f.name for f in dataclasses.fields(SceneConfig) if f.type in (float, "float")]
+TRAIN_FLOATS = [f.name for f in dataclasses.fields(TrainSettings) if f.type in (float, "float")]
 
 
 def test_defaults_round_trip():
@@ -93,6 +101,39 @@ def test_validate_catches_bad_settings():
         parse_config("train.learning_rate = -0.5\n").train.validate()
     with pytest.raises(ValueError):
         parse_config("train.optimizer = lbfgs\n").train.validate()
+
+
+@pytest.mark.parametrize("key", ["scene.r_match", "train.learning_rate",
+                                 "train.adam_eps", "scene.cluster_spread"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_float_rejected_by_name(key, raw):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        parse_config(f"{key} = {raw}\n")
+
+
+def test_float_field_lists_are_read_from_the_dataclasses():
+    assert "r_match" in SCENE_FLOATS and "adam_eps" in TRAIN_FLOATS
+
+
+@pytest.mark.parametrize("name", SCENE_FLOATS)
+def test_scene_validate_rejects_nan_built_in_code(name):
+    with pytest.raises(GenerationError):
+        dataclasses.replace(SceneConfig(), **{name: float("nan")}).validate()
+
+
+@pytest.mark.parametrize("name", TRAIN_FLOATS)
+def test_train_validate_rejects_nan_built_in_code(name):
+    with pytest.raises(ConfigError):
+        dataclasses.replace(TrainSettings(), **{name: float("nan")}).validate()
+
+
+@pytest.mark.parametrize("name", ["disp_hidden", "score_hidden", "weight_hidden",
+                                  "plain_hidden"])
+def test_hidden_widths_must_be_positive(name):
+    for widths in ((0,), (-3,), (8, 0)):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(AggregatorConfig(), **{name: widths}).validate()
+    dataclasses.replace(AggregatorConfig(), **{name: ()}).validate()
 
 
 def test_file_loading(tmp_path):

@@ -9,9 +9,11 @@ import oracles
 from flowagg.metrics import (
     EmptySelectionError,
     FlowField,
+    FlowMetrics,
     epe,
     evaluate,
     evaluate_split,
+    metric_lines,
     per_point_epe,
 )
 
@@ -143,6 +145,50 @@ def test_evaluate_split_empty_side_is_none():
     occ_m, vis_m, _ = evaluate_split(pred, gt, np.array([True]))
     assert vis_m is None
     assert occ_m is not None
+
+
+def _field_with_edge_rows(seed):
+    """Random prediction and target where some targets are zero and some
+    rows sit exactly on an absolute or relative threshold."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 60))
+    gt = rng.normal(scale=0.5, size=(n, 3))
+    pred = gt + rng.normal(scale=0.15, size=(n, 3))
+    gt[rng.random(n) < 0.2] = 0.0
+    rows = rng.permutation(n)[:6]
+    for row, (err, norm) in zip(rows, [(0.05, 0.0), (0.1, 0.0), (0.3, 0.0),
+                                       (0.1, 2.0), (0.2, 2.0), (0.15, 0.5)]):
+        gt[row] = [0.0, norm, 0.0]
+        pred[row] = gt[row] + [err, 0.0, 0.0]
+    return FlowField(pred), FlowField(gt), rng.random(n) < 0.4
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_evaluate_split_equals_three_evaluate_calls(seed):
+    pred, gt, occ = _field_with_edge_rows(seed)
+    got = evaluate_split(pred, gt, occ)
+    want = (evaluate(pred, gt, occ) if occ.any() else None,
+            evaluate(pred, gt, ~occ) if (~occ).any() else None,
+            evaluate(pred, gt))
+    assert repr(got) == repr(want)
+    want_loop = oracles.metrics_loops(pred.vectors, gt.vectors)
+    assert got[2] == FlowMetrics(**want_loop)
+
+
+def test_metric_rates_are_python_floats():
+    pred, gt, occ = _field_with_edge_rows(0)
+    for m in evaluate_split(pred, gt, occ):
+        for value in (m.epe_m, m.acc_strict, m.acc_relax, m.outliers):
+            assert type(value) is float
+        assert type(m.n_points) is int
+
+
+def test_metric_lines_order_prefix_and_skipped_split():
+    m = FlowMetrics(epe_m=0.5, acc_strict=0.25, acc_relax=1.0, outliers=0.0, n_points=4)
+    assert metric_lines([("b", m), ("a", None)], prefix="final_") == [
+        "final_epe_b=0.5", "final_acc_strict_b=0.25", "final_acc_relax_b=1.0",
+        "final_outliers_b=0.0", "final_n_points_b=4"]
+    assert metric_lines([("a", None)]) == []
 
 
 def test_empty_selection_raises():

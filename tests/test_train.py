@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from flowagg import tensor as T
+from flowagg import train as train_module
 from flowagg.aggregator import AggregatorConfig
 from flowagg.config import RunConfig, TrainSettings
 from flowagg.scenegen import SceneConfig, generate_scene
@@ -151,6 +152,35 @@ def test_gradcheck_default_passes():
 
 def test_gradcheck_flags_corrupted_gradient():
     assert grad_check(corrupt=True) > 1e-3
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_gradcheck_differentiates_the_training_prediction(monkeypatch):
+    # Every forward pass of the check, taped or perturbed, is a _predict
+    # call, the same prediction train() fits.
+    forwards = _count_calls(monkeypatch, train_module, "forward")
+    predicts = _count_calls(monkeypatch, train_module, "_predict")
+    assert grad_check() < 1e-6
+    assert len(predicts) == len(forwards) > 1
+
+
+def test_train_builds_features_once_and_predicts_per_step(monkeypatch):
+    feature_sets = _count_calls(monkeypatch, train_module, "FeatureSet")
+    predicts = _count_calls(monkeypatch, train_module, "_predict")
+    train(_light_cfg(train=dict(steps=3)))
+    assert len(feature_sets) == 1
+    assert len(predicts) == 4   # three steps and the final evaluation
 
 
 def test_gradcheck_default_config_shape():
