@@ -19,7 +19,10 @@ zero, and is added back. At initialization the module is therefore an
 exact identity on motion features.
 
 All forward math runs through :mod:`.tensor` primitives, so recording a
-tape during the call yields exact gradients for every parameter.
+tape during the call yields exact gradients for every parameter. What
+does not depend on the parameters (feature tensors, displacements, the
+constant context blocks of the local scores, the neighbour row index) is
+built once per scene by :func:`prepare_inputs`.
 """
 
 from __future__ import annotations
@@ -211,33 +214,24 @@ def init_params(config: AggregatorConfig, seed: int) -> AggregatorParams:
     return params
 
 
-def _check_dims(params: AggregatorParams, feats: FeatureSet, config: AggregatorConfig) -> None:
-    dc, dm = config.context_dim, config.motion_dim
-    if feats.context.shape[1] != dc or feats.motion.shape[1] != dm:
-        raise ShapeError(
-            f"features ({feats.context.shape[1]}, {feats.motion.shape[1]}) do not match "
-            f"configured dims ({dc}, {dm})")
-    if params.qk_proj.shape != (dc, config.qk_dim) or params.v_proj.shape != (dm, dm):
-        raise ShapeError(
-            f"projections {params.qk_proj.shape}/{params.v_proj.shape} do not match "
-            f"config dims Dc={dc}, Dqk={config.qk_dim}, Dm={dm}")
-
-
-def project_qkv(params: AggregatorParams, feats: FeatureSet,
+def project_qkv(params: AggregatorParams, context: Tensor, motion: Tensor,
                 config: AggregatorConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """Query, key, and value projections.
+    """Query, key, and value projections of the context (N x Dc) and
+    motion (N x Dm) tensors.
 
     The query and key projections share one weight matrix, so the returned
     q and k are the same tensor (one matmul, gradients from both uses
     accumulate on it). With raw_context_logits, q and k are the context
-    features themselves and the shared projection is skipped. v applies
-    the motion-feature projection.
+    tensor itself and the shared projection is skipped. v applies the
+    motion-feature projection.
     """
-    _check_dims(params, feats, config)
-    x = T.tensor(feats.context)
-    qk = x if config.raw_context_logits else T.matmul(x, params.qk_proj)
-    v = T.matmul(T.tensor(feats.motion), params.v_proj)
-    return qk, qk, v
+    dc, dm = config.context_dim, config.motion_dim
+    if params.qk_proj.shape != (dc, config.qk_dim) or params.v_proj.shape != (dm, dm):
+        raise ShapeError(
+            f"projections {params.qk_proj.shape}/{params.v_proj.shape} do not match "
+            f"config dims Dc={dc}, Dqk={config.qk_dim}, Dm={dm}")
+    qk = context if config.raw_context_logits else T.matmul(context, params.qk_proj)
+    return qk, qk, T.matmul(motion, params.v_proj)
 
 
 # Largest N x N memory in bytes (1 GiB) that the use_weight_mlp route may
@@ -326,27 +320,66 @@ def aggregate_global(params: AggregatorParams, q: Tensor, k: Tensor, v: Tensor,
     return T.attention(q, k, v, c), read
 
 
-def aggregate_local(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet,
-                    v: Tensor, nbrs: NeighborIndex, config: AggregatorConfig,
-                    counterparts: PointCloud | None = None) -> tuple[Tensor, Tensor]:
-    """Neighbourhood aggregation: per point, a softmax over its k
-    neighbours' scores, applied to their value rows.
+@dataclass(frozen=True, eq=False)
+class SceneInputs:
+    """The constant inputs of :func:`forward` for one scene, which
+    :func:`prepare_inputs` builds once; every pass over the scene then
+    reads the same leaf tensors.
 
-    The score of neighbour j of point i is an MLP over [encoded
-    displacement, context_j, context_i]. Displacements default to
-    p_j - p_i within frame 1; with cross_frame_displacements the j
-    endpoint is taken from the row-aligned counterpart cloud instead.
+    cloud, nbrs, config and counterparts are the arguments they were
+    built from. context (N x Dc) and motion (N x Dm) are the feature
+    tensors. The local route's constants exist only when that route runs
+    (None with disable_local):
 
-    Returns (g_local: N x Dm, local_weights: N x k).
+    * disp: the N·k x 3 displacement table, neighbour endpoint minus point;
+    * context_pairs: the N·k x 2Dc constant blocks [context_j, context_i]
+      of the score input;
+    * rows: the flattened neighbour table as a :class:`.tensor.RowIndex`.
     """
+
+    cloud: PointCloud
+    nbrs: NeighborIndex
+    config: AggregatorConfig
+    counterparts: PointCloud | None
+    context: Tensor
+    motion: Tensor
+    disp: Tensor | None = None
+    context_pairs: Tensor | None = None
+    rows: T.RowIndex | None = None
+
+
+def prepare_inputs(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
+                   config: AggregatorConfig,
+                   counterparts: PointCloud | None = None) -> SceneInputs:
+    """Check a scene's inputs against the config and build its
+    :class:`SceneInputs`.
+
+    Displacements default to p_j - p_i within frame 1; with
+    cross_frame_displacements the j endpoint is taken from the row-aligned
+    counterpart cloud instead. Raises ShapeError on a shape that does not
+    fit, and ValueError when the displacement table is not finite.
+    """
+    n = len(feats)
+    if n < 2:
+        raise ShapeError("forward needs at least 2 points (normalization head)")
+    dc, dm = config.context_dim, config.motion_dim
+    if feats.context.shape[1] != dc or feats.motion.shape[1] != dm:
+        raise ShapeError(
+            f"features ({feats.context.shape[1]}, {feats.motion.shape[1]}) do not match "
+            f"configured dims ({dc}, {dm})")
+    local = {} if config.disable_local else _local_constants(cloud, feats, nbrs, config,
+                                                              counterparts)
+    return SceneInputs(cloud, nbrs, config, counterparts, T.tensor(feats.context),
+                       T.tensor(feats.motion), **local)
+
+
+def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
+                     config: AggregatorConfig, counterparts: PointCloud | None) -> dict:
     n = len(feats)
     if len(cloud) != n:
         raise ShapeError(f"cloud has {len(cloud)} points but features have {n}")
     if nbrs.indices.shape[0] != n:
         raise ShapeError(f"neighbour table rows {nbrs.indices.shape[0]} != N {n}")
-    k = nbrs.k
-    flat_idx = nbrs.indices.reshape(-1)
-
     if config.cross_frame_displacements:
         if counterparts is None or len(counterparts) != n:
             raise ShapeError(
@@ -355,18 +388,33 @@ def aggregate_local(params: AggregatorParams, cloud: PointCloud, feats: FeatureS
         endpoint = counterparts.points
     else:
         endpoint = cloud.points
-    disp = endpoint[flat_idx] - np.repeat(cloud.points, k, axis=0)
+    rows, k = T.RowIndex(nbrs.indices), nbrs.k
+    with np.errstate(over="ignore", invalid="ignore"):
+        disp = endpoint[rows.flat] - np.repeat(cloud.points, k, axis=0)
+    if not np.isfinite(disp).all():
+        raise ValueError("the displacement table (neighbour minus point) is not finite: "
+                         "the point coordinates overflow float64 when subtracted")
+    pairs = np.concatenate([feats.context[rows.flat], np.repeat(feats.context, k, axis=0)],
+                           axis=1)
+    return dict(disp=T.tensor(disp), context_pairs=T.tensor(pairs), rows=rows)
 
-    enc = T.mlp_forward(params.disp_encoder, T.tensor(disp))
-    score_in = T.concat_cols([
-        enc,
-        T.tensor(feats.context[flat_idx]),
-        T.tensor(np.repeat(feats.context, k, axis=0)),
-    ])
-    scores = T.mlp_forward(params.score, score_in)
+
+def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
+                    v: Tensor) -> tuple[Tensor, Tensor]:
+    """Neighbourhood aggregation: per point, a softmax over its k
+    neighbours' scores, applied to their value rows.
+
+    The score of neighbour j of point i is an MLP over [encoded
+    displacement, context_j, context_i], from the constants in `inputs`.
+
+    Returns (g_local: N x Dm, local_weights: N x k).
+    """
+    n, k = v.data.shape[0], inputs.nbrs.k
+    enc = T.mlp_forward(params.disp_encoder, inputs.disp)
+    scores = T.mlp_forward(params.score, T.concat_cols([enc, inputs.context_pairs]))
     weights = T.softmax_rows(T.reshape(scores, (n, k)))
 
-    picked = T.gather_rows(v, flat_idx)
+    picked = T.gather_rows(v, inputs.rows)
     weighted = T.mul(picked, T.reshape(weights, (n * k, 1)))
     g_local = T.reduce_sum(T.reshape(weighted, (n, k, v.data.shape[1])), axis=1)
     return g_local, weights
@@ -388,20 +436,29 @@ def offset_aggregate(params: AggregatorParams, y: Tensor,
     return T.add(y, T.mul(g_offset, params.alpha))
 
 
-def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet,
+def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet | SceneInputs,
             nbrs: NeighborIndex, config: AggregatorConfig,
             counterparts: PointCloud | None = None) -> tuple[Tensor, AttentionMap]:
     """Full pass: project, attend globally and locally, correct.
 
+    `feats` is the scene's FeatureSet, which is prepared on every call
+    (:func:`prepare_inputs`), or the SceneInputs that a caller making many
+    passes over one scene prepared once. Those must come from these same
+    cloud, nbrs, config and counterparts objects, or ValueError is raised.
+
     Returns the corrected motion features (N x Dm) and the attention maps
     used. Record on a tape to differentiate through the whole thing.
     """
-    n = len(feats)
-    if n < 2:
-        raise ShapeError("forward needs at least 2 points (normalization head)")
-    q, k, v = project_qkv(params, feats, config)
-    y = T.tensor(feats.motion)
-    dm = config.motion_dim
+    if isinstance(feats, SceneInputs):
+        inputs = feats
+        source = (inputs.cloud, inputs.nbrs, inputs.config, inputs.counterparts)
+        if any(a is not b for a, b in zip(source, (cloud, nbrs, config, counterparts))):
+            raise ValueError("forward: SceneInputs were prepared from other arguments")
+    else:
+        inputs = prepare_inputs(cloud, feats, nbrs, config, counterparts)
+    q, k, v = project_qkv(params, inputs.context, inputs.motion, config)
+    y = inputs.motion
+    n, dm = y.data.shape
 
     if config.disable_global:
         g_global = T.tensor(np.zeros((n, dm)))
@@ -413,8 +470,7 @@ def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet,
         g_local = T.tensor(np.zeros((n, dm)))
         local_w = None
     else:
-        g_local, lw = aggregate_local(params, cloud, feats, v, nbrs, config,
-                                      counterparts=counterparts)
+        g_local, lw = aggregate_local(params, inputs, v)
         local_w = lw.data
 
     if config.plain_aggregator:

@@ -367,6 +367,10 @@ def verify_scene(scene: SyntheticScene, cfg: SceneConfig) -> None:
     occluded one has no frame-2 point within r_match; and the mode
     invariant (local: each occluded point keeps a non-occluded
     constraint_k-neighbour; global: occluded points have none).
+
+    It builds its own constraint_k neighbour table although the occluders
+    built the same one: the check must not rest on the state it checks,
+    and the table is one k-scan per scene.
     """
     warped = scene.frame1.points + scene.gt_flow.vectors
     mask = scene.occlusion_mask

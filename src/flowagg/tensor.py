@@ -12,6 +12,8 @@ forward expression is written once. ``backward(tape, loss)`` then runs
 reverse accumulation and returns exact gradients for every leaf tensor
 reachable from the loss, whether or not it was created with
 ``trainable=True`` (that flag only labels parameters in a tensor's repr).
+``gather_rows`` scatter-adds its gradient in occurrence rounds, which a
+:class:`RowIndex` builds once for an index that many passes reuse.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -290,22 +292,67 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
                                       for gp in np.split(g, cuts, axis=1)))
 
 
+class RowIndex:
+    """A flat row index for :func:`gather_rows` together with the
+    occurrence rounds of its scatter-add, built once.
+
+    ``flat`` is a read-only flattened copy of the index. ``rounds`` holds one
+    (rows, positions) pair per round: round r lists the r-th occurrence of
+    every row that occurs more than r times, with that occurrence's
+    position in ``flat``. Rows are unique within a round.
+    """
+
+    __slots__ = ("flat", "rounds")
+
+    def __init__(self, idx):
+        flat = np.array(idx, dtype=np.int64).ravel()
+        flat.flags.writeable = False
+        # Stable sort by row, so each row's positions ascend; a position's
+        # round is its rank among the positions of its row.
+        order = np.argsort(flat, kind="stable")
+        rows = flat[order]
+        at = np.arange(rows.size)
+        starts = np.ones(rows.size, dtype=bool)
+        starts[1:] = rows[1:] != rows[:-1]
+        rank = at - np.maximum.accumulate(np.where(starts, at, 0))
+        by_round = np.argsort(rank, kind="stable")
+        ends = np.cumsum(np.bincount(rank)).tolist()
+        self.flat = flat
+        self.rounds = tuple((rows[by_round[a:b]], order[by_round[a:b]])
+                            for a, b in zip([0] + ends, ends))
+
+    def scatter_add(self, g: np.ndarray, n_rows: int) -> np.ndarray:
+        """Zeros of shape (n_rows, *g.shape[1:]) plus row ``flat[i]`` of
+        the result += ``g[i]`` for every i, round by round."""
+        acc = np.zeros((n_rows, *g.shape[1:]))
+        for rows, pos in self.rounds:
+            acc[rows] += g[pos]
+        return acc
+
+
 def gather_rows(a, idx) -> Tensor:
-    """Select rows of a rank-2 tensor by integer index, with scatter-add
-    backward (deterministic accumulation order)."""
+    """Select rows of a rank-2 tensor by integer index: a :class:`RowIndex`
+    or anything ``np.asarray`` turns into integers (then flattened).
+
+    Backward scatter-adds the output gradient in the index's occurrence
+    rounds: round r adds the gradient rows of the r-th occurrence of each
+    row, with ``acc[rows_r] += g[positions_r]``, starting from zeros.
+    Every row therefore sums its gradient rows in index order, the order
+    of ``np.add.at``, with the same bytes (±0.0 included). A RowIndex
+    brings its rounds; a plain array has them built when backward runs.
+    """
     a = _as_tensor(a)
     ad = a.data
     if ad.ndim != 2:
         raise ShapeError(f"gather_rows expects rank 2, got shape {ad.shape}")
-    idx = np.asarray(idx, dtype=np.int64).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= ad.shape[0]):
+    flat = idx.flat if isinstance(idx, RowIndex) else np.asarray(idx, dtype=np.int64).ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= ad.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {ad.shape[0]} rows")
 
     def bwd(g, y):
-        acc = np.zeros_like(ad)
-        np.add.at(acc, idx, g)
-        return (acc,)
-    return _record("gather_rows", (a,), lambda: ad[idx], bwd)
+        rows = idx if isinstance(idx, RowIndex) else RowIndex(flat)
+        return (rows.scatter_add(g, ad.shape[0]),)
+    return _record("gather_rows", (a,), lambda: ad[flat], bwd)
 
 
 def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .aggregator import (AggregatorConfig, AggregatorParams, FeatureSet, _uniform_init,
-                         forward, init_params)
+from .aggregator import (AggregatorConfig, AggregatorParams, FeatureSet, SceneInputs,
+                         _uniform_init, forward, init_params, prepare_inputs)
 from .config import RunConfig, TrainSettings, render_config
 from .metrics import FlowField, FlowMetrics, evaluate_split, metric_lines
 from .rng import Xoshiro256StarStar, derive_seed
@@ -151,16 +151,19 @@ def _scene_neighbors(scene: SyntheticScene, module: AggregatorConfig) -> Neighbo
                include_self=module.include_self_neighbors)
 
 
-def _predict(params: AggregatorParams, decoder: DecoderParams, cloud: PointCloud,
-             feats: FeatureSet, nbrs: NeighborIndex, module: AggregatorConfig) -> Tensor:
-    """Per-point flow prediction: the aggregator, then the decoder."""
-    return decode_flow(decoder, forward(params, cloud, feats, nbrs, module)[0])
+def _predict(params: AggregatorParams, decoder: DecoderParams, inputs: SceneInputs) -> Tensor:
+    """Per-point flow prediction on prepared inputs: the aggregator, then
+    the decoder."""
+    y_tilde, _ = forward(params, inputs.cloud, inputs, inputs.nbrs, inputs.config,
+                         inputs.counterparts)
+    return decode_flow(decoder, y_tilde)
 
 
 def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentReport:
     """Supervised training of the aggregator plus decoder on one scene.
 
-    The scene is generated from cfg.scene unless passed in. Loss is mean
+    The scene is generated from cfg.scene unless passed in, and its
+    aggregator inputs are prepared once for all steps. Loss is mean
     squared flow error over all points, occluded included; metrics in the
     report are split by the ground-truth occlusion mask.
     """
@@ -169,8 +172,8 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     started = time.perf_counter()
     if scene is None:
         scene = generate_scene(cfg.scene)
-    nbrs = _scene_neighbors(scene, cfg.module)
-    feats = FeatureSet(scene.context, scene.motion_in)
+    inputs = prepare_inputs(scene.frame1, FeatureSet(scene.context, scene.motion_in),
+                            _scene_neighbors(scene, cfg.module), cfg.module)
     params = init_params(cfg.module, cfg.train.seed)
     decoder = init_decoder(cfg.module.motion_dim, cfg.train.seed)
     named = params.named_tensors() + decoder.named_tensors()
@@ -181,7 +184,7 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     losses: list[float] = []
     for step in range(cfg.train.steps):
         with Tape() as tape:
-            pred = _predict(params, decoder, scene.frame1, feats, nbrs, cfg.module)
+            pred = _predict(params, decoder, inputs)
             loss = loss_epe(pred, scene.gt_flow)
         value = float(loss.data)
         if not math.isfinite(value):
@@ -189,7 +192,7 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
         losses.append(value)
         opt.step(named, backward(tape, loss))
 
-    pred = _predict(params, decoder, scene.frame1, feats, nbrs, cfg.module)
+    pred = _predict(params, decoder, inputs)
     if not np.isfinite(pred.data).all():
         raise DivergenceError(cfg.train.steps, float("nan"))
     occ, vis, everything = evaluate_split(
@@ -227,13 +230,14 @@ def grad_check(cfg: RunConfig | None = None, corrupt: bool = False) -> float:
                        rng.normal_array((n, module.motion_dim)))
     gt = rng.normal_array((n, 3))
     nbrs = knn(cloud, cloud, module.k, include_self=module.include_self_neighbors)
+    inputs = prepare_inputs(cloud, feats, nbrs, module)
     params = init_params(module, cfg.train.seed)
     decoder = init_decoder(module.motion_dim, cfg.train.seed)
     params.alpha.data = np.asarray(0.5 + 0.5 * rng.uniform())
     named = params.named_tensors() + decoder.named_tensors()
 
     def loss_at() -> Tensor:
-        return loss_epe(_predict(params, decoder, cloud, feats, nbrs, module), gt)
+        return loss_epe(_predict(params, decoder, inputs), gt)
 
     with Tape() as tape:
         loss = loss_at()

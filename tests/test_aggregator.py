@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from flowagg.aggregator import (
     global_attention_weights,
     init_params,
     offset_aggregate,
+    prepare_inputs,
     project_qkv,
     weight_mlp_bytes,
 )
@@ -90,7 +92,7 @@ def test_unscaled_logits_match_oracle():
 
 def test_global_weights_row_stochastic():
     params, _, feats, _ = _instance(0, 10)
-    q, k, _ = project_qkv(params, feats, SMALL)
+    q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), SMALL)
     w = global_attention_weights(params, q, k, SMALL).data
     assert (w >= 0.0).all()
     np.testing.assert_allclose(w.sum(axis=1), np.ones(10), atol=1e-12)
@@ -104,7 +106,7 @@ def test_strong_orthogonal_queries_attend_to_self():
     params.qk_proj = tensor(np.eye(4) * 50.0, trainable=True)
     ctx = np.eye(4)
     feats = FeatureSet(ctx, np.zeros((4, 4)))
-    q, k, _ = project_qkv(params, feats, cfg)
+    q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), cfg)
     w = global_attention_weights(params, q, k, cfg).data
     assert np.diag(w).min() > 0.999
     np.testing.assert_allclose(w.sum(axis=1), np.ones(4), atol=1e-12)
@@ -124,7 +126,7 @@ def test_aggregate_global_matches_oracle():
 def test_local_weights_row_stochastic_and_match_oracle():
     params, cloud, feats, nbrs = _instance(4, 6)
     v = T.matmul(tensor(feats.motion), params.v_proj)
-    g_local, w = aggregate_local(params, cloud, feats, v, nbrs, SMALL)
+    g_local, w = aggregate_local(params, prepare_inputs(cloud, feats, nbrs, SMALL), v)
     assert (w.data >= 0.0).all()
     np.testing.assert_allclose(w.data.sum(axis=1), np.ones(6), atol=1e-12)
     want = oracles.forward_loops(_raw(params), cloud.points, feats.context,
@@ -245,6 +247,29 @@ def test_cross_frame_displacements_need_counterparts():
     assert out.data.shape == (6, 4)
 
 
+def test_overflowing_displacements_fail_while_preparing():
+    params, cloud, feats, nbrs = _instance(12, 6)
+    huge = PointCloud(np.sign(cloud.points) * 1e308)   # finite, but p_j - p_i is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: prepare_inputs(huge, feats, nbrs, SMALL),
+                     lambda: forward(params, huge, feats, nbrs, SMALL)):
+            with Tape() as tape, pytest.raises(ValueError, match="displacement table"):
+                call()
+            assert not tape.nodes
+
+
+def test_forward_rejects_inputs_prepared_from_other_arguments():
+    params, cloud, feats, nbrs = _instance(3, 6, alpha=0.5)
+    inputs = prepare_inputs(cloud, feats, nbrs, SMALL)
+    out, _ = forward(params, cloud, inputs, nbrs, SMALL)
+    assert out.data.tobytes() == forward(params, cloud, feats, nbrs, SMALL)[0].data.tobytes()
+    with pytest.raises(ValueError):
+        forward(params, PointCloud(cloud.points), inputs, nbrs, SMALL)
+    with pytest.raises(ValueError):
+        forward(params, cloud, inputs, nbrs, dataclasses.replace(SMALL))
+
+
 def test_include_self_neighbors_changes_table():
     params, cloud, feats, _ = _instance(13, 8)
     with_self = knn(cloud, cloud, k=3, include_self=True)
@@ -286,7 +311,7 @@ def test_gradients_flow_to_every_parameter():
 def test_shared_projection_accumulates_query_and_key_gradients():
     params, cloud, feats, nbrs = _instance(15, 6, alpha=0.2)
     with Tape() as tape:
-        q, k, _ = project_qkv(params, feats, SMALL)
+        q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), SMALL)
         w = global_attention_weights(params, q, k, SMALL)
         loss = T.reduce_sum(T.mul(w, w))
     g = backward(tape, loss).wrt(params.qk_proj)
@@ -306,7 +331,7 @@ def test_global_route_tapes_no_n_by_n_array():
     # Reading the map recomputes the weights the route used, bit for bit,
     # and records nothing.
     assert len(tape.nodes) == taped
-    q, k, _ = project_qkv(params, feats, SMALL)
+    q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), SMALL)
     want = global_attention_weights(params, q, k, SMALL).data
     assert weights.tobytes() == want.tobytes()
 
@@ -383,7 +408,7 @@ def test_weight_mlp_bytes_equals_the_taped_n_by_n_arrays(monkeypatch, scale, hid
     monkeypatch.setattr(aggregator, "global_attention_weights",
                         lambda *args: calls.append(args) or real(*args))
     with Tape() as tape:
-        q, k, v = project_qkv(params, feats, cfg)
+        q, k, v = project_qkv(params, tensor(feats.context), tensor(feats.motion), cfg)
         aggregate_global(params, q, k, v, cfg)
     assert len(calls) == 1
     # The reshape nodes are views of their inputs and own no memory.

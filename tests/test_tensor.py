@@ -227,6 +227,74 @@ def test_gather_rows_duplicate_index_accumulates():
     np.testing.assert_array_equal(g, [[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
 
 
+def _add_at(idx, g, n_rows):
+    """Scatter-add oracle: np.add.at, which adds in index order."""
+    acc = np.zeros((n_rows, *g.shape[1:]))
+    np.add.at(acc, np.asarray(idx, dtype=np.int64).ravel(), g)
+    return acc
+
+
+def _scatter_gradient(m, rng):
+    # Normals with exact ±0.0 entries in column 0, and in column 1 the
+    # repeated terms 1.0, 1e16, -1e16, whose sums depend on the order of
+    # addition: 1 + 1e16 - 1e16 is 0, but -1e16 + 1e16 + 1 is 1.
+    g = rng.normal(size=(m, 3))
+    g[::3, 0] = 0.0
+    g[1::3, 0] = -0.0
+    g[:, 1] = np.resize([1.0, 1e16, -1e16], m)
+    return g
+
+
+_CLOUD_200 = PointCloud(np.random.default_rng(3).normal(size=(200, 3)))
+# (index, rows of the gathered tensor); in the first, row 1 is reached only
+# by a -0.0 in column 0 and rows 2, 3 and 5 not at all.
+SCATTER_CASES = {
+    "duplicates_and_unreferenced_rows": (np.array([4, 0, 4, 4, 1, 0, 4, 4, 4]), 6),
+    "every_row_once": (np.array([2, 0, 1]), 3),
+    "empty_index": (np.zeros(0, dtype=np.int64), 4),
+    "one_row_source": (np.zeros(7, dtype=np.int64), 1),
+    "neighbour_table": (knn(_CLOUD_200, _CLOUD_200, 8).indices, 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_scatter_rounds_bitwise_equal_add_at(case):
+    idx, n_rows = SCATTER_CASES[case]
+    rows = T.RowIndex(idx)
+    rng = np.random.default_rng(len(case))
+    g = _scatter_gradient(idx.size, rng)
+    got = rows.scatter_add(g, n_rows)
+    assert got.tobytes() == _add_at(idx, g, n_rows).tobytes()
+    for r, (round_rows, pos) in enumerate(rows.rounds):
+        assert np.unique(round_rows).size == round_rows.size
+        assert np.array_equal(np.asarray(idx).ravel()[pos], round_rows), r
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_gather_rows_same_bytes_with_row_index_and_raw_array(case):
+    idx, n_rows = SCATTER_CASES[case]
+    rng = np.random.default_rng(7)
+    a = tensor(rng.normal(size=(n_rows, 3)))
+    g = _scatter_gradient(idx.size, rng)
+    results = []
+    for index in (idx, T.RowIndex(idx)):
+        with Tape() as tape:
+            out = T.gather_rows(a, index)
+            loss = T.reduce_sum(T.mul(out, tensor(g)))
+        results.append((out.data.tobytes(), backward(tape, loss).wrt(a).tobytes()))
+    assert results[0] == results[1]
+    assert results[0][1] == _add_at(idx, g, n_rows).tobytes()
+
+
+def test_row_index_is_a_read_only_copy():
+    idx = np.array([[2, 0], [1, 2]])
+    rows = T.RowIndex(idx)
+    idx[0, 0] = 1
+    assert rows.flat.tolist() == [2, 0, 1, 2]
+    with pytest.raises(ValueError):
+        rows.flat[0] = 0
+
+
 def test_grad_softmax_rows():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 4))

@@ -1,6 +1,7 @@
 """Training loop, optimizers, gradient checking, and the experiment drivers."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import oracles
 from flowagg import tensor as T
 from flowagg import train as train_module
 from flowagg.aggregator import AggregatorConfig
-from flowagg.config import RunConfig, TrainSettings
+from flowagg.config import RunConfig, TrainSettings, parse_config_file
 from flowagg.scenegen import SceneConfig, generate_scene
 from flowagg.tensor import Tape, Tensor, backward, tensor
 from flowagg.train import (
@@ -28,6 +29,9 @@ from flowagg.train import (
     run_occlusion_experiment,
     train,
 )
+
+LOCAL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                         "occlusion_local.cfg")
 
 # small but non-trivial: 2 clusters of 30 points, a third occluded
 LIGHT = dict(
@@ -181,6 +185,39 @@ def test_train_builds_features_once_and_predicts_per_step(monkeypatch):
     train(_light_cfg(train=dict(steps=3)))
     assert len(feature_sets) == 1
     assert len(predicts) == 4   # three steps and the final evaluation
+
+
+def test_train_and_gradcheck_prepare_the_scene_once(monkeypatch):
+    prepares = _count_calls(monkeypatch, train_module, "prepare_inputs")
+    predicts = _count_calls(monkeypatch, train_module, "_predict")
+    train(_light_cfg(train=dict(steps=3)))
+    assert len(prepares) == 1 and len(predicts) == 4
+    assert grad_check() < 1e-6
+    assert len(prepares) == 2 and len(predicts) > 5
+
+
+def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
+    # The pinned N=200 local config, three steps.
+    cfg = parse_config_file(LOCAL_CFG)
+    cfg.train.steps = 3
+    prepared, tapes = [], []
+    real_prepare, real_backward = train_module.prepare_inputs, train_module.backward
+    monkeypatch.setattr(train_module, "prepare_inputs",
+                        lambda *args: prepared.append(real_prepare(*args)) or prepared[-1])
+    monkeypatch.setattr(train_module, "backward",
+                        lambda tape, loss: tapes.append(tape) or real_backward(tape, loss))
+    train(cfg)
+    inputs, = prepared
+    constants = {inputs.context, inputs.motion, inputs.disp, inputs.context_pairs}
+    assert len(tapes) == 3
+    assert len({len(tape) for tape in tapes}) == 1 and len(tapes[0]) <= 45
+    for tape in tapes:
+        outputs = {node.output for node in tape.nodes}
+        leaves = {t for node in tape.nodes for t in node.inputs
+                  if t not in outputs and not t.trainable}
+        # Besides the prepared constants, only the loss target is built per step.
+        assert constants <= leaves
+        assert [t.shape for t in leaves - constants] == [(200, 3)]
 
 
 def test_gradcheck_default_config_shape():
