@@ -461,13 +461,13 @@ def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet | Sce
     n, dm = y.data.shape
 
     if config.disable_global:
-        g_global = T.tensor(np.zeros((n, dm)))
+        g_global = Tensor(np.zeros((n, dm)))
         global_w = None
     else:
         g_global, global_w = aggregate_global(params, q, k, v, config)
 
     if config.disable_local:
-        g_local = T.tensor(np.zeros((n, dm)))
+        g_local = Tensor(np.zeros((n, dm)))
         local_w = None
     else:
         g_local, lw = aggregate_local(params, inputs, v)

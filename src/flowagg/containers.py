@@ -31,7 +31,10 @@ class ContainerError(ValueError):
 
 
 def pack_tensors(named: Iterable[tuple[str, np.ndarray]]) -> bytes:
-    """Serialize (name, array) pairs in the given order."""
+    """Serialize (name, array) pairs in the given order.
+
+    A finite value that rounds to infinity in float32 raises
+    ContainerError naming its tensor."""
     items = [(name, np.ascontiguousarray(arr, dtype=np.float64)) for name, arr in named]
     seen = set()
     for name, _ in items:
@@ -47,7 +50,11 @@ def pack_tensors(named: Iterable[tuple[str, np.ndarray]]) -> bytes:
         out.append(encoded)
         out.append(struct.pack("<I", arr.ndim))
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(arr.astype("<f4").tobytes())
+        with np.errstate(over="ignore"):
+            stored = arr.astype("<f4")
+        if (np.isinf(stored) & np.isfinite(arr)).any():
+            raise ContainerError(f"tensor {name!r} holds finite values beyond the float32 range")
+        out.append(stored.tobytes())
     return b"".join(out)
 
 

@@ -35,6 +35,11 @@ from .spatial import PointCloud, brute_force_knn, fps
 
 OCCLUSION_MODES = ("local", "global", "fps")
 CORRUPTION_MODES = ("zero", "noise")
+# Largest cluster_spread, center_spread or translation_range. A coordinate
+# sums a center, a blob offset of at most about 15 spreads and a
+# translation; this keeps it, and every squared distance the kNN scans
+# form, far inside float32 storage (3.4e38) and float64 arithmetic.
+MAX_GEOMETRY_SCALE = 1e30
 
 
 class GenerationError(ValueError):
@@ -94,6 +99,11 @@ class SceneConfig:
             raise GenerationError("need at least one cluster and one point per cluster")
         if not (self.cluster_spread > 0.0 and self.center_spread >= 0.0):
             raise GenerationError("cluster_spread must be positive, center_spread non-negative")
+        for name in ("cluster_spread", "center_spread", "translation_range"):
+            if getattr(self, name) > MAX_GEOMETRY_SCALE:
+                raise GenerationError(
+                    f"{name}={getattr(self, name)!r} exceeds {MAX_GEOMETRY_SCALE:g}: the "
+                    f"scene's coordinates would overflow their 32-bit storage")
         if not (self.min_center_sep >= 0.0 and self.blob_truncation >= 0.0):
             raise GenerationError("min_center_sep and blob_truncation must be non-negative")
         if not (self.translation_range >= 0.0 and self.rotation_range >= 0.0):

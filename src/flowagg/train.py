@@ -9,8 +9,11 @@ report; it goes to stdout only.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -58,11 +61,15 @@ def decode_flow(decoder: DecoderParams, y_tilde: Tensor) -> Tensor:
 
 
 def loss_epe(pred: Tensor, gt) -> Tensor:
-    """Mean squared Euclidean flow error as a differentiable scalar."""
-    gt = gt.vectors if isinstance(gt, FlowField) else np.asarray(gt, dtype=np.float64)
-    if pred.data.shape != gt.shape:
-        raise T.ShapeError(f"loss_epe: prediction {pred.data.shape} vs target {gt.shape}")
-    diff = T.sub(pred, T.tensor(gt))
+    """Mean squared Euclidean flow error as a differentiable scalar.
+
+    `gt` is a FlowField, an array, or a constant Tensor that a caller
+    taking many steps built once."""
+    if not isinstance(gt, Tensor):
+        gt = T.tensor(gt.vectors if isinstance(gt, FlowField) else gt)
+    if pred.shape != gt.shape:
+        raise T.ShapeError(f"loss_epe: prediction {pred.shape} vs target {gt.shape}")
+    diff = T.sub(pred, gt)
     return T.scale(T.reduce_sum(T.mul(diff, diff)), 1.0 / gt.shape[0])
 
 
@@ -146,6 +153,42 @@ def named_model_tensors(params: AggregatorParams,
             + [(name, t.data) for name, t in decoder.named_tensors()])
 
 
+# mallopt parameters from glibc's malloc.h, the values glibc's dynamic
+# thresholds climb to on 64-bit, and the two ways a user sets each.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_POLICY = (
+    (_M_TRIM_THRESHOLD, 64 << 20, "MALLOC_TRIM_THRESHOLD_", "glibc.malloc.trim_threshold"),
+    (_M_MMAP_THRESHOLD, 32 << 20, "MALLOC_MMAP_THRESHOLD_", "glibc.malloc.mmap_threshold"),
+)
+
+
+@functools.cache
+def _keep_freed_heap_mapped() -> None:
+    """Stop glibc from handing each step's freed arrays back to the kernel.
+
+    Every training step frees its tape and gradient arrays and allocates
+    the same sizes again. Under glibc's starting thresholds (trim at
+    128 KiB, mmap from 128 KiB until freed mmapped chunks raise it) freed
+    memory is returned, and the next step faults the same pages back in:
+    well over a thousand minor faults per step at N=200. Setting the
+    thresholds to where glibc's own dynamic ones end up makes the first
+    step behave like a warmed-up process. A threshold the user set
+    through MALLOC_*_ or GLIBC_TUNABLES is left alone, and so is a C
+    library without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    tunables = {entry.split("=", 1)[0]
+                for entry in os.environ.get("GLIBC_TUNABLES", "").split(":")}
+    for param, value, env_name, tunable in _MALLOC_POLICY:
+        if env_name not in os.environ and tunable not in tunables:
+            mallopt(param, value)
+
+
 def _scene_neighbors(scene: SyntheticScene, module: AggregatorConfig) -> NeighborIndex:
     return knn(scene.frame1, scene.frame1, module.k,
                include_self=module.include_self_neighbors)
@@ -169,11 +212,13 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     """
     cfg.train.validate()
     cfg.module.validate()
+    _keep_freed_heap_mapped()
     started = time.perf_counter()
     if scene is None:
         scene = generate_scene(cfg.scene)
     inputs = prepare_inputs(scene.frame1, FeatureSet(scene.context, scene.motion_in),
                             _scene_neighbors(scene, cfg.module), cfg.module)
+    target = T.tensor(scene.gt_flow.vectors)
     params = init_params(cfg.module, cfg.train.seed)
     decoder = init_decoder(cfg.module.motion_dim, cfg.train.seed)
     named = params.named_tensors() + decoder.named_tensors()
@@ -185,7 +230,7 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     for step in range(cfg.train.steps):
         with Tape() as tape:
             pred = _predict(params, decoder, inputs)
-            loss = loss_epe(pred, scene.gt_flow)
+            loss = loss_epe(pred, target)
         value = float(loss.data)
         if not math.isfinite(value):
             raise DivergenceError(step, value)
@@ -228,7 +273,7 @@ def grad_check(cfg: RunConfig | None = None, corrupt: bool = False) -> float:
     cloud = PointCloud(rng.uniform_array((n, 3)) * 2.0 - 1.0)
     feats = FeatureSet(rng.normal_array((n, module.context_dim)),
                        rng.normal_array((n, module.motion_dim)))
-    gt = rng.normal_array((n, 3))
+    gt = T.tensor(rng.normal_array((n, 3)))
     nbrs = knn(cloud, cloud, module.k, include_self=module.include_self_neighbors)
     inputs = prepare_inputs(cloud, feats, nbrs, module)
     params = init_params(module, cfg.train.seed)

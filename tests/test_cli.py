@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -241,22 +242,37 @@ def test_divergence_exits_4(tmp_path):
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGED
 
 
-def test_overflowing_displacements_exit_2_before_any_step(tmp_path, capsys):
-    # Two 3-point clusters with centers up to 1.7e308 apart: at k=4 every
-    # point has a neighbour in the other cluster, and at seed 0 some
-    # p_j - p_i overflows float64.
+def _huge_cfg(tmp_path):
+    """Two 3-point clusters with centers up to 1.7e308 apart: at k=4 every
+    point has a neighbour in the other cluster, and at seed 0 some
+    p_j - p_i would overflow float64."""
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("scene.n_clusters = 2\nscene.points_per_cluster = 3\n"
                    "scene.center_spread = 1.7e308\nscene.constraint_k = 3\n"
                    "scene.context_dim = 8\nscene.motion_dim = 8\n"
                    "module.context_dim = 8\nmodule.motion_dim = 8\nmodule.k = 4\n"
                    "train.steps = 2\n")
+    return str(cfg)
+
+
+def test_overflowing_displacements_exit_2_before_any_step(tmp_path, capsys):
+    # The scene config is rejected before a scene exists; an in-memory scene
+    # that overflows is caught while preparing the inputs (test_aggregator).
     out = tmp_path / "run"
     with np.errstate(all="ignore"):
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert main(["train", "--config", _huge_cfg(tmp_path), "--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "displacement table" in captured.err
+    assert "center_spread" in captured.err
     assert "final_loss" not in captured.out
+    assert not out.exists()
+
+
+def test_gen_rejects_overflowing_geometry(tmp_path, capsys):
+    out = tmp_path / "scene.gtc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gen", "--config", _huge_cfg(tmp_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "center_spread=1.7e+308 exceeds" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -47,6 +47,14 @@ def test_values_stored_as_float32():
     assert out["y"][0] == np.float32(0.1)
 
 
+def test_finite_value_beyond_float32_rejected():
+    top = float(np.finfo(np.float32).max)
+    assert unpack_tensors(pack_tensors([("top", np.array([top, -top]))]))["top"][1] == -top
+    with np.errstate(all="raise"):
+        with pytest.raises(ContainerError, match="'far'"):
+            pack_tensors([("near", np.zeros(2)), ("far", np.array([0.0, -3.5e38]))])
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ContainerError):
         pack_tensors([("a", np.zeros(1)), ("a", np.ones(1))])

@@ -232,6 +232,10 @@ def test_config_validation():
         _cfg(motion_corruption="blur").validate()
     with pytest.raises(GenerationError):
         _cfg(n_clusters=3, clusters_per_group=2).validate()
+    for scale in ("cluster_spread", "center_spread", "translation_range"):
+        _cfg(**{scale: 1e30}).validate()
+        with pytest.raises(GenerationError, match=f"^{scale}=1e\\+31 exceeds"):
+            _cfg(**{scale: 1e31}).validate()
 
 
 def test_global_mode_needs_room_for_survivors():

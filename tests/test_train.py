@@ -2,10 +2,14 @@
 
 import dataclasses
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flowagg
 import oracles
 from flowagg import tensor as T
 from flowagg import train as train_module
@@ -58,6 +62,7 @@ def test_mse_loss_two_points():
     gt = np.zeros((2, 3))
     # squared error norms 1 and 4, averaged over the two points
     assert float(loss_epe(pred, gt).data) == pytest.approx(2.5, abs=0)
+    assert float(loss_epe(pred, tensor(gt)).data) == pytest.approx(2.5, abs=0)
 
 
 def test_decoder_matches_matmul_oracle():
@@ -211,13 +216,68 @@ def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
     constants = {inputs.context, inputs.motion, inputs.disp, inputs.context_pairs}
     assert len(tapes) == 3
     assert len({len(tape) for tape in tapes}) == 1 and len(tapes[0]) <= 45
+    leaves = []
     for tape in tapes:
         outputs = {node.output for node in tape.nodes}
-        leaves = {t for node in tape.nodes for t in node.inputs
-                  if t not in outputs and not t.trainable}
-        # Besides the prepared constants, only the loss target is built per step.
-        assert constants <= leaves
-        assert [t.shape for t in leaves - constants] == [(200, 3)]
+        leaves.append({t for node in tape.nodes for t in node.inputs
+                       if t not in outputs and not t.trainable})
+    # Every constant leaf is built once per run and shared by all steps:
+    # the prepared constants and the loss target.
+    assert leaves[0] == leaves[1] == leaves[2]
+    assert constants <= leaves[0]
+    assert [t.shape for t in leaves[0] - constants] == [(200, 3)]
+
+
+# Trains the pinned local config twice in one process and prints the minor
+# page faults per step of the second run, once the heap has warmed up.
+STEADY_FAULTS_PER_STEP = """
+import resource, sys
+from flowagg.config import parse_config_file
+from flowagg.scenegen import generate_scene
+from flowagg.train import train
+cfg = parse_config_file(sys.argv[1])
+cfg.train.steps = 100
+scene = generate_scene(cfg.scene)
+train(cfg, scene=scene)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(cfg, scene=scene)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.train.steps)
+"""
+
+glibc_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the allocator policy is set through glibc's mallopt")
+
+
+def _steady_faults_per_step(malloc_env: dict) -> float:
+    """Run STEADY_FAULTS_PER_STEP in a fresh process whose only allocator
+    settings are `malloc_env`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowagg.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env.update(malloc_env, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", STEADY_FAULTS_PER_STEP, LOCAL_CFG],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    return float(proc.stdout)
+
+
+@glibc_only
+@pytest.mark.parametrize("malloc_env", [{}, {"MALLOC_MMAP_THRESHOLD_": "1048576"}],
+                         ids=["no_malloc_env", "mmap_threshold_1mib"])
+def test_training_steps_reuse_freed_heap(malloc_env):
+    # With glibc's starting thresholds each step faults its freed arrays
+    # back in: over a thousand minor faults per step either way.
+    assert _steady_faults_per_step(malloc_env) < 10
+
+
+@glibc_only
+@pytest.mark.parametrize("malloc_env", [{"MALLOC_TRIM_THRESHOLD_": "0"},
+                                        {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=0"}],
+                         ids=["env_variable", "tunable"])
+def test_user_trim_threshold_is_left_alone(malloc_env):
+    # Trimming at every free keeps returning the step's memory to the kernel.
+    assert _steady_faults_per_step(malloc_env) > 500
 
 
 def test_gradcheck_default_config_shape():
