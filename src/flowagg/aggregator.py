@@ -52,7 +52,7 @@ class AggregatorConfig:
     attention (off by default; it is redundant right after a softmax). It
     builds the weights as tensors through global_attention_weights and
     tapes weight_mlp_bytes of N x N arrays, so N is bounded by
-    DENSE_WEIGHTS_MAX_BYTES (about 2,080 at the default widths).
+    DENSE_WEIGHTS_MAX_BYTES (about 3,096 at the default widths).
     cross_frame_displacements encodes frame-2 counterpart minus frame-1
     point instead of the in-frame displacement; the forward call then
     needs a row-aligned counterpart cloud, which only unoccluded scenes
@@ -251,9 +251,9 @@ def _check_dense_bytes(what: str, n: int, need: int) -> None:
 def weight_mlp_bytes(n: int, config: AggregatorConfig) -> int:
     """Bytes of the N x N float64 arrays the use_weight_mlp route tapes:
     the logits, the scaled logits (with scale_logits) and the weights,
-    three per hidden unit (its matmul, bias add and ReLU), the output
-    layer's matmul, bias add, softplus and row normalization."""
-    return 8 * n * n * (6 + config.scale_logits + 3 * sum(config.weight_hidden))
+    one per hidden unit (its fused linear and ReLU), the output layer's
+    linear, the softplus and the row normalization."""
+    return 8 * n * n * (5 + config.scale_logits + sum(config.weight_hidden))
 
 
 def _logit_scale(q: Tensor, config: AggregatorConfig) -> float | None:
@@ -406,6 +406,9 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
 
     The score of neighbour j of point i is an MLP over [encoded
     displacement, context_j, context_i], from the constants in `inputs`.
+    The weighted sum of value rows is one :func:`.tensor.local_aggregate`
+    node, so no N·k x Dm array of gathered or weighted rows stays on the
+    tape.
 
     Returns (g_local: N x Dm, local_weights: N x k).
     """
@@ -413,11 +416,7 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
     enc = T.mlp_forward(params.disp_encoder, inputs.disp)
     scores = T.mlp_forward(params.score, T.concat_cols([enc, inputs.context_pairs]))
     weights = T.softmax_rows(T.reshape(scores, (n, k)))
-
-    picked = T.gather_rows(v, inputs.rows)
-    weighted = T.mul(picked, T.reshape(weights, (n * k, 1)))
-    g_local = T.reduce_sum(T.reshape(weighted, (n, k, v.data.shape[1])), axis=1)
-    return g_local, weights
+    return T.local_aggregate(weights, v, inputs.rows), weights
 
 
 def offset_aggregate(params: AggregatorParams, y: Tensor,
@@ -480,9 +479,3 @@ def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet | Sce
     else:
         y_tilde = offset_aggregate(params, y, g_local, g_global)
     return y_tilde, AttentionMap(global_reader=global_w, local_weights=local_w)
-
-
-def downstream_features(y_tilde: Tensor, feats: FeatureSet) -> Tensor:
-    """What a consuming network would receive: corrected motion features
-    concatenated with the original motion and context features."""
-    return T.concat_cols([y_tilde, T.tensor(feats.motion), T.tensor(feats.context)])

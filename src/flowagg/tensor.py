@@ -12,8 +12,17 @@ forward expression is written once. ``backward(tape, loss)`` then runs
 reverse accumulation and returns exact gradients for every leaf tensor
 reachable from the loss, whether or not it was created with
 ``trainable=True`` (that flag only labels parameters in a tensor's repr).
-``gather_rows`` scatter-adds its gradient in occurrence rounds, which a
-:class:`RowIndex` builds once for an index that many passes reuse.
+``gather_rows`` and ``local_aggregate`` scatter-add their gradients in
+occurrence rounds, which a :class:`RowIndex` builds once for an index
+that many passes reuse.
+
+Three fused ops stand for op chains and keep only what their backward
+needs, with the chain's output bytes and gradients: ``linear`` (matmul,
+bias add, optional ReLU; every MLP layer and the head's affine map),
+``local_aggregate`` (gather, weight and sum neighbour rows, with no N·k
+row array on the tape) and ``attention`` (blocked softmax attention, with
+no N x N array). The chain ops stay public; other routes and the tests
+use them.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -241,6 +250,39 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), lambda: ad @ bd, lambda g, y: (g @ bd.T, ad.T @ g))
 
 
+def linear(x, w, b, relu: bool = False) -> Tensor:
+    """x @ w + b, then ReLU when `relu` is set, as one tape node:
+    ``relu(add(matmul(x, w), b))`` (or ``add(matmul(x, w), b)``) with the
+    same output bytes and gradients.
+
+    The node keeps only its output y; backward reads the ReLU mask from
+    ``y > 0``, which holds exactly where the pre-activation is > 0 (also
+    for -0.0 and NaN). Its inputs are recorded as (b, x, w), the order in
+    which the chain's backward reaches them, so a tensor passed twice sums
+    its gradients in the chain's order.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {xd.shape} and {wd.shape}")
+    out_shape = (xd.shape[0], wd.shape[1])
+    if bd.ndim > 2 or any(s not in (1, o) for s, o in zip(bd.shape[::-1], out_shape[::-1])):
+        raise ShapeError(f"linear: bias {bd.shape} does not broadcast to {out_shape}")
+
+    def fwd():
+        y = xd @ wd
+        y += bd
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        return y
+
+    def bwd(g, y):
+        if relu:
+            g = g * (y > 0.0)
+        return _unbroadcast(g, bd.shape), g @ wd.T, xd.T @ g
+    return _record("linear", (b, x, w), fwd, bwd)
+
+
 def transpose2(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
@@ -293,8 +335,9 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 class RowIndex:
-    """A flat row index for :func:`gather_rows` together with the
-    occurrence rounds of its scatter-add, built once.
+    """A flat row index for :func:`gather_rows` and
+    :func:`local_aggregate` together with the occurrence rounds of its
+    scatter-add, built once.
 
     ``flat`` is a read-only flattened copy of the index. ``rounds`` holds one
     (rows, positions) pair per round: round r lists the r-th occurrence of
@@ -345,14 +388,61 @@ def gather_rows(a, idx) -> Tensor:
     ad = a.data
     if ad.ndim != 2:
         raise ShapeError(f"gather_rows expects rank 2, got shape {ad.shape}")
-    flat = idx.flat if isinstance(idx, RowIndex) else np.asarray(idx, dtype=np.int64).ravel()
-    if flat.size and (flat.min() < 0 or flat.max() >= ad.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {ad.shape[0]} rows")
+    flat = _flat_rows("gather_rows", idx, ad.shape[0])
 
     def bwd(g, y):
         rows = idx if isinstance(idx, RowIndex) else RowIndex(flat)
         return (rows.scatter_add(g, ad.shape[0]),)
     return _record("gather_rows", (a,), lambda: ad[flat], bwd)
+
+
+def _flat_rows(op: str, idx, n_rows: int) -> np.ndarray:
+    """The flat integer index of `idx` (a RowIndex or array-like), checked
+    against a source of `n_rows` rows."""
+    flat = idx.flat if isinstance(idx, RowIndex) else np.asarray(idx, dtype=np.int64).ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= n_rows):
+        raise ShapeError(f"{op}: index out of range for {n_rows} rows")
+    return flat
+
+
+def local_aggregate(weights, v, rows) -> Tensor:
+    """Per point i, the weighted sum over its k neighbour rows:
+    ``out[i] = sum_j weights[i, j] * v[rows[i·k + j]]``, as one tape node.
+
+    weights is N x k, v is M x Dm and `rows` (a :class:`RowIndex` or
+    array-like) holds N·k row numbers of v. It equals the chain
+    ``reduce_sum(reshape(mul(gather_rows(v, rows), reshape(weights,
+    (N·k, 1))), (N, k, Dm)), axis=1)`` in output bytes and gradients, but
+    the N·k x Dm gathered and weighted rows are transient: the node keeps
+    only its N x Dm output, and backward gathers the rows again and
+    scatters v's gradient through the index's occurrence rounds.
+    """
+    weights, v = _as_tensor(weights), _as_tensor(v)
+    wd, vd = weights.data, v.data
+    if wd.ndim != 2 or vd.ndim != 2:
+        raise ShapeError(f"local_aggregate: weights {wd.shape} and values {vd.shape} "
+                         f"must be rank 2")
+    flat = _flat_rows("local_aggregate", rows, vd.shape[0])
+    (n, k), dm = wd.shape, vd.shape[1]
+    if flat.size != n * k:
+        raise ShapeError(f"local_aggregate: {flat.size} neighbour rows for weights {wd.shape}")
+
+    def picked() -> np.ndarray:
+        return vd[flat].reshape(n, k, dm)
+
+    def fwd():
+        p = picked()
+        p *= wd[..., None]
+        return p.sum(axis=1)
+
+    def bwd(g, y):
+        # The chain's mul backward on (N·k, Dm) rows, into one buffer.
+        p, g3 = picked(), g[:, None, :]
+        gw = np.multiply(g3, p, out=p).sum(axis=2)
+        gp = np.multiply(g3, wd[..., None], out=p).reshape(n * k, dm)
+        index = rows if isinstance(rows, RowIndex) else RowIndex(flat)
+        return gw, index.scatter_add(gp, vd.shape[0])
+    return _record("local_aggregate", (weights, v), fwd, bwd)
 
 
 def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:
@@ -536,7 +626,8 @@ class MlpParams:
 
 
 def mlp_forward(p: MlpParams, x) -> Tensor:
-    """Affine / ReLU chain; the final layer has no activation."""
+    """Affine / ReLU chain; the final layer has no activation. Each layer
+    is one :func:`linear` node, which tapes only the layer's output."""
     x = _as_tensor(x)
     if x.data.ndim != 2 or x.data.shape[1] != p.in_dim:
         raise ShapeError(f"mlp_forward: input {x.shape} does not match first layer "
@@ -544,9 +635,7 @@ def mlp_forward(p: MlpParams, x) -> Tensor:
     h = x
     last = len(p.layers) - 1
     for i, (w, b) in enumerate(p.layers):
-        h = add(matmul(h, w), b)
-        if i != last:
-            h = relu(h)
+        h = linear(h, w, b, relu=i != last)
     return h
 
 
@@ -578,7 +667,7 @@ def norm_act_head(p: NormActParams, x) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2 or x.data.shape[0] < 2:
         raise ShapeError(f"norm_act_head needs at least 2 rows, got shape {x.shape}")
-    z = add(matmul(x, p.weight), p.bias)
+    z = linear(x, p.weight, p.bias)
     n = z.data.shape[0]
     mean = scale(reduce_sum(z, axis=0, keepdims=True), 1.0 / n)
     centered = sub(z, mean)

@@ -57,7 +57,7 @@ def init_decoder(motion_dim: int, seed: int) -> DecoderParams:
 
 def decode_flow(decoder: DecoderParams, y_tilde: Tensor) -> Tensor:
     """Per-point linear readout, N x 3."""
-    return T.add(T.matmul(y_tilde, decoder.weight), decoder.bias)
+    return T.linear(y_tilde, decoder.weight, decoder.bias)
 
 
 def loss_epe(pred: Tensor, gt) -> Tensor:

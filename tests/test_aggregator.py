@@ -1,6 +1,7 @@
 """Aggregation module against by-hand composition and its own invariants."""
 
 import dataclasses
+import os
 import tracemalloc
 import warnings
 
@@ -16,7 +17,6 @@ from flowagg.aggregator import (
     FeatureSet,
     aggregate_global,
     aggregate_local,
-    downstream_features,
     forward,
     global_attention_weights,
     init_params,
@@ -25,7 +25,9 @@ from flowagg.aggregator import (
     project_qkv,
     weight_mlp_bytes,
 )
+from flowagg.config import parse_config_file
 from flowagg.rng import Xoshiro256StarStar, derive_seed
+from flowagg.scenegen import generate_scene
 from flowagg.spatial import PointCloud, knn
 from flowagg.tensor import ShapeError, Tape, Tensor, backward, tensor
 
@@ -336,6 +338,24 @@ def test_global_route_tapes_no_n_by_n_array():
     assert weights.tobytes() == want.tobytes()
 
 
+def test_local_route_tapes_no_n_k_by_dm_array():
+    # The pinned N=200 local config: its gathered and weighted value rows
+    # (N·k x Dm each) stay off the tape. The score MLP's hidden layer is
+    # the one node of that size, since its width (32) equals Dm.
+    cfg = parse_config_file(os.path.join(os.path.dirname(__file__), os.pardir,
+                                         "configs", "occlusion_local.cfg"))
+    scene = generate_scene(cfg.scene)
+    n, k, dm = len(scene.frame1), cfg.module.k, cfg.module.motion_dim
+    params = init_params(cfg.module, seed=0)
+    with Tape() as tape:
+        forward(params, scene.frame1, FeatureSet(scene.context, scene.motion_in),
+                knn(scene.frame1, scene.frame1, k), cfg.module)
+    wide = [node for node in tape.nodes if node.output.size == n * k * dm]
+    assert [(node.op, params.score.layers[0][0] in node.inputs)
+            for node in wide] == [("linear", True)]
+    assert "local_aggregate" in [node.op for node in tape.nodes]
+
+
 def test_global_weights_read_over_budget_raises_before_allocating(monkeypatch):
     n = 200
     params, cloud, feats, nbrs = _instance(6, n, alpha=0.4)
@@ -376,7 +396,7 @@ def test_global_route_peak_memory_stays_below_one_n_by_n_array():
 
 def test_weight_mlp_over_budget_raises_before_allocating():
     cfg = dataclasses.replace(SMALL, use_weight_mlp=True)
-    n = 3000   # 29 N x N arrays: about 2 GiB
+    n = 3100   # 14 N x N arrays: 1,026 MiB, just over the 1,024 MiB limit
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
     q, v = tensor(rng.normal(size=(n, 3))), tensor(rng.normal(size=(n, 4)))
@@ -416,16 +436,6 @@ def test_weight_mlp_bytes_equals_the_taped_n_by_n_arrays(monkeypatch, scale, hid
              if node.output.size % (n * n) == 0
              and not any(np.shares_memory(node.output.data, t.data) for t in node.inputs)]
     assert sum(a.nbytes for a in owned) == weight_mlp_bytes(n, cfg)
-
-
-def test_downstream_features_concatenate():
-    params, cloud, feats, nbrs = _instance(16, 5, alpha=0.1)
-    out, _ = forward(params, cloud, feats, nbrs, SMALL)
-    cat = downstream_features(out, feats).data
-    assert cat.shape == (5, 4 + 4 + 4)
-    np.testing.assert_array_equal(cat[:, :4], out.data)
-    np.testing.assert_array_equal(cat[:, 4:8], feats.motion)
-    np.testing.assert_array_equal(cat[:, 8:], feats.context)
 
 
 def test_init_is_deterministic_and_stream_split():

@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,177 @@ def test_row_index_is_a_read_only_copy():
         rows.flat[0] = 0
 
 
+def _bytes_and_grads(build, leaves):
+    """Output bytes and the bytes of every leaf's gradient, for `build`,
+    which returns (output, scalar loss) while a tape records."""
+    with Tape() as tape:
+        out, loss = build()
+    grads = backward(tape, loss)
+    return [out.data.tobytes()] + [grads.wrt(t).tobytes() for t in leaves]
+
+
+def _linear_chain(x, w, b, relu=False):
+    z = T.add(T.matmul(x, w), b)
+    return T.relu(z) if relu else z
+
+
+def _linear_case(case, rng):
+    """(x, w, b) for `case`."""
+    if case == "shared_x_w":
+        x = tensor(rng.normal(size=(5, 5)), trainable=True)
+        return x, x, tensor(rng.normal(size=5), trainable=True)
+    if case == "shared_x_w_b":
+        x = tensor(rng.normal(size=(4, 4)), trainable=True)
+        return x, x, x
+    n = 1 if case == "single_row" else 6
+    xd, wd, bd = rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+    if case == "zero_preactivations":
+        # Column 0 cancels to +0.0 exactly; row 0 holds underflowing
+        # negative products, which this BLAS sums to -0.0, plus b = -0.0.
+        xd[:, 1:], wd[1:, 0], wd[0, 0] = 0.0, 0.0, 2.0
+        xd[:, 0] = 0.5
+        bd[0] = -1.0
+        xd[0], wd[:, 1:], bd[1:] = -1e-200, 1e-200, -0.0
+    return (tensor(xd, trainable=True), tensor(wd, trainable=True),
+            tensor(bd, trainable=True))
+
+
+LINEAR_CASES = ["distinct", "single_row", "zero_preactivations", "shared_x_w",
+                "shared_x_w_b", "x_used_downstream"]
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("case", LINEAR_CASES)
+def test_linear_bitwise_equals_matmul_add_relu_chain(case, relu):
+    rng = np.random.default_rng(len(case))
+    x, w, b = _linear_case(case, rng)
+    z = x.data @ w.data + b.data
+    if case == "zero_preactivations":
+        assert (z == 0.0).sum() >= 6
+    upstream = tensor(rng.normal(size=z.shape))
+    upstream.data[::2, ::2] = 0.0
+
+    def run(op):
+        def build():
+            y = op(x, w, b, relu=relu)
+            loss = T.reduce_sum(T.mul(y, upstream))
+            if case == "x_used_downstream":
+                loss = T.add(loss, T.reduce_sum(T.mul(x, x)))
+            return y, loss
+        return _bytes_and_grads(build, [x, w, b])
+
+    assert run(T.linear) == run(_linear_chain)
+
+
+def _kept_bytes(build) -> tuple[int, list]:
+    """Bytes still allocated after `build()` runs on a tape, with the tape
+    and the result alive, and the tape's nodes."""
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = build()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return kept, tape.nodes
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_linear_keeps_only_its_output(relu):
+    rng = np.random.default_rng(21)
+    x, w, b = (tensor(rng.normal(size=s)) for s in ((2000, 16), (16, 64), (64,)))
+    kept, nodes = _kept_bytes(lambda: T.linear(x, w, b, relu=relu))
+    assert [node.op for node in nodes] == ["linear"]
+    # The chain keeps x @ w, then + b, then the ReLU output: 2 or 3 times.
+    assert 2000 * 64 * 8 <= kept < 1.1 * 2000 * 64 * 8
+
+
+def test_linear_rejects_mismatched_operands():
+    x, w = tensor(np.zeros((4, 3))), tensor(np.zeros((3, 2)))
+    for bad in ((tensor(np.zeros((4, 2))), w, np.zeros(2)),
+                (x, w, np.zeros(3)),
+                (x, w, np.zeros((5, 2))),
+                (x, w, np.zeros((1, 4, 2)))):
+        with pytest.raises(ShapeError):
+            T.linear(*bad)
+
+
+def _local_aggregate_chain(weights, v, rows):
+    n, k = weights.shape
+    picked = T.gather_rows(v, rows)
+    weighted = T.mul(picked, T.reshape(weights, (n * k, 1)))
+    return T.reduce_sum(T.reshape(weighted, (n, k, v.shape[1])), axis=1)
+
+
+def _local_case(case, rng):
+    """(weights, v, index) for `case`."""
+    if case == "shared_weights_and_values":
+        a = tensor(rng.normal(size=(6, 3)), trainable=True)
+        return a, a, rng.integers(0, 6, size=18)
+    if case == "self_neighbours":
+        cloud = PointCloud(rng.normal(size=(40, 3)))
+        idx = knn(cloud, cloud, 5, include_self=True).indices
+    elif case == "single_row":
+        idx = np.array([[2, 0, 2]])
+    else:   # duplicates, rows reached only once or never
+        idx = np.array([[4, 0, 4], [4, 1, 0], [4, 4, 4], [3, 3, 0]])
+    n, k = idx.shape
+    weights = rng.normal(size=(n, k))
+    # Products whose sum over k depends on the order of addition, and
+    # exact ±0.0 weights.
+    weights[:, 0], weights[0, 1:3] = 1e16, [-0.0, 0.0]
+    v = _scatter_gradient(max(5, n), rng)
+    # Against an upstream gradient row of ones, these rows give a dot
+    # product of 0 or 1 by the order of addition.
+    v[::2] = [1.0, 1e16, -1e16]
+    return tensor(weights, trainable=True), tensor(v, trainable=True), idx
+
+
+@pytest.mark.parametrize("case", ["duplicates", "self_neighbours", "single_row",
+                                  "shared_weights_and_values"])
+@pytest.mark.parametrize("row_index", [False, True])
+def test_local_aggregate_bitwise_equals_gather_mul_sum_chain(case, row_index):
+    rng = np.random.default_rng(len(case))
+    weights, v, idx = _local_case(case, rng)
+    rows = T.RowIndex(idx) if row_index else idx
+    upstream = _scatter_gradient(weights.shape[0], rng)
+    upstream[1::2] = 1.0
+    upstream = tensor(upstream)
+
+    def run(op):
+        def build():
+            out = op(weights, v, rows)
+            # With the shared tensor also used downstream, its gradient sums
+            # three terms, whose order shows in the bytes.
+            return out, T.add(T.reduce_sum(T.mul(out, upstream)),
+                              T.reduce_sum(T.mul(v, v)))
+        return _bytes_and_grads(build, [weights, v])
+
+    assert run(T.local_aggregate) == run(_local_aggregate_chain)
+
+
+def test_local_aggregate_keeps_no_gathered_rows():
+    n, k, dm = 200, 8, 32
+    rng = np.random.default_rng(22)
+    weights, v = tensor(rng.normal(size=(n, k))), tensor(rng.normal(size=(n, dm)))
+    rows = T.RowIndex(rng.integers(0, n, size=(n, k)))
+    kept, nodes = _kept_bytes(lambda: T.local_aggregate(weights, v, rows))
+    assert [node.op for node in nodes] == ["local_aggregate"]
+    # The N x Dm output and bookkeeping; the chain keeps two N·k x Dm arrays.
+    assert n * dm * 8 <= kept < 2 * n * dm * 8
+
+
+def test_local_aggregate_rejects_mismatched_operands():
+    w, v = tensor(np.zeros((4, 2))), tensor(np.zeros((5, 3)))
+    for bad in ((w, v, np.zeros(7, dtype=int)),
+                (w, v, np.full(8, 5)),
+                (w, v, np.full(8, -1)),
+                (tensor(np.zeros((4, 2, 1))), v, np.zeros(8, dtype=int)),
+                (w, tensor(np.zeros(5)), np.zeros(8, dtype=int))):
+        with pytest.raises(ShapeError):
+            T.local_aggregate(*bad)
+
+
 def test_grad_softmax_rows():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 4))
@@ -418,7 +590,9 @@ def test_softmax_backward_leaves_incoming_gradient_untouched():
     rng = np.random.default_rng(18)
     x = tensor(rng.normal(size=(6, 3)), trainable=True)
     for build in (lambda: _attention_chain(x, x, 0.5), lambda: T.softmax_rows(x),
-                  lambda: T.attention(x, x, x, 0.5)):
+                  lambda: T.attention(x, x, x, 0.5),
+                  lambda: T.linear(T.transpose2(x), x, x.data[0], relu=True),
+                  lambda: T.local_aggregate(x, x, np.arange(18) % 6)):
         with Tape() as tape:
             build()
         for node in tape.nodes:
@@ -519,11 +693,17 @@ def test_replay_reproduces_outputs_bitwise():
         cat = T.concat_cols([s, T.attention(a, s, r, 0.5), r])
         rows = T.gather_rows(cat, [3, 0, 0, 2])
         col = T.reduce_sum(T.reshape(T.sub(rows, T.scale(cat, 2.0)), (8, 6)), axis=1)
-        T.reduce_sum(T.add(col, T.mul(col, col)))
-    # Every op name that tensor.py records is on this one tape.
+        hidden = T.linear(cat, T.transpose2(cat), T.reduce_sum(a, axis=0), relu=True)
+        blend = T.local_aggregate(T.linear(hidden, a, T.reduce_sum(a, axis=1)), hidden,
+                                  T.RowIndex([1, 1, 0, 3] * 4))
+        T.add(T.reduce_sum(T.add(col, T.mul(col, col))), T.reduce_sum(blend))
+    # Every op name that tensor.py records is on this one tape, and linear
+    # with and without ReLU.
     ops = set(re.findall(r'(?:_record|_elementwise)\("(\w+)"', inspect.getsource(T)))
-    assert len(ops) == 18
+    assert len(ops) == 20
     assert {node.op for node in tape.nodes} == ops
+    assert [node.output.data.min() >= 0.0 for node in tape.nodes
+            if node.op == "linear"] == [True, False]
     before = [node.output.data.tobytes() for node in tape.nodes]
     assert tape.replay()
     assert [node.output.data.tobytes() for node in tape.nodes] == before
@@ -543,7 +723,8 @@ def test_replay_reproduces_outputs_bitwise():
 def test_replay_detects_a_mutated_input():
     rng = np.random.default_rng(15)
     for op in (T.mul, lambda a, b: _attention_chain(a, b, 0.5),
-               lambda a, b: T.softmax_rows(a)):
+               lambda a, b: T.softmax_rows(a), lambda a, b: T.linear(a, b, b.data[0]),
+               lambda a, b: T.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1]))):
         a = tensor(rng.normal(size=(3, 3)))
         b = tensor(rng.normal(size=(3, 3)))
         with Tape() as tape:

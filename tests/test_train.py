@@ -215,7 +215,7 @@ def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
     inputs, = prepared
     constants = {inputs.context, inputs.motion, inputs.disp, inputs.context_pairs}
     assert len(tapes) == 3
-    assert len({len(tape) for tape in tapes}) == 1 and len(tapes[0]) <= 45
+    assert len({len(tape) for tape in tapes}) == 1 and len(tapes[0]) == 33
     leaves = []
     for tape in tapes:
         outputs = {node.output for node in tape.nodes}
