@@ -18,11 +18,14 @@ linear/normalize/ReLU head, is scaled by a learnable gate that starts at
 zero, and is added back. At initialization the module is therefore an
 exact identity on motion features.
 
-All forward math runs through :mod:`.tensor` primitives, so recording a
-tape during the call yields exact gradients for every parameter. What
-does not depend on the parameters (feature tensors, displacements, the
-constant context blocks of the local scores, the neighbour row index) is
-built once per scene by :func:`prepare_inputs`.
+The module's one input is a prepared scene: :func:`prepare_inputs`
+checks a scene's cloud, features and neighbour table against the config
+and builds, once, everything that does not depend on the parameters
+(feature tensors, displacements, the constant context blocks of the
+local scores, the neighbour row index). :func:`forward` takes only the
+parameters and that :class:`SceneInputs`. All forward math runs through
+:mod:`.tensor` primitives, so recording a tape during the call yields
+exact gradients for every parameter.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class AggregatorConfig:
     tapes weight_mlp_bytes of N x N arrays, so N is bounded by
     DENSE_WEIGHTS_MAX_BYTES (about 3,096 at the default widths).
     cross_frame_displacements encodes frame-2 counterpart minus frame-1
-    point instead of the in-frame displacement; the forward call then
+    point instead of the in-frame displacement; preparing a scene then
     needs a row-aligned counterpart cloud, which only unoccluded scenes
     provide.
     disable_local / disable_global zero out the respective route;
@@ -322,14 +325,14 @@ def aggregate_global(params: AggregatorParams, q: Tensor, k: Tensor, v: Tensor,
 
 @dataclass(frozen=True, eq=False)
 class SceneInputs:
-    """The constant inputs of :func:`forward` for one scene, which
-    :func:`prepare_inputs` builds once; every pass over the scene then
-    reads the same leaf tensors.
+    """The one input of :func:`forward`: a scene prepared for one config
+    by :func:`prepare_inputs`, once; every pass over the scene then reads
+    the same leaf tensors.
 
-    cloud, nbrs, config and counterparts are the arguments they were
-    built from. context (N x Dc) and motion (N x Dm) are the feature
-    tensors. The local route's constants exist only when that route runs
-    (None with disable_local):
+    config is the module config the scene was checked against. context
+    (N x Dc) and motion (N x Dm) are the feature tensors. The local
+    route's constants exist only when that route runs (None with
+    disable_local):
 
     * disp: the N·k x 3 displacement table, neighbour endpoint minus point;
     * context_pairs: the N·k x 2Dc constant blocks [context_j, context_i]
@@ -337,10 +340,7 @@ class SceneInputs:
     * rows: the flattened neighbour table as a :class:`.tensor.RowIndex`.
     """
 
-    cloud: PointCloud
-    nbrs: NeighborIndex
     config: AggregatorConfig
-    counterparts: PointCloud | None
     context: Tensor
     motion: Tensor
     disp: Tensor | None = None
@@ -357,7 +357,8 @@ def prepare_inputs(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
     Displacements default to p_j - p_i within frame 1; with
     cross_frame_displacements the j endpoint is taken from the row-aligned
     counterpart cloud instead. Raises ShapeError on a shape that does not
-    fit, and ValueError when the displacement table is not finite.
+    fit (the neighbour table must be N x config.k when the local route
+    runs), and ValueError when the displacement table is not finite.
     """
     n = len(feats)
     if n < 2:
@@ -369,8 +370,7 @@ def prepare_inputs(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
             f"configured dims ({dc}, {dm})")
     local = {} if config.disable_local else _local_constants(cloud, feats, nbrs, config,
                                                               counterparts)
-    return SceneInputs(cloud, nbrs, config, counterparts, T.tensor(feats.context),
-                       T.tensor(feats.motion), **local)
+    return SceneInputs(config, T.tensor(feats.context), T.tensor(feats.motion), **local)
 
 
 def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
@@ -378,8 +378,8 @@ def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
     n = len(feats)
     if len(cloud) != n:
         raise ShapeError(f"cloud has {len(cloud)} points but features have {n}")
-    if nbrs.indices.shape[0] != n:
-        raise ShapeError(f"neighbour table rows {nbrs.indices.shape[0]} != N {n}")
+    if nbrs.indices.shape != (n, config.k):
+        raise ShapeError(f"neighbour table {nbrs.indices.shape} != (N, k) {(n, config.k)}")
     if config.cross_frame_displacements:
         if counterparts is None or len(counterparts) != n:
             raise ShapeError(
@@ -388,7 +388,7 @@ def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
         endpoint = counterparts.points
     else:
         endpoint = cloud.points
-    rows, k = T.RowIndex(nbrs.indices), nbrs.k
+    rows, k = T.RowIndex(nbrs.indices), config.k
     with np.errstate(over="ignore", invalid="ignore"):
         disp = endpoint[rows.flat] - np.repeat(cloud.points, k, axis=0)
     if not np.isfinite(disp).all():
@@ -412,7 +412,8 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
 
     Returns (g_local: N x Dm, local_weights: N x k).
     """
-    n, k = v.data.shape[0], inputs.nbrs.k
+    n = v.data.shape[0]
+    k = inputs.rows.flat.size // n
     enc = T.mlp_forward(params.disp_encoder, inputs.disp)
     scores = T.mlp_forward(params.score, T.concat_cols([enc, inputs.context_pairs]))
     weights = T.softmax_rows(T.reshape(scores, (n, k)))
@@ -435,26 +436,14 @@ def offset_aggregate(params: AggregatorParams, y: Tensor,
     return T.add(y, T.mul(g_offset, params.alpha))
 
 
-def forward(params: AggregatorParams, cloud: PointCloud, feats: FeatureSet | SceneInputs,
-            nbrs: NeighborIndex, config: AggregatorConfig,
-            counterparts: PointCloud | None = None) -> tuple[Tensor, AttentionMap]:
-    """Full pass: project, attend globally and locally, correct.
-
-    `feats` is the scene's FeatureSet, which is prepared on every call
-    (:func:`prepare_inputs`), or the SceneInputs that a caller making many
-    passes over one scene prepared once. Those must come from these same
-    cloud, nbrs, config and counterparts objects, or ValueError is raised.
+def forward(params: AggregatorParams, inputs: SceneInputs) -> tuple[Tensor, AttentionMap]:
+    """Full pass over a prepared scene: project, attend globally and
+    locally, correct, as inputs.config defines the module.
 
     Returns the corrected motion features (N x Dm) and the attention maps
     used. Record on a tape to differentiate through the whole thing.
     """
-    if isinstance(feats, SceneInputs):
-        inputs = feats
-        source = (inputs.cloud, inputs.nbrs, inputs.config, inputs.counterparts)
-        if any(a is not b for a, b in zip(source, (cloud, nbrs, config, counterparts))):
-            raise ValueError("forward: SceneInputs were prepared from other arguments")
-    else:
-        inputs = prepare_inputs(cloud, feats, nbrs, config, counterparts)
+    config = inputs.config
     q, k, v = project_qkv(params, inputs.context, inputs.motion, config)
     y = inputs.motion
     n, dm = y.data.shape

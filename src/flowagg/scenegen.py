@@ -29,6 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .containers import ContainerError
 from .metrics import FlowField
 from .rng import Xoshiro256StarStar, derive_seed
 from .spatial import PointCloud, brute_force_knn, fps
@@ -426,9 +427,10 @@ def _motion_embedding(motion_dim: int) -> np.ndarray:
     return e
 
 
-def synth_features(scene: SyntheticScene | _Geometry, cfg: SceneConfig,
-                   occlusion_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Context and motion input features for a scene's frame-1 points.
+def synth_features(gt_flow: np.ndarray, cluster_id: np.ndarray, occlusion_mask: np.ndarray,
+                   cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Context and motion input features for a scene's frame-1 points,
+    from their N x 3 ground-truth flow, cluster ids and occlusion mask.
 
     Context rows are the one-hot embedding of the point's cluster group,
     scaled by context_scale and padded to context_dim, plus Gaussian
@@ -444,10 +446,6 @@ def synth_features(scene: SyntheticScene | _Geometry, cfg: SceneConfig,
     Recomputing on the same scene and config reproduces the stored
     features bit for bit.
     """
-    if occlusion_mask is None:
-        occlusion_mask = scene.occlusion_mask  # type: ignore[union-attr]
-    gt = scene.gt_flow.vectors if isinstance(scene, SyntheticScene) else scene.gt_flow
-    cluster_id = scene.cluster_id
     rng = Xoshiro256StarStar(derive_seed(cfg.seed, 4))
     n = len(cluster_id)
 
@@ -456,7 +454,7 @@ def synth_features(scene: SyntheticScene | _Geometry, cfg: SceneConfig,
     if cfg.feature_noise_std > 0.0:
         context = context + rng.normal_array((n, cfg.context_dim)) * cfg.feature_noise_std
 
-    motion_in = gt @ _motion_embedding(cfg.motion_dim)
+    motion_in = gt_flow @ _motion_embedding(cfg.motion_dim)
     occluded = np.flatnonzero(occlusion_mask)
     if cfg.motion_corruption == "zero":
         motion_in[occluded] = 0.0
@@ -492,7 +490,7 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     Xoshiro256StarStar(derive_seed(cfg.seed, 3)).shuffle(order)
     frame2 = geo.warped[np.array(order, dtype=np.int64)] if order else np.empty((0, 3))
 
-    context, motion_in = synth_features(geo, cfg, occlusion_mask=mask)
+    context, motion_in = synth_features(geo.gt_flow, geo.cluster_id, mask, cfg)
     scene = SyntheticScene(
         frame1=PointCloud(geo.frame1),
         frame2=PointCloud(frame2),
@@ -527,13 +525,20 @@ def scene_from_tensors(named: dict[str, np.ndarray]) -> SyntheticScene:
 
     Values loaded from disk have passed through 32-bit storage, so a
     loaded scene is self-consistent but not bit-equal to the generator's
-    in-memory output; re-serializing it is byte-stable.
+    in-memory output; re-serializing it is byte-stable. Raises KeyError
+    on a missing tensor and ContainerError when a per-point tensor does
+    not have one row per frame-1 point.
     """
     missing = [t for t in SCENE_TENSORS if t not in named]
     if missing:
         raise KeyError(f"scene container is missing tensors: {missing}")
+    frame1 = PointCloud(named["frame1"])
+    for name in SCENE_TENSORS[2:]:   # the per-point tensors, all but the two frames
+        if named[name].shape[:1] != (len(frame1),):
+            raise ContainerError(f"scene tensor {name!r} has shape {named[name].shape}, "
+                                 f"but frame1 has {len(frame1)} points")
     return SyntheticScene(
-        frame1=PointCloud(named["frame1"]),
+        frame1=frame1,
         frame2=PointCloud(named["frame2"]),
         gt_flow=FlowField(named["gt_flow"]),
         occlusion_mask=named["occlusion_mask"].astype(np.float64) != 0.0,

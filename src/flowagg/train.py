@@ -60,13 +60,13 @@ def decode_flow(decoder: DecoderParams, y_tilde: Tensor) -> Tensor:
     return T.linear(y_tilde, decoder.weight, decoder.bias)
 
 
-def loss_epe(pred: Tensor, gt) -> Tensor:
+def loss_epe(pred: Tensor, gt: Tensor | np.ndarray) -> Tensor:
     """Mean squared Euclidean flow error as a differentiable scalar.
 
-    `gt` is a FlowField, an array, or a constant Tensor that a caller
-    taking many steps built once."""
+    `gt` is an N x 3 array, or a constant Tensor that a caller taking
+    many steps built once."""
     if not isinstance(gt, Tensor):
-        gt = T.tensor(gt.vectors if isinstance(gt, FlowField) else gt)
+        gt = T.tensor(gt)
     if pred.shape != gt.shape:
         raise T.ShapeError(f"loss_epe: prediction {pred.shape} vs target {gt.shape}")
     diff = T.sub(pred, gt)
@@ -197,8 +197,7 @@ def _scene_neighbors(scene: SyntheticScene, module: AggregatorConfig) -> Neighbo
 def _predict(params: AggregatorParams, decoder: DecoderParams, inputs: SceneInputs) -> Tensor:
     """Per-point flow prediction on prepared inputs: the aggregator, then
     the decoder."""
-    y_tilde, _ = forward(params, inputs.cloud, inputs, inputs.nbrs, inputs.config,
-                         inputs.counterparts)
+    y_tilde, _ = forward(params, inputs)
     return decode_flow(decoder, y_tilde)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
-from flowagg.aggregator import AggregatorConfig, FeatureSet, forward, init_params
+from flowagg.aggregator import AggregatorConfig, FeatureSet, forward, init_params, prepare_inputs
 from flowagg.cli import GRADCHECK_TOL, main as cli_main
 from flowagg.config import parse_config_file
 from flowagg.metrics import FlowField, evaluate
@@ -119,7 +119,7 @@ def test_02_attention_invariants():
         cloud = PointCloud(pts)
         feats = FeatureSet(rng.normal(size=(n, 6)), rng.normal(size=(n, 6)))
         nbrs = knn(cloud, cloud, k=3)
-        out, amap = forward(params, cloud, feats, nbrs, cfg)
+        out, amap = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
         for w in (amap.global_weights, amap.local_weights):
             assert (w >= 0.0).all()
             worst_sum = max(worst_sum, np.abs(w.sum(axis=1) - 1.0).max())
@@ -127,7 +127,8 @@ def test_02_attention_invariants():
         perm = rng.permutation(n)
         cloud_p = PointCloud(pts[perm])
         feats_p = FeatureSet(feats.context[perm], feats.motion[perm])
-        out_p, _ = forward(params, cloud_p, feats_p, knn(cloud_p, cloud_p, k=3), cfg)
+        out_p, _ = forward(params, prepare_inputs(cloud_p, feats_p,
+                                                  knn(cloud_p, cloud_p, k=3), cfg))
         diff = np.abs(out_p.data - out.data[perm]).max()
         worst_perm = max(worst_perm, diff)
         assert diff <= 1e-10
@@ -164,7 +165,8 @@ def test_03_residual_identity_at_zero_gate():
         nbrs = knn(cloud, cloud, k=k, include_self=cfg.include_self_neighbors)
         counterparts = PointCloud(pts + rng.normal(scale=0.3, size=(n, 3))) \
             if cfg.cross_frame_displacements else None
-        out, _ = forward(params, cloud, feats, nbrs, cfg, counterparts=counterparts)
+        out, _ = forward(params, prepare_inputs(cloud, feats, nbrs, cfg,
+                                                counterparts=counterparts))
         assert out.data.tobytes() == feats.motion.tobytes()
     print("residual identity: PASS (bit-identical motion features at zero "
           "gate across 100 random configs)")
@@ -187,7 +189,7 @@ def test_04_forward_matches_composed_oracle():
         mot = g.normal_array((8, cfg.motion_dim))
         cloud = PointCloud(pts)
         nbrs = knn(cloud, cloud, k=cfg.k)
-        got, _ = forward(params, cloud, FeatureSet(ctx, mot), nbrs, cfg)
+        got, _ = forward(params, prepare_inputs(cloud, FeatureSet(ctx, mot), nbrs, cfg))
         raw = {name: t.data for name, t in params.named_tensors()}
         want = oracles.forward_loops(raw, pts, ctx, mot, nbrs.indices,
                                      qk_dim=cfg.qk_dim)

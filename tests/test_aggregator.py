@@ -66,7 +66,7 @@ def _raw(params):
 
 def test_pinned_instance_matches_golden():
     params, cloud, feats, nbrs = _instance(7, 8, alpha=0.7)
-    got, _ = forward(params, cloud, feats, nbrs, SMALL)
+    got, _ = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
     np.testing.assert_allclose(got.data, GOLDEN_N8, rtol=0, atol=1e-10)
     want = oracles.forward_loops(_raw(params), cloud.points, feats.context,
                                  feats.motion, nbrs.indices, qk_dim=SMALL.qk_dim)
@@ -76,7 +76,7 @@ def test_pinned_instance_matches_golden():
 @pytest.mark.parametrize("seed", range(12))
 def test_forward_matches_loop_oracle(seed):
     params, cloud, feats, nbrs = _instance(seed, 8, alpha=1.0)
-    got, _ = forward(params, cloud, feats, nbrs, SMALL)
+    got, _ = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
     want = oracles.forward_loops(_raw(params), cloud.points, feats.context,
                                  feats.motion, nbrs.indices, qk_dim=SMALL.qk_dim)
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
@@ -85,7 +85,7 @@ def test_forward_matches_loop_oracle(seed):
 def test_unscaled_logits_match_oracle():
     cfg = dataclasses.replace(SMALL, scale_logits=False)
     params, cloud, feats, nbrs = _instance(3, 6, cfg, alpha=0.5)
-    got, _ = forward(params, cloud, feats, nbrs, cfg)
+    got, _ = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
     want = oracles.forward_loops(_raw(params), cloud.points, feats.context,
                                  feats.motion, nbrs.indices, qk_dim=cfg.qk_dim,
                                  scale_logits=False)
@@ -146,7 +146,7 @@ def test_local_weights_row_stochastic_and_match_oracle():
 def test_alpha_zero_is_bitwise_identity():
     for seed in range(5):
         params, cloud, feats, nbrs = _instance(seed, 9)
-        got, _ = forward(params, cloud, feats, nbrs, SMALL)
+        got, _ = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
         assert got.data.tobytes() == feats.motion.tobytes()
 
 
@@ -156,7 +156,7 @@ def test_matched_aggregate_zero_shift_keeps_motion():
     # there, so the correction vanishes for any gate value.
     params, cloud, feats, nbrs = _instance(2, 6, alpha=3.0)
     zero_motion = FeatureSet(feats.context, np.zeros((6, 4)))
-    got, _ = forward(params, cloud, zero_motion, nbrs, SMALL)
+    got, _ = forward(params, prepare_inputs(cloud, zero_motion, nbrs, SMALL))
     assert got.data.tobytes() == zero_motion.motion.tobytes()
 
 
@@ -174,22 +174,22 @@ def test_offset_aggregate_direct():
 
 def test_permutation_equivariance():
     params, cloud, feats, nbrs = _instance(8, 12, alpha=0.8)
-    base, _ = forward(params, cloud, feats, nbrs, SMALL)
+    base, _ = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
     perm = np.random.default_rng(1).permutation(12)
     cloud_p = PointCloud(cloud.points[perm])
     feats_p = FeatureSet(feats.context[perm], feats.motion[perm])
     nbrs_p = knn(cloud_p, cloud_p, k=SMALL.k)
-    out_p, _ = forward(params, cloud_p, feats_p, nbrs_p, SMALL)
+    out_p, _ = forward(params, prepare_inputs(cloud_p, feats_p, nbrs_p, SMALL))
     np.testing.assert_allclose(out_p.data, base.data[perm], rtol=0, atol=1e-10)
 
 
 def test_disable_flags_drop_attention_maps():
     params, cloud, feats, nbrs = _instance(1, 6, alpha=0.5)
     cfg = dataclasses.replace(SMALL, disable_global=True)
-    _, amap = forward(params, cloud, feats, nbrs, cfg)
+    _, amap = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
     assert amap.global_weights is None and amap.local_weights is not None
     cfg = dataclasses.replace(SMALL, disable_local=True)
-    _, amap = forward(params, cloud, feats, nbrs, cfg)
+    _, amap = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
     assert amap.local_weights is None and amap.global_weights is not None
 
 
@@ -197,7 +197,7 @@ def test_disabled_route_matches_oracle():
     for flag in ("disable_local", "disable_global"):
         cfg = dataclasses.replace(SMALL, **{flag: True})
         params, cloud, feats, nbrs = _instance(6, 8, cfg, alpha=1.0)
-        got, _ = forward(params, cloud, feats, nbrs, cfg)
+        got, _ = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
         want = oracles.forward_loops(_raw(params), cloud.points, feats.context,
                                      feats.motion, nbrs.indices, qk_dim=cfg.qk_dim,
                                      **{flag: True})
@@ -207,7 +207,7 @@ def test_disabled_route_matches_oracle():
 def test_raw_context_logits_skip_projection():
     cfg = dataclasses.replace(SMALL, raw_context_logits=True)
     params, cloud, feats, nbrs = _instance(9, 6, cfg, alpha=0.4)
-    got, amap = forward(params, cloud, feats, nbrs, cfg)
+    got, amap = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
     # weights computed straight from context similarity; the scale
     # follows the actual attention width, here the context width
     logits = feats.context @ feats.context.T / np.sqrt(cfg.context_dim)
@@ -218,7 +218,7 @@ def test_raw_context_logits_skip_projection():
 def test_weight_mlp_keeps_rows_stochastic():
     cfg = dataclasses.replace(SMALL, use_weight_mlp=True)
     params, cloud, feats, nbrs = _instance(10, 7, cfg, alpha=0.3)
-    _, amap = forward(params, cloud, feats, nbrs, cfg)
+    _, amap = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
     assert (amap.global_weights > 0.0).all()
     np.testing.assert_allclose(amap.global_weights.sum(axis=1), np.ones(7), atol=1e-9)
 
@@ -227,13 +227,13 @@ def test_weight_mlp_requires_params():
     cfg = dataclasses.replace(SMALL, use_weight_mlp=True)
     params, cloud, feats, nbrs = _instance(0, 5)  # initialized without the stage
     with pytest.raises(ShapeError):
-        forward(params, cloud, feats, nbrs, cfg)
+        forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
 
 
 def test_plain_aggregator_path():
     cfg = dataclasses.replace(SMALL, plain_aggregator=True)
     params, cloud, feats, nbrs = _instance(11, 6, cfg)
-    got, _ = forward(params, cloud, feats, nbrs, cfg)
+    got, _ = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
     # no gate: even freshly initialized, the head output shifts motion
     assert got.data.shape == (6, 4)
     assert not np.array_equal(got.data, feats.motion)
@@ -243,9 +243,9 @@ def test_cross_frame_displacements_need_counterparts():
     cfg = dataclasses.replace(SMALL, cross_frame_displacements=True)
     params, cloud, feats, nbrs = _instance(12, 6, cfg, alpha=0.5)
     with pytest.raises(ShapeError):
-        forward(params, cloud, feats, nbrs, cfg)
+        forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
     moved = PointCloud(cloud.points + 0.1)
-    out, _ = forward(params, cloud, feats, nbrs, cfg, counterparts=moved)
+    out, _ = forward(params, prepare_inputs(cloud, feats, nbrs, cfg, counterparts=moved))
     assert out.data.shape == (6, 4)
 
 
@@ -255,29 +255,25 @@ def test_overflowing_displacements_fail_while_preparing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: prepare_inputs(huge, feats, nbrs, SMALL),
-                     lambda: forward(params, huge, feats, nbrs, SMALL)):
+                     lambda: forward(params, prepare_inputs(huge, feats, nbrs, SMALL))):
             with Tape() as tape, pytest.raises(ValueError, match="displacement table"):
                 call()
             assert not tape.nodes
 
 
-def test_forward_rejects_inputs_prepared_from_other_arguments():
-    params, cloud, feats, nbrs = _instance(3, 6, alpha=0.5)
-    inputs = prepare_inputs(cloud, feats, nbrs, SMALL)
-    out, _ = forward(params, cloud, inputs, nbrs, SMALL)
-    assert out.data.tobytes() == forward(params, cloud, feats, nbrs, SMALL)[0].data.tobytes()
-    with pytest.raises(ValueError):
-        forward(params, PointCloud(cloud.points), inputs, nbrs, SMALL)
-    with pytest.raises(ValueError):
-        forward(params, cloud, inputs, nbrs, dataclasses.replace(SMALL))
+def test_neighbour_table_must_have_config_k_columns():
+    params, cloud, feats, _ = _instance(3, 8)   # SMALL.k == 2
+    for table in (knn(cloud, cloud, k=5), knn(cloud, cloud, k=1)):
+        with pytest.raises(ShapeError, match="neighbour table"):
+            prepare_inputs(cloud, feats, table, SMALL)
 
 
 def test_include_self_neighbors_changes_table():
     params, cloud, feats, _ = _instance(13, 8)
     with_self = knn(cloud, cloud, k=3, include_self=True)
     np.testing.assert_array_equal(with_self.indices[:, 0], np.arange(8))
-    out, amap = forward(params, cloud, feats, with_self,
-                        dataclasses.replace(SMALL, k=3, include_self_neighbors=True))
+    out, amap = forward(params, prepare_inputs(
+        cloud, feats, with_self, dataclasses.replace(SMALL, k=3, include_self_neighbors=True)))
     np.testing.assert_allclose(amap.local_weights.sum(axis=1), np.ones(8), atol=1e-12)
 
 
@@ -285,21 +281,21 @@ def test_forward_needs_two_points():
     params, cloud, feats, nbrs = _instance(0, 5)
     lone = FeatureSet(feats.context[:1], feats.motion[:1])
     with pytest.raises(ShapeError):
-        forward(params, PointCloud(cloud.points[:1]), lone,
-                knn(cloud, cloud, k=2), SMALL)
+        forward(params, prepare_inputs(PointCloud(cloud.points[:1]), lone,
+                                       knn(cloud, cloud, k=2), SMALL))
 
 
 def test_dim_mismatch_rejected():
     params, cloud, feats, nbrs = _instance(0, 6)
     bad = FeatureSet(feats.context[:, :3], feats.motion)
     with pytest.raises(ShapeError):
-        forward(params, cloud, bad, nbrs, SMALL)
+        forward(params, prepare_inputs(cloud, bad, nbrs, SMALL))
 
 
 def test_gradients_flow_to_every_parameter():
     params, cloud, feats, nbrs = _instance(14, 8, alpha=0.6)
     with Tape() as tape:
-        out, _ = forward(params, cloud, feats, nbrs, SMALL)
+        out, _ = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
         loss = T.reduce_sum(T.mul(out, out))
     grads = backward(tape, loss)
     for name, t in params.named_tensors():
@@ -325,7 +321,7 @@ def test_global_route_tapes_no_n_by_n_array():
     n = 9
     params, cloud, feats, nbrs = _instance(4, n, alpha=0.3)
     with Tape() as tape:
-        _, amap = forward(params, cloud, feats, nbrs, SMALL)
+        _, amap = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
         taped = len(tape.nodes)
         weights = amap.global_weights
     assert not [node for node in tape.nodes if n * n in (node.output.size, *node.output.shape)]
@@ -348,8 +344,8 @@ def test_local_route_tapes_no_n_k_by_dm_array():
     n, k, dm = len(scene.frame1), cfg.module.k, cfg.module.motion_dim
     params = init_params(cfg.module, seed=0)
     with Tape() as tape:
-        forward(params, scene.frame1, FeatureSet(scene.context, scene.motion_in),
-                knn(scene.frame1, scene.frame1, k), cfg.module)
+        forward(params, prepare_inputs(scene.frame1, FeatureSet(scene.context, scene.motion_in),
+                                       knn(scene.frame1, scene.frame1, k), cfg.module))
     wide = [node for node in tape.nodes if node.output.size == n * k * dm]
     assert [(node.op, params.score.layers[0][0] in node.inputs)
             for node in wide] == [("linear", True)]
@@ -360,7 +356,7 @@ def test_global_weights_read_over_budget_raises_before_allocating(monkeypatch):
     n = 200
     params, cloud, feats, nbrs = _instance(6, n, alpha=0.4)
     with Tape() as tape:
-        _, amap = forward(params, cloud, feats, nbrs, SMALL)
+        _, amap = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
         taped = len(tape.nodes)
         monkeypatch.setattr(aggregator, "DENSE_WEIGHTS_MAX_BYTES", 8 * n * n)
         assert amap.global_weights.shape == (n, n)
@@ -385,7 +381,7 @@ def test_global_route_peak_memory_stays_below_one_n_by_n_array():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            out, _ = forward(params, cloud, feats, nbrs, cfg)
+            out, _ = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
             loss = T.reduce_sum(T.mul(out, out))
         backward(tape, loss)
         peak = tracemalloc.get_traced_memory()[1]

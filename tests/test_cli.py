@@ -118,6 +118,21 @@ def test_train_on_pregenerated_scene(tmp_path, light_cfg):
                  "--out", str(out)]) == EXIT_OK
 
 
+def test_train_rejects_a_scene_with_a_short_cluster_id_before_training(tmp_path, light_cfg,
+                                                                       capsys):
+    scene = tmp_path / "scene.gtc"
+    main(["gen", "--config", light_cfg, "--out", str(scene)])
+    named = read_container(str(scene))
+    named["cluster_id"] = named["cluster_id"][:-1]
+    write_container(str(scene), [(name, named[name]) for name in SCENE_TENSORS])
+    out = tmp_path / "run"
+    assert main(["train", "--config", light_cfg, "--scene", str(scene),
+                 "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "cluster_id" in captured.err and "final_loss" not in captured.out
+    assert not (out / "report.txt").exists()
+
+
 def test_eval_scores_prediction(tmp_path, light_cfg, capsys):
     scene_path = tmp_path / "scene.gtc"
     main(["gen", "--config", light_cfg, "--out", str(scene_path)])

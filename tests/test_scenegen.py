@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from flowagg.containers import ContainerError
 from flowagg.metrics import FlowField
 from flowagg.rng import Xoshiro256StarStar
 from flowagg.scenegen import (
@@ -221,6 +222,16 @@ def test_tensor_round_trip():
     np.testing.assert_array_equal(back.motion_in, s.motion_in)
 
 
+@pytest.mark.parametrize("name", ["gt_flow", "occlusion_mask", "cluster_id", "context",
+                                  "motion_in"])
+def test_scene_from_tensors_rejects_a_per_point_tensor_of_other_length(name):
+    named = dict(scene_tensors(generate_scene(_cfg(occlusion_fraction=0.2,
+                                                   occlusion_mode="local"))))
+    for bad in (named[name][:-1], np.zeros(())):   # one row short, rank 0
+        with pytest.raises(ContainerError, match=name):
+            scene_from_tensors({**named, name: bad})
+
+
 def test_config_validation():
     with pytest.raises(GenerationError):
         _cfg(occlusion_fraction=1.5).validate()
@@ -250,7 +261,7 @@ def test_features_regenerate_bitwise():
                feature_noise_std=0.1, motion_corruption="noise",
                corruption_noise_std=0.3)
     s = generate_scene(cfg)
-    ctx, mot = synth_features(s, cfg, occlusion_mask=s.occlusion_mask)
+    ctx, mot = synth_features(s.gt_flow.vectors, s.cluster_id, s.occlusion_mask, cfg)
     assert ctx.tobytes() == s.context.tobytes()
     assert mot.tobytes() == s.motion_in.tobytes()
 

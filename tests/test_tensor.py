@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from flowagg import tensor as T
-from flowagg.aggregator import AggregatorConfig, FeatureSet, forward, init_params
+from flowagg.aggregator import AggregatorConfig, FeatureSet, forward, init_params, prepare_inputs
 from flowagg.spatial import PointCloud, knn
 from flowagg.tensor import (
     MlpParams,
@@ -715,7 +715,7 @@ def test_replay_reproduces_outputs_bitwise():
     cloud = PointCloud(rng.normal(size=(12, 3)))
     feats = FeatureSet(rng.normal(size=(12, 4)), rng.normal(size=(12, 4)))
     with Tape() as tape:
-        forward(params, cloud, feats, knn(cloud, cloud, cfg.k), cfg)
+        forward(params, prepare_inputs(cloud, feats, knn(cloud, cloud, cfg.k), cfg))
     assert "attention" in [node.op for node in tape.nodes]
     assert tape.replay()
 
