@@ -1,12 +1,22 @@
 """The generator against a from-the-recipe reimplementation."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flowagg
 import oracles
-from flowagg.rng import SplitMix64, Xoshiro256StarStar, derive_seed
+from flowagg.rng import LANE_DRAWS, LANE_MIN_DRAWS, SplitMix64, Xoshiro256StarStar, derive_seed
+
+# Raw batch sizes around the lane route's edges: its threshold -1, 0 and
+# +1, a lane-multiple +-1, and a batch of more than 100,000 draws.
+LANE_MULTIPLE = LANE_DRAWS * (LANE_MIN_DRAWS // LANE_DRAWS + 5)
+LANE_COUNTS = [LANE_MIN_DRAWS - 1, LANE_MIN_DRAWS, LANE_MIN_DRAWS + 1,
+               LANE_MULTIPLE - 1, LANE_MULTIPLE + 1, 100_003]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, 0x123456789ABCDEF])
@@ -21,6 +31,56 @@ def test_u64_stream_matches_reference(seed):
     g = Xoshiro256StarStar(seed)
     got = [g.next_u64() for _ in range(64)]
     assert got == oracles.xoshiro_seq(seed, 64)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, *LANE_COUNTS])
+def test_raw_batches_match_the_stream_on_either_route(count):
+    g = Xoshiro256StarStar(5)
+    raw, state = oracles.xoshiro_walk(5, count + 3)
+    got = g._draw_u64(count)
+    assert got.dtype == np.uint64 and got.tolist() == raw[:count]
+    assert [g.next_u64() for _ in range(3)] == raw[count:]
+    assert g.s == state
+
+
+def _run_fresh(script):
+    """Run `script` in a new interpreter, where no jump table exists yet."""
+    src = os.path.dirname(os.path.dirname(flowagg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+
+def test_import_builds_no_jump_table():
+    _run_fresh(
+        "import flowagg.rng as r\n"
+        "assert r._JUMPS == []\n"
+        "g = r.Xoshiro256StarStar(1)\n"
+        "g.uniform_array((r.LANE_MIN_DRAWS - 1,))\n"
+        "assert r._JUMPS == []\n"
+        "g.uniform_array((r.LANE_MIN_DRAWS,))\n"
+        "assert r._JUMPS and all(t.nbytes == 8192 for t in r._JUMPS)\n"
+    )
+
+
+def test_threads_that_build_the_jump_chain_together_draw_the_stream():
+    _run_fresh(
+        "import sys, threading\n"
+        "import flowagg.rng as r\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "n = 8 * r.LANE_MIN_DRAWS\n"
+        "got = {}\n"
+        "def draw(seed):\n"
+        "    got[seed] = r.Xoshiro256StarStar(seed)._draw_u64(n).tolist()\n"
+        "threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "    assert not t.is_alive()\n"
+        "r.LANE_MIN_DRAWS = n + 1\n"
+        "for seed in range(6):\n"
+        "    assert got[seed] == r.Xoshiro256StarStar(seed)._draw_u64(n).tolist(), seed\n"
+    )
 
 
 def test_derive_seed_walks_the_mixer_chain():
@@ -93,6 +153,15 @@ def test_randbelow_bounds_and_determinism():
         g.randbelow(0)
 
 
+def test_randbelow_names_the_64_bit_limit():
+    g = Xoshiro256StarStar(4)
+    assert g.randbelow(2**64) == oracles.xoshiro_seq(4, 1)[0]
+    state = list(g.s)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        g.randbelow(2**64 + 1)
+    assert g.s == state
+
+
 def test_shuffle_permutes_deterministically():
     g = Xoshiro256StarStar(13)
     items = list(range(30))
@@ -105,7 +174,38 @@ def test_shuffle_permutes_deterministically():
     assert again == items
 
 
-FILL_SHAPES = [(), (0,), (1,), (2,), (3,), (2, 3), (1001,), (1000, 16)]
+# Past the trivial lengths, 2**e + 2 gives bounds just above powers of two,
+# where about half of the raw draws are rejected; the last length's first
+# batch runs in lanes.
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 6, 66, 1026, 2 * LANE_MIN_DRAWS + 2])
+def test_shuffle_is_fisher_yates_over_randbelow(length):
+    g = Xoshiro256StarStar(31)
+    recipe = oracles.RecipeStream(31, 4 * length + 64)
+    assert g.normal() == recipe.normal()
+    items = list(range(length))
+    g.shuffle(items)
+    expect = list(range(length))
+    for i in range(length - 1, 0, -1):
+        j = recipe.randbelow(i + 1)
+        expect[i], expect[j] = expect[j], expect[i]
+    assert items == expect
+    _same_position(g, recipe)
+
+
+@pytest.mark.parametrize("method", ["uniform_array", "normal_array"])
+@pytest.mark.parametrize("shape", [(-2, 3), (-1,), (2.7,), (2.0,), (np.float64(3),), ("2",), 3])
+def test_array_fillers_reject_bad_shapes_before_drawing(method, shape):
+    g = Xoshiro256StarStar(8)
+    g.normal()
+    state, spare = list(g.s), g._spare_normal
+    with pytest.raises(ValueError, match="non-negative integers"):
+        getattr(g, method)(shape)
+    assert g.s == state and g._spare_normal == spare
+    assert getattr(g, method)((np.int64(2), 1)).shape == (2, 1)
+
+
+FILL_SHAPES = [(), (0,), (1,), (2,), (3,), (2, 3), (1001,), (1000, 16),
+               *[(count,) for count in LANE_COUNTS[:-1]], (331, 317)]
 
 
 def _same_bytes(got, expect):
@@ -138,17 +238,19 @@ def test_array_fillers_match_the_per_element_recipe(shape, spare):
 
 def test_mixed_draws_walk_the_recipe_stream():
     g = Xoshiro256StarStar(2024)
-    recipe = oracles.RecipeStream(2024, 4000)
+    recipe = oracles.RecipeStream(2024, 4000 + 2 * LANE_MULTIPLE)
     calls = [
         ("normal", None), ("normal_array", (5,)), ("uniform_array", (4, 2)),
         ("randbelow", 7), ("normal", None), ("normal", None), ("normal_array", (0,)),
         ("normal", None), ("uniform_array", ()), ("normal_array", (3, 3)),
         ("randbelow", 1000), ("normal_array", ()), ("normal", None),
         ("randbelow", 2**40 + 3), ("normal_array", (64, 3)), ("uniform_array", (9,)),
+        ("normal", None), ("normal_array", (LANE_MULTIPLE - 1,)), ("randbelow", 5),
+        ("uniform", None), ("normal", None),
     ]
     for method, arg in calls:
-        if method == "normal":
-            got, expect = g.normal(), recipe.normal()
+        if method in ("normal", "uniform"):
+            got, expect = getattr(g, method)(), getattr(recipe, method)()
             assert np.float64(got).tobytes() == np.float64(expect).tobytes()
         elif method == "randbelow":
             assert g.randbelow(arg) == recipe.randbelow(arg)

@@ -1,14 +1,17 @@
 """Scene generator invariants: ground truth, occlusion structure, determinism."""
 
 import dataclasses
+import hashlib
+import os
 
 import numpy as np
 import pytest
 
 import oracles
-from flowagg.containers import ContainerError
+from flowagg.config import parse_config_file
+from flowagg.containers import ContainerError, pack_tensors
 from flowagg.metrics import FlowField
-from flowagg.rng import Xoshiro256StarStar
+from flowagg.rng import LANE_MIN_DRAWS, Xoshiro256StarStar
 from flowagg.scenegen import (
     GenerationError,
     SceneConfig,
@@ -255,6 +258,19 @@ def test_global_mode_needs_room_for_survivors():
     with pytest.raises(GenerationError):
         generate_scene(_cfg(occlusion_fraction=0.1, occlusion_mode="global"))
 
+
+
+def test_lane_sized_scene_keeps_its_bytes():
+    # ablation_local.cfg at 2 x 500 points draws its context noise as one
+    # batch of 1000 x 32 normals (32,000 raw draws), past LANE_MIN_DRAWS,
+    # so this pins the lane route, which no draw of the goldens reaches.
+    cfg = parse_config_file(os.path.join(os.path.dirname(__file__), os.pardir,
+                                         "configs", "ablation_local.cfg")).scene
+    cfg = dataclasses.replace(cfg, points_per_cluster=500, seed=0)
+    assert cfg.n_points * cfg.context_dim >= LANE_MIN_DRAWS
+    blob = pack_tensors(scene_tensors(generate_scene(cfg)))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "18c901e89bb51850c7c34e9169cf054d718959ab9e0bcae80291428334716c57")
 
 def test_features_regenerate_bitwise():
     cfg = _cfg(occlusion_fraction=0.2, occlusion_mode="local",
