@@ -57,9 +57,11 @@ class AggregatorConfig:
     tapes weight_mlp_bytes of N x N arrays, so N is bounded by
     DENSE_WEIGHTS_MAX_BYTES (about 3,096 at the default widths).
     cross_frame_displacements encodes frame-2 counterpart minus frame-1
-    point instead of the in-frame displacement; preparing a scene then
-    needs a row-aligned counterpart cloud, which only unoccluded scenes
-    provide.
+    point instead of the in-frame displacement. Only
+    prepare_inputs(..., counterparts=...) can use it, with a row-aligned
+    counterpart cloud, which only unoccluded scenes provide; train,
+    ablate and gradcheck prepare frame 1 alone and refuse it with a
+    ConfigError before building a scene.
     disable_local / disable_global zero out the respective route;
     plain_aggregator replaces the gated residual correction with
     y + MLP(aggregate), no normalization and no gate.

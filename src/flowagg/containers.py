@@ -77,7 +77,12 @@ def unpack_tensors(blob: bytes) -> dict[str, np.ndarray]:
     named: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        name_at = at
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"tensor name at offset {name_at} is not UTF-8 "
+                                 f"({exc.reason})") from None
         if name in named:
             raise ContainerError(f"duplicate tensor name {name!r}")
         (rank,) = struct.unpack("<I", take(4))

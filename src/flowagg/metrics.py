@@ -76,14 +76,6 @@ def per_point_epe(predicted: FlowField, target: FlowField) -> np.ndarray:
     return np.sqrt((d ** 2).sum(axis=1))
 
 
-def epe(predicted: FlowField, target: FlowField) -> float:
-    """Mean end-point error over all points."""
-    errs = per_point_epe(predicted, target)
-    if errs.size == 0:
-        raise EmptySelectionError("no points: cannot average EPE")
-    return math.fsum(errs.tolist()) / errs.size
-
-
 def _check_mask(mask, n: int, what: str) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.dtype != np.bool_ or mask.shape != (n,):

@@ -45,10 +45,6 @@ class NeighborIndex:
     indices: np.ndarray    # int64
     sq_dists: np.ndarray   # float64
 
-    @property
-    def k(self) -> int:
-        return self.indices.shape[1]
-
 
 def _sq_dist(q: np.ndarray, p: np.ndarray) -> float:
     dx = q[0] - p[0]
@@ -57,29 +53,29 @@ def _sq_dist(q: np.ndarray, p: np.ndarray) -> float:
     return dx * dx + dy * dy + dz * dz
 
 
+KDTREE_LEAF_SIZE = 16
+
+
 class KdTree:
     """Static kd-tree over a 3-D cloud with exact k-NN queries.
 
     Axes cycle x, y, z by depth; splits take the median point (ties by
     index, via a stable argsort on the coordinate). Leaves hold up to
-    ``leaf_size`` points and are scanned linearly.
+    ``KDTREE_LEAF_SIZE`` points and are scanned linearly.
     """
 
-    __slots__ = ("points", "leaf_size", "_nodes")
+    __slots__ = ("points", "_nodes")
 
-    def __init__(self, points: np.ndarray, leaf_size: int = 16):
+    def __init__(self, points: np.ndarray):
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ValueError(f"KdTree expects (N, 3) points, got {self.points.shape}")
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be positive")
-        self.leaf_size = leaf_size
         # Nodes are tuples; leaves: ("leaf", idx_array), splits:
         # ("split", axis, threshold, left, right).
         self._nodes = self._build(np.arange(len(self.points), dtype=np.int64), 0)
 
     def _build(self, idx: np.ndarray, depth: int):
-        if idx.size <= self.leaf_size:
+        if idx.size <= KDTREE_LEAF_SIZE:
             return ("leaf", idx)
         axis = depth % 3
         order = idx[np.argsort(self.points[idx, axis], kind="stable")]

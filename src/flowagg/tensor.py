@@ -196,12 +196,6 @@ def div(a, b) -> Tensor:
                         lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    ad = a.data
-    return _record("neg", (a,), lambda: -ad, lambda g, y: (-g,))
-
-
 def scale(a, c: float) -> Tensor:
     """Multiply by a python-float constant (no gradient for the constant)."""
     a = _as_tensor(a)
@@ -373,62 +367,60 @@ class RowIndex:
         return acc
 
 
+def _row_index(op: str, idx, n_rows: int) -> RowIndex:
+    """`idx` as a RowIndex (passed through when it is one), checked
+    against a source of `n_rows` rows."""
+    rows = idx if isinstance(idx, RowIndex) else RowIndex(idx)
+    if rows.flat.size and (rows.flat.min() < 0 or rows.flat.max() >= n_rows):
+        raise ShapeError(f"{op}: index out of range for {n_rows} rows")
+    return rows
+
+
 def gather_rows(a, idx) -> Tensor:
-    """Select rows of a rank-2 tensor by integer index: a :class:`RowIndex`
-    or anything ``np.asarray`` turns into integers (then flattened).
+    """Select rows of a rank-2 tensor by integer index: a :class:`RowIndex`,
+    or anything else, which becomes ``RowIndex(idx)`` on entry.
 
     Backward scatter-adds the output gradient in the index's occurrence
     rounds: round r adds the gradient rows of the r-th occurrence of each
     row, with ``acc[rows_r] += g[positions_r]``, starting from zeros.
     Every row therefore sums its gradient rows in index order, the order
-    of ``np.add.at``, with the same bytes (±0.0 included). A RowIndex
-    brings its rounds; a plain array has them built when backward runs.
+    of ``np.add.at``, with the same bytes (±0.0 included).
     """
     a = _as_tensor(a)
     ad = a.data
     if ad.ndim != 2:
         raise ShapeError(f"gather_rows expects rank 2, got shape {ad.shape}")
-    flat = _flat_rows("gather_rows", idx, ad.shape[0])
-
-    def bwd(g, y):
-        rows = idx if isinstance(idx, RowIndex) else RowIndex(flat)
-        return (rows.scatter_add(g, ad.shape[0]),)
-    return _record("gather_rows", (a,), lambda: ad[flat], bwd)
-
-
-def _flat_rows(op: str, idx, n_rows: int) -> np.ndarray:
-    """The flat integer index of `idx` (a RowIndex or array-like), checked
-    against a source of `n_rows` rows."""
-    flat = idx.flat if isinstance(idx, RowIndex) else np.asarray(idx, dtype=np.int64).ravel()
-    if flat.size and (flat.min() < 0 or flat.max() >= n_rows):
-        raise ShapeError(f"{op}: index out of range for {n_rows} rows")
-    return flat
+    rows = _row_index("gather_rows", idx, ad.shape[0])
+    return _record("gather_rows", (a,), lambda: ad[rows.flat],
+                   lambda g, y: (rows.scatter_add(g, ad.shape[0]),))
 
 
 def local_aggregate(weights, v, rows) -> Tensor:
     """Per point i, the weighted sum over its k neighbour rows:
     ``out[i] = sum_j weights[i, j] * v[rows[i·k + j]]``, as one tape node.
 
-    weights is N x k, v is M x Dm and `rows` (a :class:`RowIndex` or
-    array-like) holds N·k row numbers of v. It equals the chain
-    ``reduce_sum(reshape(mul(gather_rows(v, rows), reshape(weights,
-    (N·k, 1))), (N, k, Dm)), axis=1)`` in output bytes and gradients, but
-    the N·k x Dm gathered and weighted rows are transient: the node keeps
-    only its N x Dm output, and backward gathers the rows again and
-    scatters v's gradient through the index's occurrence rounds.
+    weights is N x k, v is M x Dm and `rows` holds N·k row numbers of v:
+    a :class:`RowIndex`, or anything else, which becomes ``RowIndex(rows)``
+    on entry. It equals the chain ``reduce_sum(reshape(mul(gather_rows(v,
+    rows), reshape(weights, (N·k, 1))), (N, k, Dm)), axis=1)`` in output
+    bytes and gradients, but the N·k x Dm gathered and weighted rows are
+    transient: the node keeps only its N x Dm output, and backward gathers
+    the rows again and scatters v's gradient through the index's
+    occurrence rounds.
     """
     weights, v = _as_tensor(weights), _as_tensor(v)
     wd, vd = weights.data, v.data
     if wd.ndim != 2 or vd.ndim != 2:
         raise ShapeError(f"local_aggregate: weights {wd.shape} and values {vd.shape} "
                          f"must be rank 2")
-    flat = _flat_rows("local_aggregate", rows, vd.shape[0])
+    rows = _row_index("local_aggregate", rows, vd.shape[0])
     (n, k), dm = wd.shape, vd.shape[1]
-    if flat.size != n * k:
-        raise ShapeError(f"local_aggregate: {flat.size} neighbour rows for weights {wd.shape}")
+    if rows.flat.size != n * k:
+        raise ShapeError(f"local_aggregate: {rows.flat.size} neighbour rows for weights "
+                         f"{wd.shape}")
 
     def picked() -> np.ndarray:
-        return vd[flat].reshape(n, k, dm)
+        return vd[rows.flat].reshape(n, k, dm)
 
     def fwd():
         p = picked()
@@ -440,8 +432,7 @@ def local_aggregate(weights, v, rows) -> Tensor:
         p, g3 = picked(), g[:, None, :]
         gw = np.multiply(g3, p, out=p).sum(axis=2)
         gp = np.multiply(g3, wd[..., None], out=p).reshape(n * k, dm)
-        index = rows if isinstance(rows, RowIndex) else RowIndex(flat)
-        return gw, index.scatter_add(gp, vd.shape[0])
+        return gw, rows.scatter_add(gp, vd.shape[0])
     return _record("local_aggregate", (weights, v), fwd, bwd)
 
 
@@ -614,10 +605,6 @@ class MlpParams:
     @property
     def in_dim(self) -> int:
         return self.layers[0][0].data.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1][0].data.shape[1]
 
     def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for i, (w, b) in enumerate(self.layers):

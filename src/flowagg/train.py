@@ -22,11 +22,11 @@ import numpy as np
 from . import tensor as T
 from .aggregator import (AggregatorConfig, AggregatorParams, FeatureSet, SceneInputs,
                          _uniform_init, forward, init_params, prepare_inputs)
-from .config import RunConfig, TrainSettings, render_config
+from .config import ConfigError, RunConfig, TrainSettings, render_config
 from .metrics import FlowField, FlowMetrics, evaluate_split, metric_lines
 from .rng import Xoshiro256StarStar, derive_seed
 from .scenegen import SyntheticScene, generate_scene
-from .spatial import NeighborIndex, PointCloud, knn
+from .spatial import PointCloud, knn
 from .tensor import Gradients, Tape, Tensor, backward, finite_diff_grad
 
 
@@ -65,8 +65,6 @@ def loss_epe(pred: Tensor, gt: Tensor | np.ndarray) -> Tensor:
 
     `gt` is an N x 3 array, or a constant Tensor that a caller taking
     many steps built once."""
-    if not isinstance(gt, Tensor):
-        gt = T.tensor(gt)
     if pred.shape != gt.shape:
         raise T.ShapeError(f"loss_epe: prediction {pred.shape} vs target {gt.shape}")
     diff = T.sub(pred, gt)
@@ -189,9 +187,25 @@ def _keep_freed_heap_mapped() -> None:
             mallopt(param, value)
 
 
-def _scene_neighbors(scene: SyntheticScene, module: AggregatorConfig) -> NeighborIndex:
-    return knn(scene.frame1, scene.frame1, module.k,
-               include_self=module.include_self_neighbors)
+def _check_trainable(module: AggregatorConfig) -> None:
+    """Refuse, before any scene is built, a module setting that the model
+    setup here cannot prepare a scene for."""
+    if module.cross_frame_displacements:
+        raise ConfigError(
+            "module.cross_frame_displacements = true cannot be trained or "
+            "gradient-checked: train, ablate and gradcheck prepare frame 1 alone, "
+            "and only prepare_inputs(..., counterparts=...) can use it")
+
+
+def _setup_model(cfg: RunConfig, cloud: PointCloud,
+                 feats: FeatureSet) -> tuple[SceneInputs, AggregatorParams, DecoderParams]:
+    """The prepared scene (its neighbours from one kNN over `cloud`) and
+    fresh parameters and decoder, all from cfg."""
+    module = cfg.module
+    nbrs = knn(cloud, cloud, module.k, module.include_self_neighbors)
+    inputs = prepare_inputs(cloud, feats, nbrs, module)
+    return (inputs, init_params(module, cfg.train.seed),
+            init_decoder(module.motion_dim, cfg.train.seed))
 
 
 def _predict(params: AggregatorParams, decoder: DecoderParams, inputs: SceneInputs) -> Tensor:
@@ -211,15 +225,14 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     """
     cfg.train.validate()
     cfg.module.validate()
+    _check_trainable(cfg.module)
     _keep_freed_heap_mapped()
     started = time.perf_counter()
     if scene is None:
         scene = generate_scene(cfg.scene)
-    inputs = prepare_inputs(scene.frame1, FeatureSet(scene.context, scene.motion_in),
-                            _scene_neighbors(scene, cfg.module), cfg.module)
+    inputs, params, decoder = _setup_model(
+        cfg, scene.frame1, FeatureSet(scene.context, scene.motion_in))
     target = T.tensor(scene.gt_flow.vectors)
-    params = init_params(cfg.module, cfg.train.seed)
-    decoder = init_decoder(cfg.module.motion_dim, cfg.train.seed)
     named = params.named_tensors() + decoder.named_tensors()
     if cfg.train.freeze_alpha:
         named = [(n, t) for n, t in named if n != "alpha"]
@@ -267,16 +280,14 @@ def grad_check(cfg: RunConfig | None = None, corrupt: bool = False) -> float:
     if cfg is None:
         cfg = default_gradcheck_config()
     module = cfg.module
+    _check_trainable(module)
     rng = Xoshiro256StarStar(derive_seed(cfg.train.seed, 3))
     n = max(module.k + 1, 12)
     cloud = PointCloud(rng.uniform_array((n, 3)) * 2.0 - 1.0)
     feats = FeatureSet(rng.normal_array((n, module.context_dim)),
                        rng.normal_array((n, module.motion_dim)))
     gt = T.tensor(rng.normal_array((n, 3)))
-    nbrs = knn(cloud, cloud, module.k, include_self=module.include_self_neighbors)
-    inputs = prepare_inputs(cloud, feats, nbrs, module)
-    params = init_params(module, cfg.train.seed)
-    decoder = init_decoder(module.motion_dim, cfg.train.seed)
+    inputs, params, decoder = _setup_model(cfg, cloud, feats)
     params.alpha.data = np.asarray(0.5 + 0.5 * rng.uniform())
     named = params.named_tensors() + decoder.named_tensors()
 
@@ -328,6 +339,7 @@ def run_occlusion_experiment(cfg: RunConfig,
     decoder learns. Any occluded-split advantage of "full" over
     "baseline" is attributable to the aggregation routes.
     """
+    _check_trainable(cfg.module)
     if scene is None:
         scene = generate_scene(cfg.scene)
     return {
@@ -364,6 +376,7 @@ def run_ablation(cfg: RunConfig,
     Core parameter initialization is shared bit-for-bit across variants;
     the plain head draws from a separate stream, so enabling it does not
     shift the rest."""
+    _check_trainable(cfg.module)
     if scene is None:
         scene = generate_scene(cfg.scene)
     return {v: train(_variant_config(cfg, v), scene=scene) for v in ABLATION_VARIANTS}

@@ -154,21 +154,24 @@ def _rotl(x, r):
     return ((x << r) | (x >> (64 - r))) & MASK64
 
 
+def _xoshiro_next(s):
+    """One xoshiro256** output; advances the four state words `s` in place."""
+    out = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
+    t = (s[1] << 17) & MASK64
+    s[2] ^= s[0]
+    s[3] ^= s[1]
+    s[1] ^= s[2]
+    s[0] ^= s[3]
+    s[2] ^= t
+    s[3] = _rotl(s[3], 45)
+    return out
+
+
 def xoshiro_walk(seed, count):
     """xoshiro256** outputs and the four state words after them, state
     seeded from splitmix64 like the package."""
     s = splitmix64_seq(seed, 4)
-    out = []
-    for _ in range(count):
-        out.append((_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64)
-        t = (s[1] << 17) & MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-    return out, s
+    return [_xoshiro_next(s) for _ in range(count)], s
 
 
 def xoshiro_seq(seed, count):
@@ -177,28 +180,31 @@ def xoshiro_seq(seed, count):
 
 
 class RecipeStream:
-    """The generator's draws one value at a time over ``xoshiro_seq``.
+    """The generator's draws one value at a time, at most `count` raw
+    xoshiro256** draws.
 
     A uniform takes one raw draw; normals come in Box-Muller pairs of two
     raw draws, computed with numpy scalar ops in the original expression
     order, the sine cached as the spare for the next normal. Arrays are
-    filled element by element in row-major order. ``state()`` is the
-    generator state after the draws used so far.
+    filled element by element in row-major order. Each raw draw steps the
+    state on from the last one, so ``state()``, the generator state after
+    the draws used so far, walks nothing.
     """
 
     def __init__(self, seed, count):
-        self.seed = seed
-        self.raw = xoshiro_seq(seed, count)
+        self.count = count
         self.used = 0
         self.spare = None
+        self._state = splitmix64_seq(seed, 4)
 
     def u64(self):
-        v = self.raw[self.used]
+        if self.used == self.count:
+            raise IndexError(f"the recipe stream has only {self.count} draws")
         self.used += 1
-        return v
+        return _xoshiro_next(self._state)
 
     def state(self):
-        return xoshiro_walk(self.seed, self.used)[1]
+        return list(self._state)
 
     def uniform(self):
         return (self.u64() >> 11) * 2.0 ** -53

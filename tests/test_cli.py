@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import flowagg
+from flowagg import train as train_module
 from flowagg.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -330,6 +331,25 @@ def test_nan_config_value_exits_2(tmp_path, command, key, capsys):
     out = tmp_path / ("scene.gtc" if command == "gen" else "run")
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "gradcheck"])
+def test_cross_frame_displacements_exit_2_before_any_scene(tmp_path, command, capsys,
+                                                           monkeypatch):
+    def no_scene(*args, **kwargs):
+        raise AssertionError("a scene was built")
+    monkeypatch.setattr(train_module, "generate_scene", no_scene)
+    monkeypatch.setattr(train_module, "knn", no_scene)
+    cfg = _smoke_with(tmp_path, "scene.occlusion_fraction = 0.0\n"
+                                "module.cross_frame_displacements = true\n")
+    out = tmp_path / "run"
+    args = [command, "--config", cfg] + ([] if command == "gradcheck" else ["--out", str(out)])
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "module.cross_frame_displacements" in captured.err
+    assert "prepare_inputs(..., counterparts=...)" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

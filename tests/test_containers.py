@@ -78,6 +78,14 @@ def test_trailing_bytes_rejected():
         unpack_tensors(blob + b"\x00")
 
 
+def test_non_utf8_name_rejected_with_its_offset():
+    blob = bytearray(pack_tensors([("a", np.zeros(1)), ("bc", np.zeros(1))]))
+    at = blob.index(b"bc")   # 25: header 8, first tensor 15, length field 2
+    blob[at:at + 2] = b"\xff\xfe"
+    with pytest.raises(ContainerError, match=f"name at offset {at} is not UTF-8"):
+        unpack_tensors(bytes(blob))
+
+
 def test_empty_container():
     assert unpack_tensors(pack_tensors([])) == {}
 

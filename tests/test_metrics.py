@@ -10,7 +10,6 @@ from flowagg.metrics import (
     EmptySelectionError,
     FlowField,
     FlowMetrics,
-    epe,
     evaluate,
     evaluate_split,
     metric_lines,
@@ -24,7 +23,7 @@ def _fields(pred, gt):
 
 def test_mean_error_two_points():
     pred, gt = _fields([[3.0, 0, 0], [0, 4.0, 0]], [[0.0, 0, 0], [0.0, 0, 0]])
-    assert epe(pred, gt) == pytest.approx(3.5, abs=0)
+    assert evaluate(pred, gt).epe_m == pytest.approx(3.5, abs=0)
 
 
 def test_single_point_between_thresholds():
