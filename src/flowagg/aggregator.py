@@ -21,7 +21,7 @@ exact identity on motion features.
 The module's one input is a prepared scene: :func:`prepare_inputs`
 checks a scene's cloud, features and neighbour table against the config
 and builds, once, everything that does not depend on the parameters
-(feature tensors, displacements, the constant context blocks of the
+(feature tensors, displacements, the neighbours' context rows for the
 local scores, the neighbour row index). :func:`forward` takes only the
 parameters and that :class:`SceneInputs`. All forward math runs through
 :mod:`.tensor` primitives, so recording a tape during the call yields
@@ -337,8 +337,9 @@ class SceneInputs:
     disable_local):
 
     * disp: the N·k x 3 displacement table, neighbour endpoint minus point;
-    * context_pairs: the N·k x 2Dc constant blocks [context_j, context_i]
-      of the score input;
+    * context_j: the N·k x Dc context rows of the neighbours,
+      ``context[rows]``, which the score layer reads in backward (it
+      takes point i's own context from `context`);
     * rows: the flattened neighbour table as a :class:`.tensor.RowIndex`.
     """
 
@@ -346,11 +347,11 @@ class SceneInputs:
     context: Tensor
     motion: Tensor
     disp: Tensor | None = None
-    context_pairs: Tensor | None = None
+    context_j: Tensor | None = None
     rows: T.RowIndex | None = None
 
 
-def prepare_inputs(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
+def prepare_inputs(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex | None,
                    config: AggregatorConfig,
                    counterparts: PointCloud | None = None) -> SceneInputs:
     """Check a scene's inputs against the config and build its
@@ -358,9 +359,11 @@ def prepare_inputs(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
 
     Displacements default to p_j - p_i within frame 1; with
     cross_frame_displacements the j endpoint is taken from the row-aligned
-    counterpart cloud instead. Raises ShapeError on a shape that does not
-    fit (the neighbour table must be N x config.k when the local route
-    runs), and ValueError when the displacement table is not finite.
+    counterpart cloud instead. `nbrs` may be None only with disable_local,
+    which reads no neighbour table. Raises ShapeError on a shape that does
+    not fit (the neighbour table must be N x config.k when the local route
+    runs) or a missing table, and ValueError when the displacement table
+    is not finite.
     """
     n = len(feats)
     if n < 2:
@@ -375,11 +378,13 @@ def prepare_inputs(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
     return SceneInputs(config, T.tensor(feats.context), T.tensor(feats.motion), **local)
 
 
-def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
+def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex | None,
                      config: AggregatorConfig, counterparts: PointCloud | None) -> dict:
     n = len(feats)
     if len(cloud) != n:
         raise ShapeError(f"cloud has {len(cloud)} points but features have {n}")
+    if nbrs is None:
+        raise ShapeError("the local route needs a neighbour table (nbrs is None)")
     if nbrs.indices.shape != (n, config.k):
         raise ShapeError(f"neighbour table {nbrs.indices.shape} != (N, k) {(n, config.k)}")
     if config.cross_frame_displacements:
@@ -396,9 +401,7 @@ def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex,
     if not np.isfinite(disp).all():
         raise ValueError("the displacement table (neighbour minus point) is not finite: "
                          "the point coordinates overflow float64 when subtracted")
-    pairs = np.concatenate([feats.context[rows.flat], np.repeat(feats.context, k, axis=0)],
-                           axis=1)
-    return dict(disp=T.tensor(disp), context_pairs=T.tensor(pairs), rows=rows)
+    return dict(disp=T.tensor(disp), context_j=Tensor(feats.context[rows.flat]), rows=rows)
 
 
 def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
@@ -408,17 +411,23 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
 
     The score of neighbour j of point i is an MLP over [encoded
     displacement, context_j, context_i], from the constants in `inputs`.
-    The weighted sum of value rows is one :func:`.tensor.local_aggregate`
-    node, so no N·k x Dm array of gathered or weighted rows stays on the
-    tape.
+    Its first layer is one :func:`.tensor.score_layer` node, which never
+    builds that N·k x (De + 2Dc) input; the other layers are
+    :func:`.tensor.linear` nodes. The weighted sum of value rows is one
+    :func:`.tensor.local_aggregate` node, so no N·k x Dm array of
+    gathered or weighted rows stays on the tape.
 
     Returns (g_local: N x Dm, local_weights: N x k).
     """
     n = v.data.shape[0]
     k = inputs.rows.flat.size // n
     enc = T.mlp_forward(params.disp_encoder, inputs.disp)
-    scores = T.mlp_forward(params.score, T.concat_cols([enc, inputs.context_pairs]))
-    weights = T.softmax_rows(T.reshape(scores, (n, k)))
+    (w0, b0), *rest = params.score.layers
+    h = T.score_layer(enc, w0, b0, inputs.context, inputs.context_j, inputs.rows,
+                      relu=bool(rest))
+    for i, (w, b) in enumerate(rest, start=1):
+        h = T.linear(h, w, b, relu=i != len(rest))
+    weights = T.softmax_rows(T.reshape(h, (n, k)))
     return T.local_aggregate(weights, v, inputs.rows), weights
 
 

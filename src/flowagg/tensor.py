@@ -16,13 +16,16 @@ reachable from the loss, whether or not it was created with
 occurrence rounds, which a :class:`RowIndex` builds once for an index
 that many passes reuse.
 
-Three fused ops stand for op chains and keep only what their backward
-needs, with the chain's output bytes and gradients: ``linear`` (matmul,
-bias add, optional ReLU; every MLP layer and the head's affine map),
-``local_aggregate`` (gather, weight and sum neighbour rows, with no N·k
-row array on the tape) and ``attention`` (blocked softmax attention, with
-no N x N array). The chain ops stay public; other routes and the tests
-use them.
+Four fused ops stand for op chains and keep only what their backward
+needs. Three give the chain's output bytes and gradients: ``linear``
+(matmul, bias add, optional ReLU; every MLP layer and the head's affine
+map), ``local_aggregate`` (gather, weight and sum neighbour rows, with no
+N·k row array on the tape) and ``attention`` (blocked softmax attention,
+with no N x N array). The fourth, ``score_layer`` (the local scores'
+first layer, without the N·k x (De + 2Dc) concatenated input and with no
+gradient for the constant context), sums in another order and agrees
+with its chain to rounding. The chain ops stay public; other routes and
+the tests use them.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -275,6 +278,65 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
             g = g * (y > 0.0)
         return _unbroadcast(g, bd.shape), g @ wd.T, xd.T @ g
     return _record("linear", (b, x, w), fwd, bwd)
+
+
+def score_layer(enc, w, b, context, context_j, rows, relu: bool = False) -> Tensor:
+    """The first layer of the local scores as one tape node: ``linear(
+    concat_cols([enc, context[rows], repeat(context, k)]), w, b, relu)``
+    without the N·k x (De + 2Dc) input.
+
+    enc is the N·k x De encoded displacement table, `rows` the N·k
+    neighbour rows of the N x Dc `context` (a :class:`RowIndex`, or
+    anything else, which becomes ``RowIndex(rows)`` on entry), and
+    `context_j` equals ``context[rows]``, built once by the caller. w is
+    (De + 2Dc) x H and splits by rows into W_e, W_j and W_i; forward
+    computes ``enc @ W_e + (context @ W_j)[rows] + repeat(context @ W_i,
+    k) + b`` in one buffer, then ReLU when `relu` is set.
+
+    Only enc, w and b get gradients; the node's inputs are (b, enc, w), in
+    :func:`linear`'s order. context, context_j and rows are closed-over
+    constants, like :func:`scale`'s c, so backward forms no gradient for
+    them and scatters nothing: W_j's gradient is ``context_jᵀ g`` and
+    W_i's is ``contextᵀ`` times g summed over each point's k rows. The
+    node keeps only its output y and reads the ReLU mask from ``y > 0``.
+    The sums run in another order than the chain's, so output and
+    gradients agree with it to rounding, not bit for bit.
+    """
+    enc, w, b = _as_tensor(enc), _as_tensor(w), _as_tensor(b)
+    ed, wd, bd = enc.data, w.data, b.data
+    cd, cjd = _as_tensor(context).data, _as_tensor(context_j).data
+    if cd.ndim != 2 or cd.shape[0] == 0:
+        raise ShapeError(f"score_layer: context {cd.shape} must be N x Dc with N >= 1")
+    rows = _row_index("score_layer", rows, cd.shape[0])
+    (n, dc), nk = cd.shape, rows.flat.size
+    if (not nk or nk % n or ed.ndim != 2 or ed.shape[0] != nk or cjd.shape != (nk, dc)
+            or wd.ndim != 2 or wd.shape[0] != ed.shape[1] + 2 * dc
+            or bd.shape != (wd.shape[1],)):
+        raise ShapeError(f"score_layer: incompatible shapes enc {ed.shape}, w {wd.shape}, "
+                         f"b {bd.shape}, context {cd.shape}, context_j {cjd.shape} "
+                         f"for {nk} neighbour rows")
+    de, k, h = ed.shape[1], nk // n, wd.shape[1]
+    w_e, w_j, w_i = wd[:de], wd[de:de + dc], wd[de + dc:]
+
+    def fwd():
+        y = ed @ w_e
+        y += (cd @ w_j)[rows.flat]
+        y_by_point = y.reshape(n, k, h)
+        y_by_point += (cd @ w_i)[:, None, :]
+        y += bd
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        return y
+
+    def bwd(g, y):
+        if relu:
+            g = g * (y > 0.0)
+        gw = np.empty_like(wd)
+        np.matmul(ed.T, g, out=gw[:de])
+        np.matmul(cjd.T, g, out=gw[de:de + dc])
+        np.matmul(cd.T, g.reshape(n, k, h).sum(axis=1), out=gw[de + dc:])
+        return g.sum(axis=0), g @ w_e.T, gw
+    return _record("score_layer", (b, enc, w), fwd, bwd)
 
 
 def transpose2(a) -> Tensor:

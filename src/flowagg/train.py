@@ -199,10 +199,12 @@ def _check_trainable(module: AggregatorConfig) -> None:
 
 def _setup_model(cfg: RunConfig, cloud: PointCloud,
                  feats: FeatureSet) -> tuple[SceneInputs, AggregatorParams, DecoderParams]:
-    """The prepared scene (its neighbours from one kNN over `cloud`) and
-    fresh parameters and decoder, all from cfg."""
+    """The prepared scene (its neighbours from one kNN over `cloud`, run
+    only when the local route is on) and fresh parameters and decoder, all
+    from cfg."""
     module = cfg.module
-    nbrs = knn(cloud, cloud, module.k, module.include_self_neighbors)
+    nbrs = (None if module.disable_local
+            else knn(cloud, cloud, module.k, module.include_self_neighbors))
     inputs = prepare_inputs(cloud, feats, nbrs, module)
     return (inputs, init_params(module, cfg.train.seed),
             init_decoder(module.motion_dim, cfg.train.seed))

@@ -143,6 +143,21 @@ def test_local_weights_row_stochastic_and_match_oracle():
     np.testing.assert_allclose(base, feats.motion, atol=1e-12)
 
 
+@pytest.mark.parametrize("score_hidden", [(), (5,), (5, 3)])
+def test_local_scores_match_the_concat_mlp_at_every_depth(score_hidden):
+    # With no hidden layer the score layer is the output layer: no ReLU.
+    cfg = dataclasses.replace(SMALL, k=3, score_hidden=score_hidden)
+    params, cloud, feats, nbrs = _instance(8, 10, cfg)
+    inputs = prepare_inputs(cloud, feats, nbrs, cfg)
+    v = T.matmul(inputs.motion, params.v_proj)
+    _, weights = aggregate_local(params, inputs, v)
+    enc = T.mlp_forward(params.disp_encoder, inputs.disp)
+    own = np.repeat(feats.context, cfg.k, axis=0)
+    scores = T.mlp_forward(params.score, T.concat_cols([enc, inputs.context_j, tensor(own)]))
+    want = T.softmax_rows(T.reshape(scores, (10, cfg.k))).data
+    np.testing.assert_allclose(weights.data, want, rtol=1e-12, atol=1e-15)
+
+
 def test_alpha_zero_is_bitwise_identity():
     for seed in range(5):
         params, cloud, feats, nbrs = _instance(seed, 9)
@@ -262,10 +277,15 @@ def test_overflowing_displacements_fail_while_preparing():
 
 
 def test_neighbour_table_must_have_config_k_columns():
-    params, cloud, feats, _ = _instance(3, 8)   # SMALL.k == 2
-    for table in (knn(cloud, cloud, k=5), knn(cloud, cloud, k=1)):
+    params, cloud, feats, nbrs = _instance(3, 8)   # SMALL.k == 2
+    for table in (knn(cloud, cloud, k=5), knn(cloud, cloud, k=1), None):
         with pytest.raises(ShapeError, match="neighbour table"):
             prepare_inputs(cloud, feats, table, SMALL)
+    # Without the local route no table is read, so none is needed.
+    no_local = dataclasses.replace(SMALL, disable_local=True)
+    without, _ = forward(params, prepare_inputs(cloud, feats, None, no_local))
+    with_table, _ = forward(params, prepare_inputs(cloud, feats, nbrs, no_local))
+    assert without.data.tobytes() == with_table.data.tobytes()
 
 
 def test_include_self_neighbors_changes_table():
@@ -336,8 +356,9 @@ def test_global_route_tapes_no_n_by_n_array():
 
 def test_local_route_tapes_no_n_k_by_dm_array():
     # The pinned N=200 local config: its gathered and weighted value rows
-    # (N·k x Dm each) stay off the tape. The score MLP's hidden layer is
-    # the one node of that size, since its width (32) equals Dm.
+    # (N·k x Dm each) stay off the tape. The score MLP's hidden layer, one
+    # score_layer node, is the one node of that size, since its width (32)
+    # equals Dm.
     cfg = parse_config_file(os.path.join(os.path.dirname(__file__), os.pardir,
                                          "configs", "occlusion_local.cfg"))
     scene = generate_scene(cfg.scene)
@@ -348,7 +369,7 @@ def test_local_route_tapes_no_n_k_by_dm_array():
                                        knn(scene.frame1, scene.frame1, k), cfg.module))
     wide = [node for node in tape.nodes if node.output.size == n * k * dm]
     assert [(node.op, params.score.layers[0][0] in node.inputs)
-            for node in wide] == [("linear", True)]
+            for node in wide] == [("score_layer", True)]
     assert "local_aggregate" in [node.op for node in tape.nodes]
 
 

@@ -467,6 +467,99 @@ def test_local_aggregate_rejects_mismatched_operands():
             T.local_aggregate(*bad)
 
 
+def _score_layer_chain(enc, w, b, context, idx, relu=False):
+    n, k = idx.shape
+    own = np.repeat(np.arange(n), k)
+    return T.linear(T.concat_cols([enc, T.gather_rows(context, idx), T.gather_rows(context, own)]),
+                    w, b, relu=relu)
+
+
+def _score_layer(enc, w, b, context, idx, relu=False):
+    return T.score_layer(enc, w, b, context, context.data[idx.ravel()], T.RowIndex(idx),
+                         relu=relu)
+
+
+def _score_case(case, rng):
+    """(enc, w, b, context, index) for `case`; enc, w and b trainable."""
+    if case == "self_neighbours":
+        cloud = PointCloud(rng.normal(size=(40, 3)))
+        idx = knn(cloud, cloud, 5, include_self=True).indices
+    elif case == "k_one":
+        idx = np.array([[2], [0], [0], [3]])
+    else:   # duplicates, self neighbours, a row no point reaches
+        idx = np.array([[0, 0, 2], [1, 3, 1], [2, 2, 2], [0, 3, 3], [0, 0, 0]])
+    (n, k), de, dc, h = idx.shape, 3, 4, 5
+    enc, w, b = rng.normal(size=(n * k, de)), rng.normal(size=(de + 2 * dc, h)), rng.normal(size=h)
+    if case == "zero_preactivations":
+        # Columns 0 and 1 of every pre-activation sum ±0.0 terms only.
+        w[:, :2], b[:2] = 0.0, [0.0, -0.0]
+    return (tensor(enc, trainable=True), tensor(w, trainable=True), tensor(b, trainable=True),
+            tensor(rng.normal(size=(n, dc))), idx)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("case", ["duplicates", "self_neighbours", "k_one",
+                                  "zero_preactivations"])
+def test_score_layer_matches_concat_linear_chain(case, relu):
+    rng = np.random.default_rng(len(case))
+    enc, w, b, context, idx = _score_case(case, rng)
+    upstream = tensor(rng.normal(size=(enc.shape[0], w.shape[1])))
+
+    def run(op):
+        with Tape() as tape:
+            y = op(enc, w, b, context, idx, relu=relu)
+            loss = T.reduce_sum(T.mul(y, upstream))
+        grads = backward(tape, loss)
+        return [y.data] + [grads.wrt(t) for t in (enc, w, b)]
+
+    fused, chain = run(_score_layer), run(_score_layer_chain)
+    # The sums run in another order, so the two agree to rounding only.
+    for got, want in zip(fused, chain):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    if case == "zero_preactivations":
+        assert not fused[0][:, :2].any()
+        # A ±0.0 pre-activation passes no gradient through the ReLU.
+        assert (fused[3][:2] == 0.0).all() == relu
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_grad_score_layer(relu):
+    rng = np.random.default_rng(23)
+    idx = np.array([[1, 1], [0, 2], [2, 0]])
+    context, upstream = tensor(rng.normal(size=(3, 2))), tensor(rng.normal(size=(6, 4)))
+    _assert_grads_match(
+        lambda te, tw, tb: T.reduce_sum(T.mul(_score_layer(te, tw, tb, context, idx, relu),
+                                              upstream)),
+        rng.normal(size=(6, 3)), rng.normal(size=(7, 4)), rng.normal(size=4))
+
+
+def test_score_layer_keeps_only_its_output():
+    n, k, de, dc, h = 200, 8, 8, 32, 32
+    rng = np.random.default_rng(24)
+    enc, w, b = (tensor(rng.normal(size=s)) for s in ((n * k, de), (de + 2 * dc, h), (h,)))
+    context, idx = tensor(rng.normal(size=(n, dc))), rng.integers(0, n, size=(n, k))
+    context_j, rows = tensor(context.data[idx.ravel()]), T.RowIndex(idx)
+    kept, nodes = _kept_bytes(lambda: T.score_layer(enc, w, b, context, context_j, rows, True))
+    assert [node.op for node in nodes] == ["score_layer"]
+    # The chain also keeps the N·k x (De + 2Dc) input and the gathered rows.
+    assert n * k * h * 8 <= kept < 1.1 * n * k * h * 8
+
+
+def test_score_layer_rejects_mismatched_operands():
+    enc, w, b = np.zeros((6, 3)), np.zeros((7, 4)), np.zeros(4)
+    context, idx = np.zeros((3, 2)), np.zeros(6, dtype=int)
+    context_j = context[idx]
+    for bad in ((enc[:5], w, b, context, context_j, idx),
+                (enc, w[:6], b, context, context_j, idx),
+                (enc, w, b[:3], context, context_j, idx),
+                (enc, w, b, context, context_j[:, :1], idx),
+                (enc, w, b, context, context_j, np.full(6, 3)),
+                (enc[:4], w, b, context, context_j[:4], idx[:4]),
+                (enc[:0], w, b, context, context_j[:0], idx[:0])):
+        with pytest.raises(ShapeError):
+            T.score_layer(*bad)
+
+
 def test_grad_softmax_rows():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 4))
@@ -592,7 +685,9 @@ def test_softmax_backward_leaves_incoming_gradient_untouched():
     for build in (lambda: _attention_chain(x, x, 0.5), lambda: T.softmax_rows(x),
                   lambda: T.attention(x, x, x, 0.5),
                   lambda: T.linear(T.transpose2(x), x, x.data[0], relu=True),
-                  lambda: T.local_aggregate(x, x, np.arange(18) % 6)):
+                  lambda: T.local_aggregate(x, x, np.arange(18) % 6),
+                  lambda: T.score_layer(x, T.reshape(x, (9, 2)), x.data[0, :2], x, x.data,
+                                        np.arange(6), relu=True)):
         with Tape() as tape:
             build()
         for node in tape.nodes:
@@ -696,11 +791,14 @@ def test_replay_reproduces_outputs_bitwise():
         hidden = T.linear(cat, T.transpose2(cat), T.reduce_sum(a, axis=0), relu=True)
         blend = T.local_aggregate(T.linear(hidden, a, T.reduce_sum(a, axis=1)), hidden,
                                   T.RowIndex([1, 1, 0, 3] * 4))
+        idx = [1, 1, 0, 3, 2, 2, 0, 1]
+        T.score_layer(T.reshape(cat, (8, 6)), tensor(rng.normal(size=(14, 3))),
+                      tensor(rng.normal(size=3)), a, a.data[idx], idx, relu=True)
         T.add(T.reduce_sum(T.add(col, T.mul(col, col))), T.reduce_sum(blend))
     # Every op name that tensor.py records is on this one tape, and linear
     # with and without ReLU.
     ops = set(re.findall(r'(?:_record|_elementwise)\("(\w+)"', inspect.getsource(T)))
-    assert len(ops) == 19
+    assert len(ops) == 20
     assert {node.op for node in tape.nodes} == ops
     assert [node.output.data.min() >= 0.0 for node in tape.nodes
             if node.op == "linear"] == [True, False]
@@ -724,7 +822,9 @@ def test_replay_detects_a_mutated_input():
     rng = np.random.default_rng(15)
     for op in (T.mul, lambda a, b: _attention_chain(a, b, 0.5),
                lambda a, b: T.softmax_rows(a), lambda a, b: T.linear(a, b, b.data[0]),
-               lambda a, b: T.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1]))):
+               lambda a, b: T.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1])),
+               lambda a, b: T.score_layer(a, tensor(np.ones((9, 2))), tensor(np.ones(2)),
+                                          b, b.data[[2, 0, 1]], [2, 0, 1])):
         a = tensor(rng.normal(size=(3, 3)))
         b = tensor(rng.normal(size=(3, 3)))
         with Tape() as tape:

@@ -201,6 +201,17 @@ def test_train_and_gradcheck_prepare_the_scene_once(monkeypatch):
     assert len(prepares) == 2 and len(predicts) > 5
 
 
+@pytest.mark.parametrize("disable_local", [False, True])
+def test_knn_runs_only_for_the_local_route(monkeypatch, disable_local):
+    knns = _count_calls(monkeypatch, train_module, "knn")
+    train(_light_cfg(module=dict(disable_local=disable_local), train=dict(steps=2)))
+    assert len(knns) == (0 if disable_local else 1)
+    cfg = default_gradcheck_config()
+    cfg.module.disable_local = disable_local
+    assert grad_check(cfg) < 1e-6
+    assert len(knns) == (0 if disable_local else 2)
+
+
 def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
     # The pinned N=200 local config, three steps.
     cfg = parse_config_file(LOCAL_CFG)
@@ -213,16 +224,17 @@ def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
                         lambda tape, loss: tapes.append(tape) or real_backward(tape, loss))
     train(cfg)
     inputs, = prepared
-    constants = {inputs.context, inputs.motion, inputs.disp, inputs.context_pairs}
+    constants = {inputs.context, inputs.motion, inputs.disp}
     assert len(tapes) == 3
-    assert len({len(tape) for tape in tapes}) == 1 and len(tapes[0]) == 33
+    assert len({len(tape) for tape in tapes}) == 1 and len(tapes[0]) == 32
     leaves = []
     for tape in tapes:
         outputs = {node.output for node in tape.nodes}
         leaves.append({t for node in tape.nodes for t in node.inputs
                        if t not in outputs and not t.trainable})
     # Every constant leaf is built once per run and shared by all steps:
-    # the prepared constants and the loss target.
+    # the prepared constants and the loss target. The score layer closes
+    # over context_j, which is no node's input.
     assert leaves[0] == leaves[1] == leaves[2]
     assert constants <= leaves[0]
     assert [t.shape for t in leaves[0] - constants] == [(200, 3)]
