@@ -123,9 +123,10 @@ class AttentionMap:
     with the NeighborIndex rows. A disabled route leaves its entry None.
 
     The default global route keeps no N x N array, on the tape or here:
-    each read of global_weights recomputes the weights from that call's q
-    and k with the kernel the route ran (no tape node, bit for bit the
-    weights it used) and returns a fresh N x N array; past
+    each read of global_weights recomputes, from that call's q and k and
+    with no tape node, the shifted exponentials E and row sums that the
+    route's kernel formed, and returns E / rowsum as a fresh N x N array
+    (the route itself divides only its output); past
     DENSE_WEIGHTS_MAX_BYTES it raises ShapeError before allocating. With
     use_weight_mlp the weights are a tape output, and the read returns
     that array.
@@ -302,10 +303,11 @@ def aggregate_global(params: AggregatorParams, q: Tensor, k: Tensor, v: Tensor,
     :func:`global_attention_weights` defines it.
 
     The default route is one :func:`.tensor.attention` node, which runs
-    over blocks of query rows and keeps no N x N array on the tape; the
-    result and gradients equal the weights-then-matmul chain bit for bit
-    up to ATTENTION_BLOCK_ELEMS // N rows. use_weight_mlp needs W as a
-    tensor, so it tapes :func:`global_attention_weights` and a matmul.
+    over blocks of query rows and keeps no N x N array on the tape. It
+    normalises W @ v rather than W, so the result and gradients agree with
+    the weights-then-matmul chain to rounding (about 1e-15 relative), not
+    bit for bit. use_weight_mlp needs W as a tensor, so it tapes
+    :func:`global_attention_weights` and a matmul.
 
     Returns (g_global: N x Dm, a reader that returns W as an N x N array;
     on the default route it is bounded by DENSE_WEIGHTS_MAX_BYTES).

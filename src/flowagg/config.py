@@ -17,6 +17,7 @@ ranges; for instance every ``module.*_hidden`` width must be positive.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass, field
@@ -80,8 +81,11 @@ def _section_obj(cfg: RunConfig, section: str):
     return getattr(cfg, section)
 
 
-def _field_types(obj) -> dict[str, type]:
-    return typing.get_type_hints(type(obj))
+@functools.cache
+def _field_types(section_cls: type) -> dict[str, type]:
+    """The field types of a section's dataclass, resolved from its string
+    annotations once per class. Callers must not mutate the dict."""
+    return typing.get_type_hints(section_cls)
 
 
 def _parse_value(raw: str, typ, key: str):
@@ -140,7 +144,7 @@ def parse_config(text: str) -> RunConfig:
         seen.add(key)
         section, name = key.split(".", 1)
         obj = _section_obj(cfg, section)
-        types = _field_types(obj)
+        types = _field_types(type(obj))
         if name not in types:
             raise ConfigError(f"unknown config key {key}")
         setattr(obj, name, _parse_value(raw, types[name], key))

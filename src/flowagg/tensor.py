@@ -17,15 +17,16 @@ occurrence rounds, which a :class:`RowIndex` builds once for an index
 that many passes reuse.
 
 Four fused ops stand for op chains and keep only what their backward
-needs. Three give the chain's output bytes and gradients: ``linear``
+needs. Two give the chain's output bytes and gradients: ``linear``
 (matmul, bias add, optional ReLU; every MLP layer and the head's affine
-map), ``local_aggregate`` (gather, weight and sum neighbour rows, with no
-N·k row array on the tape) and ``attention`` (blocked softmax attention,
-with no N x N array). The fourth, ``score_layer`` (the local scores'
+map) and ``local_aggregate`` (gather, weight and sum neighbour rows, with
+no N·k row array on the tape). The other two sum in another order and
+agree with their chains to rounding: ``score_layer`` (the local scores'
 first layer, without the N·k x (De + 2Dc) concatenated input and with no
-gradient for the constant context), sums in another order and agrees
-with its chain to rounding. The chain ops stay public; other routes and
-the tests use them.
+gradient for the constant context) and ``attention`` (blocked softmax
+attention with no N x N array, which normalises its output rather than
+its weights and keeps each row's softmax statistics for backward). The
+chain ops stay public; other routes and the tests use them.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -506,12 +507,10 @@ def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _softmax_rows_grad(g: np.ndarray, w: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """(g - rowsum(g * w)) * w written into `out` (fresh when None), which
-    is returned; `g` is left untouched, since ``add``'s backward hands one
-    gradient array to both inputs."""
-    out = np.multiply(g, w, out=out)
+def _softmax_rows_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(g - rowsum(g * w)) * w as a fresh array; `g` is left untouched,
+    since ``add``'s backward hands one gradient array to both inputs."""
+    out = g * w
     inner = out.sum(axis=1, keepdims=True)
     np.subtract(g, inner, out=out)
     out *= w
@@ -531,17 +530,31 @@ def softmax_rows(m) -> Tensor:
                    lambda g, w: (_softmax_rows_grad(g, w),))
 
 
-def _attention_rows(q_rows: np.ndarray, kt: np.ndarray, c: float | None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """softmax_rows(c · q_rows @ kt) written into `out` (fresh when None),
-    which is returned; `kt` is k transposed, C-contiguous. The kernel of
-    :func:`attention` and :func:`attention_weights_data`. It repeats the
-    expressions of ``softmax_rows(scale(matmul(q, transpose2(k)), c))``,
-    so its weights equal that chain's bit for bit."""
-    w = np.matmul(q_rows, kt, out=out)
+def _attention_logits(q_rows: np.ndarray, kt: np.ndarray, c: float | None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """c · q_rows @ kt (no scale when `c` is None) written into `out`
+    (fresh when None), which is returned; `kt` is k transposed,
+    C-contiguous. The expressions of ``scale(matmul(q, transpose2(k)), c)``."""
+    logits = np.matmul(q_rows, kt, out=out)
     if c is not None:
-        w *= c
-    return _softmax_rows_inplace(w)
+        logits *= c
+    return logits
+
+
+def _attention_rows(q_rows: np.ndarray, kt: np.ndarray, c: float | None,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, rowmax, rowsum): the shifted exponentials E = exp(l - rowmax) of
+    the logits l = c · q_rows @ kt, written into `out` (fresh when None),
+    with each row's max of l and sum of E as column vectors. The kernel of
+    :func:`attention` and :func:`attention_weights_data`. It repeats the
+    expressions of ``softmax_rows(scale(matmul(q, transpose2(k)), c))`` up
+    to the final divide, so E / rowsum equals that chain's weights bit for
+    bit."""
+    e = _attention_logits(q_rows, kt, c, out)
+    rowmax = e.max(axis=1, keepdims=True)
+    e -= rowmax
+    np.exp(e, out=e)
+    return e, rowmax, e.sum(axis=1, keepdims=True)
 
 
 def _check_attention(op: str, qd: np.ndarray, kd: np.ndarray, vd: np.ndarray | None = None):
@@ -558,14 +571,16 @@ def attention_weights_data(q, k, c: float | None = None) -> np.ndarray:
     tape node, also while a tape is active."""
     qd, kd = _as_tensor(q).data, _as_tensor(k).data
     _check_attention("attention_weights_data", qd, kd)
-    return _attention_rows(qd, np.ascontiguousarray(kd.T), None if c is None else float(c))
+    e, _, rowsum = _attention_rows(qd, np.ascontiguousarray(kd.T),
+                                   None if c is None else float(c))
+    e /= rowsum
+    return e
 
 
 # Elements of one block of attention weights (query rows x keys). Every
 # per-block array then stays below 1 MiB, glibc malloc's mmap threshold
 # when it is pinned there, so the blocks reuse heap memory instead of
-# mapping fresh pages. Any N up to ATTENTION_BLOCK_ELEMS // M runs as one
-# block, which repeats the unblocked chain's expressions bit for bit.
+# mapping fresh pages.
 ATTENTION_BLOCK_ELEMS = (1 << 17) - 512
 
 
@@ -576,18 +591,29 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
 
     q is N x D, k is M x D and v is M x Dv; the scale is skipped when `c`
     is None. Forward runs over blocks of query rows, each of at most
-    ATTENTION_BLOCK_ELEMS weights, in one reused buffer. The node keeps q,
-    k, v, k's transpose and that buffer, which still holds the last
-    block's weights.
-    Backward walks the blocks from last to first, recomputes each block's
-    weights except the one the buffer holds, and accumulates the
-    gradients of q, k and v (FlashAttention's recompute, Dao et al. 2022).
+    ATTENTION_BLOCK_ELEMS weights, in one reused buffer. Per block it forms
+    the shifted exponentials E = exp(l - rowmax) of the logits l, stores
+    each row's max of l and sum of E, and writes E @ v into the output
+    rows; one divide by the row sums on N x Dv then normalises the output,
+    so no pass divides N x M weights. The node keeps q, k, v, k's
+    transpose, the two N x 1 row statistics and the buffer, which still
+    holds the last block's E.
 
-    A one-block call repeats that chain's expressions in its order, so
-    its output and gradients are bit-identical to the chain.
-    Over several blocks the output rows still come from the same
-    expressions; the k and v gradients are sums over blocks, so they
-    agree with the chain to rounding only.
+    Backward walks the blocks from last to first and recomputes each
+    block's E from the stored row max alone (matmul, scale, subtract, exp;
+    no max and no sum), except the block the buffer holds. With
+    gs = g / rowsum and Dp = rowsum(gs ∘ y), one block's logit gradient is
+    dS = E ∘ (gs vᵀ - Dp), so dq = dS k, dv += Eᵀ gs and dkᵀ += qᵀ dS;
+    `c` multiplies dq and dkᵀ once at the end. This is FlashAttention's
+    recompute (Dao et al. 2022) with FlashAttention-2's kept row statistics
+    and row term D = rowsum(dO ∘ O) (Dao 2023, arXiv 2307.08691): backward
+    forms no softmax weights.
+
+    E, rowmax and rowsum are those of the chain's softmax_rows, bit for
+    bit, and no output row depends on the blocking. Output and gradients
+    agree with the chain to rounding (about 1e-15 relative), not bit for
+    bit; over several blocks the k and v gradients are also sums over
+    blocks.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
@@ -597,43 +623,52 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
     rows = max(1, ATTENTION_BLOCK_ELEMS // m)
     blocks = [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
     buf = np.empty((min(rows, n), m))
+    rowmax, rowsum = np.empty((n, 1)), np.empty((n, 1))
     kt = held = None   # k transposed; the index of the block `buf` holds
-
-    def weights(b: int) -> np.ndarray:
-        nonlocal held
-        r0, r1 = blocks[b]
-        w = buf[:r1 - r0]
-        if held != b:
-            _attention_rows(qd[r0:r1], kt, c, out=w)
-            held = b
-        return w
 
     def fwd():
         nonlocal kt, held
         kt, held = np.ascontiguousarray(kd.T), None
         out = np.empty((n, vd.shape[1]))
         for b, (r0, r1) in enumerate(blocks):
-            np.matmul(weights(b), vd, out=out[r0:r1])
+            e, rowmax[r0:r1], rowsum[r0:r1] = _attention_rows(qd[r0:r1], kt, c,
+                                                              out=buf[:r1 - r0])
+            np.matmul(e, vd, out=out[r0:r1])
+        held = len(blocks) - 1
+        out /= rowsum
         return out
 
+    def exps(b: int) -> np.ndarray:
+        nonlocal held
+        r0, r1 = blocks[b]
+        e = buf[:r1 - r0]
+        if held != b:
+            _attention_logits(qd[r0:r1], kt, c, out=e)
+            e -= rowmax[r0:r1]
+            np.exp(e, out=e)
+            held = b
+        return e
+
     def bwd(g, y):
-        # Per block: the backward of the chain's ops, in the chain's
-        # order (matmul, softmax_rows, scale, matmul, transpose2).
-        dq = np.empty(qd.shape)
-        dw, dl = np.empty_like(buf), np.empty_like(buf)
+        gs = g / rowsum
+        dp = (gs * y).sum(axis=1, keepdims=True)
+        dq, ds = np.empty(qd.shape), np.empty_like(buf)
         for b in reversed(range(len(blocks))):
             r0, r1 = blocks[b]
-            w, gb = weights(b), g[r0:r1]
-            gl = _softmax_rows_grad(np.matmul(gb, vd.T, out=dw[:r1 - r0]), w, out=dl[:r1 - r0])
-            if c is not None:
-                gl *= c
-            np.matmul(gl, kt.T, out=dq[r0:r1])
+            e, gb = exps(b), gs[r0:r1]
+            d = np.matmul(gb, vd.T, out=ds[:r1 - r0])
+            d -= dp[r0:r1]
+            d *= e
+            np.matmul(d, kd, out=dq[r0:r1])
             if b == len(blocks) - 1:
-                dv, dkt = w.T @ gb, qd[r0:r1].T @ gl
+                dv, dkt = e.T @ gb, qd[r0:r1].T @ d
                 vpart, kpart = np.empty_like(dv), np.empty_like(dkt)
             else:
-                dv += np.matmul(w.T, gb, out=vpart)
-                dkt += np.matmul(qd[r0:r1].T, gl, out=kpart)
+                dv += np.matmul(e.T, gb, out=vpart)
+                dkt += np.matmul(qd[r0:r1].T, d, out=kpart)
+        if c is not None:
+            dq *= c
+            dkt *= c
         return dq, np.ascontiguousarray(dkt.T), dv
 
     return _record("attention", (q, k, v), fwd, bwd)

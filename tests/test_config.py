@@ -1,9 +1,11 @@
 """Config text format: parse/render round trips and rejection paths."""
 
 import dataclasses
+import typing
 
 import pytest
 
+from flowagg import config as config_module
 from flowagg.aggregator import AggregatorConfig
 from flowagg.config import (
     ConfigError,
@@ -59,6 +61,24 @@ def test_render_is_reparseable_after_changes():
     cfg.train.freeze_alpha = True
     again = parse_config(render_config(cfg))
     assert again == cfg
+
+
+def test_field_types_resolve_once_per_section_class(monkeypatch):
+    # Resolving a dataclass's string annotations compiles each of them, so
+    # a parse resolves them once per section class, not once per line.
+    calls = []
+    resolve = typing.get_type_hints
+
+    def counted(cls, *args, **kwargs):
+        calls.append(cls)
+        return resolve(cls, *args, **kwargs)
+    monkeypatch.setattr(typing, "get_type_hints", counted)
+    config_module._field_types.cache_clear()
+    text = config_defaults()   # every key of every section, one per line
+    for _ in range(2):
+        assert render_config(parse_config(text)) == text
+    assert sorted(cls.__name__ for cls in calls) == ["AggregatorConfig", "SceneConfig",
+                                                     "TrainSettings"]
 
 
 def test_unknown_key_rejected():

@@ -589,14 +589,24 @@ def test_attention_weights_bitwise_equals_four_op_chain(n, shared, c):
     assert got.tobytes() == _attention_chain(q, k, c).data.tobytes()
 
 
-def _attention_run(op, n, shared, c, extra_keys=3):
-    """Output and (q, k, v) gradients of op(q, k, v, c) under a fixed
-    upstream gradient; q and k are one tensor when `shared`."""
+def _attention_operands(n, shared, c, extra_keys=3, max_logit=None):
+    """Seeded q, k, v and an upstream gradient for n queries; k is q when
+    `shared`. With `max_logit`, q and k are scaled so that the largest
+    |c · q kᵀ| is about that value."""
     rng = np.random.default_rng(n)
     qd = rng.normal(size=(n, 5))
     kd = qd if shared else rng.normal(size=(n + extra_keys, 5))
-    vd = rng.normal(size=(kd.shape[0], 4))
-    upstream = rng.normal(size=(n, 4))
+    if max_logit is not None:
+        factor = np.sqrt(max_logit / np.abs((1.0 if c is None else c) * (qd @ kd.T)).max())
+        qd = qd * factor
+        kd = qd if shared else kd * factor
+    return qd, kd, rng.normal(size=(kd.shape[0], 4)), rng.normal(size=(n, 4))
+
+
+def _attention_run(op, n, shared, c, extra_keys=3, max_logit=None):
+    """Output and (q, k, v) gradients of op(q, k, v, c) under a fixed
+    upstream gradient; q and k are one tensor when `shared`."""
+    qd, kd, vd, upstream = _attention_operands(n, shared, c, extra_keys, max_logit)
     q = tensor(qd, trainable=True)
     k = q if shared else tensor(kd, trainable=True)
     v = tensor(vd, trainable=True)
@@ -611,47 +621,103 @@ def _attention_chain_then_blend(q, k, v, c):
     return T.matmul(_attention_chain(q, k, c), v)
 
 
+def _attention_reference(qd, kd, vd, c):
+    """attention's forward expressions in numpy: the shifted exponentials
+    of the logits, E @ v, then a divide by E's row sums."""
+    logits = qd @ np.ascontiguousarray(kd.T)
+    if c is not None:
+        logits *= c
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (e @ vd) / e.sum(axis=1, keepdims=True)
+
+
+ATTENTION_SCALES = [None, 1.0 / np.sqrt(5), 0.4]
+
+
 @pytest.mark.parametrize("n", [7, 300])
 @pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("c", [None, 1.0 / np.sqrt(5)])
-def test_attention_one_block_bitwise_equals_weights_then_matmul(n, shared, c):
-    fused = _attention_run(T.attention, n, shared, c)
-    chain = _attention_run(_attention_chain_then_blend, n, shared, c)
-    assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+@pytest.mark.parametrize("c", ATTENTION_SCALES)
+def test_attention_one_block_bitwise_equals_numpy_reference(n, shared, c):
+    qd, kd, vd, _ = _attention_operands(n, shared, c)
+    got = _attention_run(T.attention, n, shared, c)[0]
+    assert got.tobytes() == _attention_reference(qd, kd, vd, c).tobytes()
 
 
-def _count_attention_blocks(monkeypatch) -> list[int]:
-    """Rows of every block of weights computed from here on."""
+def _assert_attention_runs_close(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("n", [7, 300])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("c", ATTENTION_SCALES)
+def test_attention_matches_weights_then_matmul(n, shared, c):
+    # Output and q, k, v gradients: the fused node normalises after E @ v
+    # and takes the softmax row term from rowsum(dO * O), so it agrees
+    # with the chain to rounding.
+    _assert_attention_runs_close(_attention_run(T.attention, n, shared, c),
+                                 _attention_run(_attention_chain_then_blend, n, shared, c))
+
+
+def _count_attention_blocks(monkeypatch, kernel: str = "_attention_rows") -> list[int]:
+    """Rows of every block that `kernel` computes from here on."""
     rows = []
-    kernel = T._attention_rows
+    original = getattr(T, kernel)
 
     def counted(q_rows, *args, **kwargs):
         rows.append(q_rows.shape[0])
-        return kernel(q_rows, *args, **kwargs)
-    monkeypatch.setattr(T, "_attention_rows", counted)
+        return original(q_rows, *args, **kwargs)
+    monkeypatch.setattr(T, kernel, counted)
     return rows
 
 
 def test_attention_one_block_recomputes_nothing(monkeypatch):
     rows = _count_attention_blocks(monkeypatch)
+    logits = _count_attention_blocks(monkeypatch, "_attention_logits")
     _attention_run(T.attention, 300, False, 0.5)
-    assert rows == [300]
+    assert rows == logits == [300]
 
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("c", [None, 0.4])
 def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
-    chain = _attention_run(_attention_chain_then_blend, 50, shared, c, extra_keys=0)
+    one_block = _attention_run(T.attention, 50, shared, c, extra_keys=0)
     # 8-row blocks over 50 queries: six full blocks and one of 2 rows.
-    # Backward recomputes every block but the last, which forward left
-    # in the buffer.
     monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
     rows = _count_attention_blocks(monkeypatch)
     blocked = _attention_run(T.attention, 50, shared, c, extra_keys=0)
-    assert rows == [8] * 6 + [2] + [8] * 6
-    assert blocked[0].tobytes() == chain[0].tobytes()
-    for got, want in zip(blocked[1:], chain[1:]):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert rows == [8] * 6 + [2]
+    # Every output row comes from the same expressions whatever the block;
+    # the k and v gradients are sums over blocks.
+    assert blocked[0].tobytes() == one_block[0].tobytes()
+    _assert_attention_runs_close(blocked[1:], one_block[1:])
+
+
+def test_attention_backward_recomputes_no_row_stats(monkeypatch):
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
+    rng = np.random.default_rng(20)
+    q, v = tensor(rng.normal(size=(50, 5))), tensor(rng.normal(size=(50, 4)))
+    with Tape() as tape:
+        out = T.attention(q, q, v, 0.4)
+    stats = _count_attention_blocks(monkeypatch)
+    logits = _count_attention_blocks(monkeypatch, "_attention_logits")
+    tape.nodes[-1].backward_fn(rng.normal(size=out.shape))
+    # Backward forms each block's exponentials again from the kept row
+    # maxima, except the last block, which forward left in the buffer;
+    # it takes no row max or row sum.
+    assert stats == []
+    assert logits == [8] * 6
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("c", [None, 0.4])
+def test_attention_stays_finite_at_large_logits(shared, c):
+    # Logits up to ±900: exp would overflow without the row max, and the
+    # rows are close to one-hot.
+    fused = _attention_run(T.attention, 40, shared, c, max_logit=900.0)
+    assert all(np.isfinite(a).all() for a in fused)
+    _assert_attention_runs_close(
+        fused, _attention_run(_attention_chain_then_blend, 40, shared, c, max_logit=900.0))
 
 
 def test_grad_attention():
