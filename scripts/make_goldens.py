@@ -8,7 +8,8 @@ change when the generator, the module, or the training loop changes
 behavior; rerun this script deliberately when they do.
 
 With --check it writes nothing: it compares the recomputed digests with
-the committed file and exits 1 on a mismatch, e.g.
+the committed file and exits 1 on a mismatch, naming each differing file
+with its committed and recomputed digest, e.g.
 
     OPENBLAS_NUM_THREADS=2 python3 scripts/make_goldens.py --check
 """
@@ -49,6 +50,12 @@ def golden_text():
     return "".join(f"{digest}  {name}\n" for name, digest in rows)
 
 
+def digests(text):
+    """{file name: digest} of a checksum text."""
+    rows = (line.split(None, 1) for line in text.splitlines())
+    return {row[1].strip(): row[0] for row in rows if len(row) == 2}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -58,9 +65,14 @@ def main(argv=None):
     print(text, end="")
     if args.check:
         with open(OUT, encoding="utf-8") as fh:
-            if fh.read() != text:
-                print(f"mismatch with {OUT}")
-                return 1
+            committed = fh.read()
+        if committed != text:
+            want, got = digests(committed), digests(text)
+            for name in dict.fromkeys([*want, *got]):
+                if want.get(name) != got.get(name):
+                    print(f"{name}: committed {want.get(name)}, recomputed {got.get(name)}")
+            print(f"mismatch with {OUT}")
+            return 1
         print(f"matches {OUT}")
         return 0
     with open(OUT, "w", encoding="utf-8") as fh:

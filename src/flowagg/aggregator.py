@@ -49,7 +49,8 @@ class AggregatorConfig:
     the attention projection width, disp_dim the displacement-encoder
     output width, k the local neighbourhood size.
 
-    scale_logits divides attention logits by sqrt(qk_dim).
+    scale_logits divides attention logits by the square root of q's width:
+    sqrt(qk_dim), or sqrt(context_dim) under raw_context_logits.
     raw_context_logits computes them from unprojected context features.
     use_weight_mlp enables the extra positive per-weight map on the global
     attention (off by default; it is redundant right after a softmax). It
@@ -270,11 +271,13 @@ def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
                              config: AggregatorConfig) -> Tensor:
     """Row-stochastic N x N attention over context similarity, as a tensor.
 
-    Logits are q_i . k_j, divided by sqrt(qk_dim) when scale_logits is
-    set; rows pass through a softmax. With use_weight_mlp, each weight is
-    additionally mapped through a small MLP whose output goes through a
-    softplus (keeping it positive), and rows are renormalized to sum 1;
-    past DENSE_WEIGHTS_MAX_BYTES that raises ShapeError before allocating.
+    Logits are q_i . k_j, divided by the square root of q's width when
+    scale_logits is set (sqrt(qk_dim), or sqrt(context_dim) under
+    raw_context_logits); rows pass through a softmax. With use_weight_mlp,
+    each weight is additionally mapped through a small MLP whose output
+    goes through a softplus (keeping it positive), and rows are
+    renormalized to sum 1; past DENSE_WEIGHTS_MAX_BYTES that raises
+    ShapeError before allocating.
 
     Every step is its own tape node (matmul, transpose2, scale,
     softmax_rows, then the weight MLP), so the tape holds each N x N

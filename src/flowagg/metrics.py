@@ -7,8 +7,10 @@ implementations that agree per point agree exactly in the aggregate.
 Accuracy and outlier rates test each point against an absolute error
 threshold or a threshold relative to the true flow magnitude, whichever is
 satisfied (strict inequalities). The relative alternative is skipped for
-points whose true flow is exactly zero. ``metric_lines`` is the one place
-that names the metric keys in the key=value reports.
+points whose true flow is exactly zero. ``metric_lines`` names the metric
+keys of the key=value lines in ``report.txt`` and in ``flowagg eval``'s
+output; the ablation table and ``flowagg train``'s summary lines write
+their few EPE keys themselves.
 """
 
 from __future__ import annotations

@@ -126,9 +126,9 @@ class SceneConfig:
             raise GenerationError(
                 f"n_clusters={self.n_clusters} is not divisible by "
                 f"clusters_per_group={self.clusters_per_group}")
-        if self.context_dim < self.n_clusters:
+        if self.context_dim < self.n_groups:
             raise GenerationError(
-                f"context_dim={self.context_dim} cannot embed {self.n_clusters} clusters")
+                f"context_dim={self.context_dim} cannot embed {self.n_groups} groups")
         if self.motion_dim < 1:
             raise GenerationError("motion_dim must be positive")
         if self.constraint_k < 1:

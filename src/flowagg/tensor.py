@@ -66,12 +66,11 @@ class Tensor:
     ``data`` in place; optimizers rebind it instead.
     """
 
-    __slots__ = ("data", "trainable", "name")
+    __slots__ = ("data", "trainable")
 
-    def __init__(self, data: np.ndarray, trainable: bool = False, name: str | None = None):
+    def __init__(self, data: np.ndarray, trainable: bool = False):
         self.data = data
         self.trainable = trainable
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,16 +81,15 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        label = f" {self.name!r}" if self.name else ""
-        return f"Tensor{label}(shape={self.data.shape}, trainable={self.trainable})"
+        return f"Tensor(shape={self.data.shape}, trainable={self.trainable})"
 
 
-def tensor(values, *, trainable: bool = False, name: str | None = None) -> Tensor:
+def tensor(values, *, trainable: bool = False) -> Tensor:
     """Create a tensor from array-like values, rejecting NaN/Inf."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.size and not np.isfinite(arr).all():
         raise ValueError("tensor values must be finite")
-    return Tensor(arr, trainable=trainable, name=name)
+    return Tensor(arr, trainable=trainable)
 
 
 def _as_tensor(x) -> Tensor:
@@ -251,7 +249,7 @@ def matmul(a, b) -> Tensor:
 def linear(x, w, b, relu: bool = False) -> Tensor:
     """x @ w + b, then ReLU when `relu` is set, as one tape node:
     ``relu(add(matmul(x, w), b))`` (or ``add(matmul(x, w), b)``) with the
-    same output bytes and gradients.
+    same output bytes and gradients. b is a vector of w's output width.
 
     The node keeps only its output y; backward reads the ReLU mask from
     ``y > 0``, which holds exactly where the pre-activation is > 0 (also
@@ -261,11 +259,10 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
-        raise ShapeError(f"linear: incompatible shapes {xd.shape} and {wd.shape}")
-    out_shape = (xd.shape[0], wd.shape[1])
-    if bd.ndim > 2 or any(s not in (1, o) for s, o in zip(bd.shape[::-1], out_shape[::-1])):
-        raise ShapeError(f"linear: bias {bd.shape} does not broadcast to {out_shape}")
+    if (xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]
+            or bd.shape != (wd.shape[1],)):
+        raise ShapeError(f"linear: incompatible shapes x {xd.shape}, w {wd.shape}, "
+                         f"b {bd.shape}")
 
     def fwd():
         y = xd @ wd
@@ -277,7 +274,7 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
     def bwd(g, y):
         if relu:
             g = g * (y > 0.0)
-        return _unbroadcast(g, bd.shape), g @ wd.T, xd.T @ g
+        return g.sum(axis=0), g @ wd.T, xd.T @ g
     return _record("linear", (b, x, w), fwd, bwd)
 
 
@@ -499,11 +496,19 @@ def local_aggregate(weights, v, rows) -> Tensor:
     return _record("local_aggregate", (weights, v), fwd, bwd)
 
 
+def _exp_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write exp(w - rowmax) over `w`; return (rowmax, rowsum), each row's
+    max of the input and sum of the exponentials, as column vectors. The
+    kernel of every row softmax here, attention's included."""
+    rowmax = w.max(axis=1, keepdims=True)
+    w -= rowmax
+    np.exp(w, out=w)
+    return rowmax, w.sum(axis=1, keepdims=True)
+
+
 def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:
     """Max-shifted row softmax written over `w`, which is returned."""
-    w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
+    w /= _exp_rows(w)[1]
     return w
 
 
@@ -541,22 +546,6 @@ def _attention_logits(q_rows: np.ndarray, kt: np.ndarray, c: float | None,
     return logits
 
 
-def _attention_rows(q_rows: np.ndarray, kt: np.ndarray, c: float | None,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, rowmax, rowsum): the shifted exponentials E = exp(l - rowmax) of
-    the logits l = c · q_rows @ kt, written into `out` (fresh when None),
-    with each row's max of l and sum of E as column vectors. The kernel of
-    :func:`attention` and :func:`attention_weights_data`. It repeats the
-    expressions of ``softmax_rows(scale(matmul(q, transpose2(k)), c))`` up
-    to the final divide, so E / rowsum equals that chain's weights bit for
-    bit."""
-    e = _attention_logits(q_rows, kt, c, out)
-    rowmax = e.max(axis=1, keepdims=True)
-    e -= rowmax
-    np.exp(e, out=e)
-    return e, rowmax, e.sum(axis=1, keepdims=True)
-
-
 def _check_attention(op: str, qd: np.ndarray, kd: np.ndarray, vd: np.ndarray | None = None):
     if (qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1]
             or not (qd.shape[0] and kd.shape[0])
@@ -571,10 +560,8 @@ def attention_weights_data(q, k, c: float | None = None) -> np.ndarray:
     tape node, also while a tape is active."""
     qd, kd = _as_tensor(q).data, _as_tensor(k).data
     _check_attention("attention_weights_data", qd, kd)
-    e, _, rowsum = _attention_rows(qd, np.ascontiguousarray(kd.T),
-                                   None if c is None else float(c))
-    e /= rowsum
-    return e
+    return _softmax_rows_inplace(_attention_logits(qd, np.ascontiguousarray(kd.T),
+                                                   None if c is None else float(c)))
 
 
 # Elements of one block of attention weights (query rows x keys). Every
@@ -631,8 +618,8 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
         kt, held = np.ascontiguousarray(kd.T), None
         out = np.empty((n, vd.shape[1]))
         for b, (r0, r1) in enumerate(blocks):
-            e, rowmax[r0:r1], rowsum[r0:r1] = _attention_rows(qd[r0:r1], kt, c,
-                                                              out=buf[:r1 - r0])
+            e = _attention_logits(qd[r0:r1], kt, c, out=buf[:r1 - r0])
+            rowmax[r0:r1], rowsum[r0:r1] = _exp_rows(e)
             np.matmul(e, vd, out=out[r0:r1])
         held = len(blocks) - 1
         out /= rowsum

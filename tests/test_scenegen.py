@@ -179,6 +179,16 @@ def test_grouped_clusters_share_context_channel():
         assert s.context[i, g] != 0.0
 
 
+def test_context_needs_one_column_per_group_not_per_cluster():
+    # 4 clusters in 2 groups one-hot-encode into 2 of the 3 columns.
+    cfg = _cfg(n_clusters=4, clusters_per_group=2, context_dim=3)
+    s = generate_scene(cfg)
+    assert not s.context[:, cfg.n_groups:].any()
+    assert (s.context[np.arange(cfg.n_points), s.cluster_id // 2] == 1.0).all()
+    with pytest.raises(GenerationError, match="cannot embed 2 groups"):
+        _cfg(n_clusters=4, clusters_per_group=2, context_dim=1).validate()
+
+
 def test_feature_noise_perturbs_context():
     quiet = generate_scene(_cfg())
     noisy = generate_scene(_cfg(feature_noise_std=0.05))

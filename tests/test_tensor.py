@@ -315,9 +315,6 @@ def _linear_case(case, rng):
     if case == "shared_x_w":
         x = tensor(rng.normal(size=(5, 5)), trainable=True)
         return x, x, tensor(rng.normal(size=5), trainable=True)
-    if case == "shared_x_w_b":
-        x = tensor(rng.normal(size=(4, 4)), trainable=True)
-        return x, x, x
     n = 1 if case == "single_row" else 6
     xd, wd, bd = rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
     if case == "zero_preactivations":
@@ -332,7 +329,7 @@ def _linear_case(case, rng):
 
 
 LINEAR_CASES = ["distinct", "single_row", "zero_preactivations", "shared_x_w",
-                "shared_x_w_b", "x_used_downstream"]
+                "x_used_downstream"]
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -386,7 +383,9 @@ def test_linear_rejects_mismatched_operands():
     for bad in ((tensor(np.zeros((4, 2))), w, np.zeros(2)),
                 (x, w, np.zeros(3)),
                 (x, w, np.zeros((5, 2))),
-                (x, w, np.zeros((1, 4, 2)))):
+                (x, w, np.zeros((1, 4, 2))),
+                (x, w, np.zeros((1, 2))),
+                (x, w, np.zeros((4, 2)))):
         with pytest.raises(ShapeError):
             T.linear(*bad)
 
@@ -659,14 +658,14 @@ def test_attention_matches_weights_then_matmul(n, shared, c):
                                  _attention_run(_attention_chain_then_blend, n, shared, c))
 
 
-def _count_attention_blocks(monkeypatch, kernel: str = "_attention_rows") -> list[int]:
+def _count_attention_blocks(monkeypatch, kernel: str = "_exp_rows") -> list[int]:
     """Rows of every block that `kernel` computes from here on."""
     rows = []
     original = getattr(T, kernel)
 
-    def counted(q_rows, *args, **kwargs):
-        rows.append(q_rows.shape[0])
-        return original(q_rows, *args, **kwargs)
+    def counted(block, *args, **kwargs):
+        rows.append(block.shape[0])
+        return original(block, *args, **kwargs)
     monkeypatch.setattr(T, kernel, counted)
     return rows
 

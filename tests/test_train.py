@@ -74,7 +74,7 @@ def test_decoder_matches_matmul_oracle():
 
 
 def test_sgd_single_step():
-    t = Tensor(np.array([1.0, -2.0]), trainable=True, name="w")
+    t = Tensor(np.array([1.0, -2.0]), trainable=True)
     with Tape() as tape:
         out = T.reduce_sum(T.mul(t, t))
     grads = backward(tape, out)
@@ -83,7 +83,7 @@ def test_sgd_single_step():
 
 
 def test_adam_single_step_matches_closed_form():
-    t = Tensor(np.array([3.0]), trainable=True, name="w")
+    t = Tensor(np.array([3.0]), trainable=True)
     with Tape() as tape:
         out = T.reduce_sum(T.mul(t, t))
     grads = backward(tape, out)
@@ -97,8 +97,8 @@ def test_adam_single_step_matches_closed_form():
 
 
 def test_adam_state_is_per_parameter():
-    a = Tensor(np.array([1.0]), trainable=True, name="a")
-    b = Tensor(np.array([1.0]), trainable=True, name="b")
+    a = Tensor(np.array([1.0]), trainable=True)
+    b = Tensor(np.array([1.0]), trainable=True)
     opt = Adam(lr=0.1)
     for _ in range(3):
         with Tape() as tape:
