@@ -5,8 +5,9 @@ For each N it draws q, k (N x 16) and v (N x 32) from a fixed seed. Each
 repeat runs one taped ``tensor.attention(q, k, v, 0.25)`` (forward), then
 that node's backward closure on a fixed output gradient (backward). One
 untimed repeat per N runs first. The script prints one JSON line: the min
-and the median in ms of each side at each N, with the Python, numpy and
-BLAS versions and the BLAS thread count taken from the environment, e.g.
+and the median in ms of each side at each N and the query rows of that
+N's forward and backward blocks, with the Python, numpy and BLAS versions
+and the BLAS thread count taken from the environment, e.g.
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/time_attention.py --repeats 9
 """
@@ -44,7 +45,8 @@ def time_one_size(n: int, repeats: int) -> dict:
         if i:
             fwd_ms.append(1e3 * (t1 - t0))
             bwd_ms.append(1e3 * (t2 - t1))
-    row = {"n": n}
+    fwd_rows, bwd_rows = T.attention_block_rows(n, n)
+    row = {"n": n, "fwd_block_rows": fwd_rows, "bwd_block_rows": bwd_rows}
     for side, samples in (("fwd", fwd_ms), ("bwd", bwd_ms)):
         row[f"{side}_ms_min"] = round(min(samples), 3)
         row[f"{side}_ms_median"] = round(statistics.median(samples), 3)
@@ -53,7 +55,7 @@ def time_one_size(n: int, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[200, 1000, 2000, 4000],
+    parser.add_argument("--sizes", type=int, nargs="+", default=[200, 1000, 2000, 4000, 8192],
                         help="numbers of points (queries = keys) to time")
     parser.add_argument("--repeats", type=int, default=7,
                         help="timed repeats per size (at least 1)")

@@ -24,9 +24,10 @@ no N·k row array on the tape). The other two sum in another order and
 agree with their chains to rounding: ``score_layer`` (the local scores'
 first layer, without the N·k x (De + 2Dc) concatenated input and with no
 gradient for the constant context) and ``attention`` (blocked softmax
-attention with no N x N array, which normalises its output rather than
-its weights and keeps each row's softmax statistics for backward). The
-chain ops stay public; other routes and the tests use them.
+attention with no N x N array: it keeps each row's softmax statistics and
+no block, and backward recomputes every block in two matmuls that fold in
+the scale, the row max and the softmax row term). The chain ops stay
+public; other routes and the tests use them.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -564,11 +565,26 @@ def attention_weights_data(q, k, c: float | None = None) -> np.ndarray:
                                                    None if c is None else float(c)))
 
 
-# Elements of one block of attention weights (query rows x keys). Every
-# per-block array then stays below 1 MiB, glibc malloc's mmap threshold
-# when it is pinned there, so the blocks reuse heap memory instead of
-# mapping fresh pages.
+# Elements of one forward block of attention weights (query rows x keys).
+# Every per-block array then stays below 1 MiB, glibc malloc's mmap
+# threshold when it is pinned there, so the blocks reuse heap memory
+# instead of mapping fresh pages.
 ATTENTION_BLOCK_ELEMS = (1 << 17) - 512
+# Fewest query rows in a backward block. Each block adds an M x Dv partial
+# into dv and a D x M one into dkᵀ, which thin blocks would repeat.
+ATTENTION_BACKWARD_ROWS = 64
+
+
+def attention_block_rows(n: int, m: int) -> tuple[int, int]:
+    """Query rows per forward and per backward block of :func:`attention`
+    for n queries over m keys."""
+    rows = min(n, max(1, ATTENTION_BLOCK_ELEMS // m))
+    return rows, min(n, max(rows, ATTENTION_BACKWARD_ROWS))
+
+
+def _folded_exps(qa_rows: np.ndarray, ka: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(qa_rows @ ka) into `out`: one backward block of attention's E."""
+    return np.exp(np.matmul(qa_rows, ka, out=out), out=out)
 
 
 def attention(q, k, v, c: float | None = None) -> Tensor:
@@ -578,84 +594,67 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
 
     q is N x D, k is M x D and v is M x Dv; the scale is skipped when `c`
     is None. Forward runs over blocks of query rows, each of at most
-    ATTENTION_BLOCK_ELEMS weights, in one reused buffer. Per block it forms
-    the shifted exponentials E = exp(l - rowmax) of the logits l, stores
-    each row's max of l and sum of E, and writes E @ v into the output
-    rows; one divide by the row sums on N x Dv then normalises the output,
-    so no pass divides N x M weights. The node keeps q, k, v, k's
-    transpose, the two N x 1 row statistics and the buffer, which still
-    holds the last block's E.
+    ATTENTION_BLOCK_ELEMS weights, in one buffer it allocates per call. Per
+    block it forms the shifted exponentials E = exp(l - rowmax) of the
+    logits l, stores each row's max of l and sum of E, and writes E @ v
+    into the output rows; one divide by the row sums on N x Dv then
+    normalises the output, so no pass divides N x M weights. The node keeps
+    q, k, v and the two N x 1 row statistics, and no block buffer.
 
-    Backward walks the blocks from last to first and recomputes each
-    block's E from the stored row max alone (matmul, scale, subtract, exp;
-    no max and no sum), except the block the buffer holds. With
-    gs = g / rowsum and Dp = rowsum(gs ∘ y), one block's logit gradient is
-    dS = E ∘ (gs vᵀ - Dp), so dq = dS k, dv += Eᵀ gs and dkᵀ += qᵀ dS;
-    `c` multiplies dq and dkᵀ once at the end. This is FlashAttention's
+    Backward recomputes every block's E, in blocks of at least
+    ATTENTION_BACKWARD_ROWS query rows (:func:`attention_block_rows`) and
+    two buffers of its own. With gs = g / rowsum and Dp = rowsum(gs ∘ y),
+    it builds four operands once, so that the row terms ride in two block
+    products: E = exp([c·q | -rowmax] @ [kᵀ; 1]) and gs vᵀ - Dp =
+    [gs | -Dp] @ [vᵀ; 1]. Their product is the logit gradient dS, so
+    dq = c dS k, dv += Eᵀ gs and dkᵀ += (c·q)ᵀ dS. This is FlashAttention's
     recompute (Dao et al. 2022) with FlashAttention-2's kept row statistics
     and row term D = rowsum(dO ∘ O) (Dao 2023, arXiv 2307.08691): backward
-    forms no softmax weights.
+    takes no row max or row sum and forms no softmax weights.
 
-    E, rowmax and rowsum are those of the chain's softmax_rows, bit for
-    bit, and no output row depends on the blocking. Output and gradients
-    agree with the chain to rounding (about 1e-15 relative), not bit for
-    bit; over several blocks the k and v gradients are also sums over
-    blocks.
+    Forward's E, rowmax and rowsum are those of the chain's softmax_rows,
+    bit for bit, and no output row depends on the blocking. Output and
+    gradients agree with the chain to rounding (about 1e-15 relative), not
+    bit for bit; over several blocks the k and v gradients are also sums
+    over blocks.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
     _check_attention("attention", qd, kd, vd)
     c = None if c is None else float(c)
     n, m = qd.shape[0], kd.shape[0]
-    rows = max(1, ATTENTION_BLOCK_ELEMS // m)
-    blocks = [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
-    buf = np.empty((min(rows, n), m))
+    rows, brows = attention_block_rows(n, m)
     rowmax, rowsum = np.empty((n, 1)), np.empty((n, 1))
-    kt = held = None   # k transposed; the index of the block `buf` holds
 
     def fwd():
-        nonlocal kt, held
-        kt, held = np.ascontiguousarray(kd.T), None
+        kt, buf = np.ascontiguousarray(kd.T), np.empty((rows, m))
         out = np.empty((n, vd.shape[1]))
-        for b, (r0, r1) in enumerate(blocks):
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
             e = _attention_logits(qd[r0:r1], kt, c, out=buf[:r1 - r0])
             rowmax[r0:r1], rowsum[r0:r1] = _exp_rows(e)
             np.matmul(e, vd, out=out[r0:r1])
-        held = len(blocks) - 1
         out /= rowsum
         return out
 
-    def exps(b: int) -> np.ndarray:
-        nonlocal held
-        r0, r1 = blocks[b]
-        e = buf[:r1 - r0]
-        if held != b:
-            _attention_logits(qd[r0:r1], kt, c, out=e)
-            e -= rowmax[r0:r1]
-            np.exp(e, out=e)
-            held = b
-        return e
-
     def bwd(g, y):
         gs = g / rowsum
-        dp = (gs * y).sum(axis=1, keepdims=True)
-        dq, ds = np.empty(qd.shape), np.empty_like(buf)
-        for b in reversed(range(len(blocks))):
-            r0, r1 = blocks[b]
-            e, gb = exps(b), gs[r0:r1]
-            d = np.matmul(gb, vd.T, out=ds[:r1 - r0])
-            d -= dp[r0:r1]
-            d *= e
-            np.matmul(d, kd, out=dq[r0:r1])
-            if b == len(blocks) - 1:
-                dv, dkt = e.T @ gb, qd[r0:r1].T @ d
-                vpart, kpart = np.empty_like(dv), np.empty_like(dkt)
-            else:
-                dv += np.matmul(e.T, gb, out=vpart)
-                dkt += np.matmul(qd[r0:r1].T, d, out=kpart)
+        qa = np.hstack((qd if c is None else qd * c, -rowmax))
+        ga = np.hstack((gs, -(gs * y).sum(axis=1, keepdims=True)))
+        ka, va = np.vstack((kd.T, np.ones(m))), np.vstack((vd.T, np.ones(m)))
+        dq, dkt, dv = np.empty(qd.shape), np.zeros(kd.T.shape), np.zeros(vd.shape)
+        kpart, vpart = np.empty_like(dkt), np.empty_like(dv)
+        ebuf, dbuf = np.empty((brows, m)), np.empty((brows, m))
+        for r0 in range(0, n, brows):
+            r1 = min(r0 + brows, n)
+            e = _folded_exps(qa[r0:r1], ka, ebuf[:r1 - r0])
+            ds = np.matmul(ga[r0:r1], va, out=dbuf[:r1 - r0])
+            ds *= e
+            np.matmul(ds, kd, out=dq[r0:r1])
+            dv += np.matmul(e.T, gs[r0:r1], out=vpart)
+            dkt += np.matmul(qa[r0:r1, :-1].T, ds, out=kpart)
         if c is not None:
             dq *= c
-            dkt *= c
         return dq, np.ascontiguousarray(dkt.T), dv
 
     return _record("attention", (q, k, v), fwd, bwd)

@@ -670,7 +670,8 @@ def _count_attention_blocks(monkeypatch, kernel: str = "_exp_rows") -> list[int]
     return rows
 
 
-def test_attention_one_block_recomputes_nothing(monkeypatch):
+def test_attention_forward_computes_each_block_once(monkeypatch):
+    # Backward forms its exponentials through neither kernel.
     rows = _count_attention_blocks(monkeypatch)
     logits = _count_attention_blocks(monkeypatch, "_attention_logits")
     _attention_run(T.attention, 300, False, 0.5)
@@ -692,20 +693,52 @@ def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
     _assert_attention_runs_close(blocked[1:], one_block[1:])
 
 
-def test_attention_backward_recomputes_no_row_stats(monkeypatch):
+@pytest.mark.parametrize("floor", [4, 16, 64])
+def test_attention_backward_recomputes_every_block_from_folded_operands(monkeypatch, floor):
     monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
+    monkeypatch.setattr(T, "ATTENTION_BACKWARD_ROWS", floor)
     rng = np.random.default_rng(20)
     q, v = tensor(rng.normal(size=(50, 5))), tensor(rng.normal(size=(50, 4)))
     with Tape() as tape:
         out = T.attention(q, q, v, 0.4)
     stats = _count_attention_blocks(monkeypatch)
     logits = _count_attention_blocks(monkeypatch, "_attention_logits")
+    folded = _count_attention_blocks(monkeypatch, "_folded_exps")
     tape.nodes[-1].backward_fn(rng.normal(size=out.shape))
-    # Backward forms each block's exponentials again from the kept row
-    # maxima, except the last block, which forward left in the buffer;
-    # it takes no row max or row sum.
-    assert stats == []
-    assert logits == [8] * 6
+    # No row max, row sum or logits of its own: every block, the last one
+    # included, comes from the folded operands, in blocks of
+    # max(forward rows, floor) query rows.
+    assert stats == logits == []
+    assert folded == {4: [8] * 6 + [2], 16: [16] * 3 + [2], 64: [50]}[floor]
+
+
+@pytest.mark.parametrize("max_logit", [None, 900.0])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("c", [None, 0.4])
+def test_attention_thin_forward_blocks_take_floor_row_backward_blocks(monkeypatch, max_logit,
+                                                                      shared, c):
+    # 40 queries over 40 (shared) or 43 keys: forward blocks of 2 or 1 rows,
+    # as at large M; backward blocks of 16, 16 and 8 rows.
+    want = _attention_run(_attention_chain_then_blend, 40, shared, c, max_logit=max_logit)
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 80)
+    monkeypatch.setattr(T, "ATTENTION_BACKWARD_ROWS", 16)
+    forward_rows = _count_attention_blocks(monkeypatch)
+    backward_rows = _count_attention_blocks(monkeypatch, "_folded_exps")
+    got = _attention_run(T.attention, 40, shared, c, max_logit=max_logit)
+    assert forward_rows == ([2] * 20 if shared else [1] * 40)
+    assert backward_rows == [16, 16, 8]
+    _assert_attention_runs_close(got, want)
+
+
+def test_attention_keeps_no_block_buffer():
+    n, m, d, dv = 300, 400, 5, 4
+    rng = np.random.default_rng(23)
+    q, k, v = (tensor(rng.normal(size=s)) for s in ((n, d), (m, d), (m, dv)))
+    kept, nodes = _kept_bytes(lambda: T.attention(q, k, v, 0.4))
+    assert [node.op for node in nodes] == ["attention"]
+    # The N x Dv output, the two N x 1 row statistics and bookkeeping; its
+    # one 300 x 400 forward block alone would be 960,000 bytes.
+    assert n * dv * 8 <= kept < (n + m) * (d + dv) * 8
 
 
 @pytest.mark.parametrize("shared", [True, False])
