@@ -4,10 +4,13 @@
 For each N it draws q, k (N x 16) and v (N x 32) from a fixed seed. Each
 repeat runs one taped ``tensor.attention(q, k, v, 0.25)`` (forward), then
 that node's backward closure on a fixed output gradient (backward). One
-untimed repeat per N runs first. The script prints one JSON line: the min
-and the median in ms of each side at each N and the query rows of that
-N's forward and backward blocks, with the Python, numpy and BLAS versions
-and the BLAS thread count taken from the environment, e.g.
+untimed repeat per N runs first. Before timing it sets glibc's malloc
+thresholds as ``train()`` does, so freed block buffers stay mapped and the
+small-N rows time the kernel, not page faults. The script prints one JSON
+line: the min and the median in ms of each side at each N and the query
+rows of that N's blocks (both sides walk the same ones), with the Python,
+numpy and BLAS versions and the BLAS thread count taken from the
+environment, e.g.
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/time_attention.py --repeats 9
 """
@@ -25,6 +28,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from flowagg import tensor as T
+from flowagg import train
 
 QK_DIM, VALUE_DIM, SCALE = 16, 32, 0.25
 
@@ -45,8 +49,7 @@ def time_one_size(n: int, repeats: int) -> dict:
         if i:
             fwd_ms.append(1e3 * (t1 - t0))
             bwd_ms.append(1e3 * (t2 - t1))
-    fwd_rows, bwd_rows = T.attention_block_rows(n, n)
-    row = {"n": n, "fwd_block_rows": fwd_rows, "bwd_block_rows": bwd_rows}
+    row = {"n": n, "block_rows": T.attention_block_rows(n, n)}
     for side, samples in (("fwd", fwd_ms), ("bwd", bwd_ms)):
         row[f"{side}_ms_min"] = round(min(samples), 3)
         row[f"{side}_ms_median"] = round(statistics.median(samples), 3)
@@ -62,6 +65,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1 or min(args.sizes) < 1:
         parser.error("--repeats and every size must be at least 1")
+    train._keep_freed_heap_mapped()
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     print(json.dumps({
         "python": platform.python_version(),

@@ -125,12 +125,13 @@ class AttentionMap:
 
     The default global route keeps no N x N array, on the tape or here:
     each read of global_weights recomputes, from that call's q and k and
-    with no tape node, the shifted exponentials E and row sums that the
-    route's kernel formed, and returns E / rowsum as a fresh N x N array
-    (the route itself divides only its output); past
-    DENSE_WEIGHTS_MAX_BYTES it raises ShapeError before allocating. With
-    use_weight_mlp the weights are a tape output, and the read returns
-    that array.
+    with no tape node, the shifted exponentials E and row sums of the
+    route's kernel (its bytes at every size the tests and goldens run, to
+    rounding in general, since the kernel forms logits in blocks), and
+    returns E / rowsum as a fresh N x N array (the route itself divides
+    only its output); past DENSE_WEIGHTS_MAX_BYTES it raises ShapeError
+    before allocating. With use_weight_mlp the weights are a tape output,
+    and the read returns that array.
     """
 
     global_reader: Callable[[], np.ndarray] | None

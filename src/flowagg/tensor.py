@@ -23,11 +23,11 @@ map) and ``local_aggregate`` (gather, weight and sum neighbour rows, with
 no N·k row array on the tape). The other two sum in another order and
 agree with their chains to rounding: ``score_layer`` (the local scores'
 first layer, without the N·k x (De + 2Dc) concatenated input and with no
-gradient for the constant context) and ``attention`` (blocked softmax
-attention with no N x N array: it keeps each row's softmax statistics and
-no block, and backward recomputes every block in two matmuls that fold in
-the scale, the row max and the softmax row term). The chain ops stay
-public; other routes and the tests use them.
+gradient for the constant context) and ``attention`` (softmax attention
+in query-row blocks that both passes walk, with no N x N array: it keeps
+each row's softmax statistics and no block, and backward recomputes every
+block in two matmuls that fold in the scale, the row max and the softmax
+row term). The chain ops stay public; other routes and the tests use them.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -565,21 +565,20 @@ def attention_weights_data(q, k, c: float | None = None) -> np.ndarray:
                                                    None if c is None else float(c)))
 
 
-# Elements of one forward block of attention weights (query rows x keys).
-# Every per-block array then stays below 1 MiB, glibc malloc's mmap
-# threshold when it is pinned there, so the blocks reuse heap memory
-# instead of mapping fresh pages.
+# Elements of one block of attention weights (query rows x keys). While
+# they set the block (M up to 2040), every per-block array stays below
+# 1 MiB, glibc malloc's mmap threshold when pinned there, so blocks reuse
+# heap memory instead of mapping fresh pages.
 ATTENTION_BLOCK_ELEMS = (1 << 17) - 512
-# Fewest query rows in a backward block. Each block adds an M x Dv partial
-# into dv and a D x M one into dkᵀ, which thin blocks would repeat.
-ATTENTION_BACKWARD_ROWS = 64
+# Fewest query rows in a block; it sets the block past M = 2040. Each
+# backward block adds M x Dv and D x M partials into dv and dkᵀ.
+ATTENTION_MIN_ROWS = 64
 
 
-def attention_block_rows(n: int, m: int) -> tuple[int, int]:
-    """Query rows per forward and per backward block of :func:`attention`
-    for n queries over m keys."""
-    rows = min(n, max(1, ATTENTION_BLOCK_ELEMS // m))
-    return rows, min(n, max(rows, ATTENTION_BACKWARD_ROWS))
+def attention_block_rows(n: int, m: int) -> int:
+    """Query rows per block of :func:`attention`, in forward and backward
+    alike, for n queries over m keys."""
+    return min(n, max(ATTENTION_MIN_ROWS, ATTENTION_BLOCK_ELEMS // m))
 
 
 def _folded_exps(qa_rows: np.ndarray, ka: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -593,37 +592,37 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
     in O(N + M) memory.
 
     q is N x D, k is M x D and v is M x Dv; the scale is skipped when `c`
-    is None. Forward runs over blocks of query rows, each of at most
-    ATTENTION_BLOCK_ELEMS weights, in one buffer it allocates per call. Per
-    block it forms the shifted exponentials E = exp(l - rowmax) of the
-    logits l, stores each row's max of l and sum of E, and writes E @ v
-    into the output rows; one divide by the row sums on N x Dv then
-    normalises the output, so no pass divides N x M weights. The node keeps
-    q, k, v and the two N x 1 row statistics, and no block buffer.
+    is None. Both passes walk the same blocks of query rows
+    (:func:`attention_block_rows`). Forward fills one buffer it allocates
+    per call: per block it forms the shifted exponentials E = exp(l -
+    rowmax) of the logits l, stores each row's max of l and sum of E, and
+    writes E @ v into the output rows; one divide by the row sums on N x Dv
+    then normalises the output, so no pass divides N x M weights. The node
+    keeps q, k, v and the two N x 1 row statistics, and no block buffer.
 
-    Backward recomputes every block's E, in blocks of at least
-    ATTENTION_BACKWARD_ROWS query rows (:func:`attention_block_rows`) and
-    two buffers of its own. With gs = g / rowsum and Dp = rowsum(gs ∘ y),
-    it builds four operands once, so that the row terms ride in two block
-    products: E = exp([c·q | -rowmax] @ [kᵀ; 1]) and gs vᵀ - Dp =
-    [gs | -Dp] @ [vᵀ; 1]. Their product is the logit gradient dS, so
-    dq = c dS k, dv += Eᵀ gs and dkᵀ += (c·q)ᵀ dS. This is FlashAttention's
-    recompute (Dao et al. 2022) with FlashAttention-2's kept row statistics
-    and row term D = rowsum(dO ∘ O) (Dao 2023, arXiv 2307.08691): backward
-    takes no row max or row sum and forms no softmax weights.
+    Backward recomputes every block's E in two buffers of its own. With
+    gs = g / rowsum and Dp = rowsum(gs ∘ y), it builds four operands once,
+    so that the row terms ride in two block products: E = exp([c·q |
+    -rowmax] @ [kᵀ; 1]) and gs vᵀ - Dp = [gs | -Dp] @ [vᵀ; 1]. Their
+    product is the logit gradient dS, so dq = c dS k, dv += Eᵀ gs and dkᵀ
+    += (c·q)ᵀ dS. This is FlashAttention's recompute (Dao et al. 2022) with
+    FlashAttention-2's kept row statistics and row term D = rowsum(dO ∘ O)
+    (Dao 2023, arXiv 2307.08691): backward takes no row max or row sum and
+    forms no softmax weights.
 
-    Forward's E, rowmax and rowsum are those of the chain's softmax_rows,
-    bit for bit, and no output row depends on the blocking. Output and
-    gradients agree with the chain to rounding (about 1e-15 relative), not
-    bit for bit; over several blocks the k and v gradients are also sums
-    over blocks.
+    At every size the tests and goldens run, forward's E, rowmax and
+    rowsum are the chain's softmax_rows bytes and no output row depends on
+    the blocking; in general both hold to rounding, since the BLAS may
+    round a row of q kᵀ or E @ v differently at another block height.
+    Output and gradients agree with the chain to rounding (about 1e-15
+    relative); over several blocks the k and v gradients are block sums.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
     _check_attention("attention", qd, kd, vd)
     c = None if c is None else float(c)
     n, m = qd.shape[0], kd.shape[0]
-    rows, brows = attention_block_rows(n, m)
+    rows = attention_block_rows(n, m)
     rowmax, rowsum = np.empty((n, 1)), np.empty((n, 1))
 
     def fwd():
@@ -644,9 +643,9 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
         ka, va = np.vstack((kd.T, np.ones(m))), np.vstack((vd.T, np.ones(m)))
         dq, dkt, dv = np.empty(qd.shape), np.zeros(kd.T.shape), np.zeros(vd.shape)
         kpart, vpart = np.empty_like(dkt), np.empty_like(dv)
-        ebuf, dbuf = np.empty((brows, m)), np.empty((brows, m))
-        for r0 in range(0, n, brows):
-            r1 = min(r0 + brows, n)
+        ebuf, dbuf = np.empty((rows, m)), np.empty((rows, m))
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
             e = _folded_exps(qa[r0:r1], ka, ebuf[:r1 - r0])
             ds = np.matmul(ga[r0:r1], va, out=dbuf[:r1 - r0])
             ds *= e

@@ -684,9 +684,11 @@ def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
     one_block = _attention_run(T.attention, 50, shared, c, extra_keys=0)
     # 8-row blocks over 50 queries: six full blocks and one of 2 rows.
     monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
+    monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
     rows = _count_attention_blocks(monkeypatch)
+    folded = _count_attention_blocks(monkeypatch, "_folded_exps")
     blocked = _attention_run(T.attention, 50, shared, c, extra_keys=0)
-    assert rows == [8] * 6 + [2]
+    assert rows == folded == [8] * 6 + [2]
     # Every output row comes from the same expressions whatever the block;
     # the k and v gradients are sums over blocks.
     assert blocked[0].tobytes() == one_block[0].tobytes()
@@ -696,9 +698,10 @@ def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
 @pytest.mark.parametrize("floor", [4, 16, 64])
 def test_attention_backward_recomputes_every_block_from_folded_operands(monkeypatch, floor):
     monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
-    monkeypatch.setattr(T, "ATTENTION_BACKWARD_ROWS", floor)
+    monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", floor)
     rng = np.random.default_rng(20)
     q, v = tensor(rng.normal(size=(50, 5))), tensor(rng.normal(size=(50, 4)))
+    forward_rows = _count_attention_blocks(monkeypatch)
     with Tape() as tape:
         out = T.attention(q, q, v, 0.4)
     stats = _count_attention_blocks(monkeypatch)
@@ -706,28 +709,36 @@ def test_attention_backward_recomputes_every_block_from_folded_operands(monkeypa
     folded = _count_attention_blocks(monkeypatch, "_folded_exps")
     tape.nodes[-1].backward_fn(rng.normal(size=out.shape))
     # No row max, row sum or logits of its own: every block, the last one
-    # included, comes from the folded operands, in blocks of
-    # max(forward rows, floor) query rows.
+    # included, comes from the folded operands, in forward's blocks of
+    # max(8, floor) query rows.
     assert stats == logits == []
-    assert folded == {4: [8] * 6 + [2], 16: [16] * 3 + [2], 64: [50]}[floor]
+    assert folded == forward_rows == {4: [8] * 6 + [2], 16: [16] * 3 + [2], 64: [50]}[floor]
 
 
 @pytest.mark.parametrize("max_logit", [None, 900.0])
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("c", [None, 0.4])
-def test_attention_thin_forward_blocks_take_floor_row_backward_blocks(monkeypatch, max_logit,
-                                                                      shared, c):
-    # 40 queries over 40 (shared) or 43 keys: forward blocks of 2 or 1 rows,
-    # as at large M; backward blocks of 16, 16 and 8 rows.
+def test_attention_both_passes_walk_blocks_of_16_16_and_8_rows(monkeypatch, max_logit,
+                                                                shared, c):
+    # 40 queries over 40 (shared) or 43 keys: the element budget alone
+    # would give blocks of 2 or 1 rows, as at large M; the 16-row floor
+    # gives both passes blocks of 16, 16 and 8 rows.
     want = _attention_run(_attention_chain_then_blend, 40, shared, c, max_logit=max_logit)
     monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 80)
-    monkeypatch.setattr(T, "ATTENTION_BACKWARD_ROWS", 16)
+    monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 16)
     forward_rows = _count_attention_blocks(monkeypatch)
     backward_rows = _count_attention_blocks(monkeypatch, "_folded_exps")
     got = _attention_run(T.attention, 40, shared, c, max_logit=max_logit)
-    assert forward_rows == ([2] * 20 if shared else [1] * 40)
-    assert backward_rows == [16, 16, 8]
+    assert forward_rows == backward_rows == [16, 16, 8]
     _assert_attention_runs_close(got, want)
+
+
+def test_attention_block_rows_at_benchmark_and_golden_sizes():
+    # One block at N=200 (the goldens, train_local_n200), 65 rows at
+    # N=2000 (train_global_n2000), the 64-row floor at N=16384.
+    assert T.attention_block_rows(200, 200) == 200
+    assert T.attention_block_rows(2000, 2000) == 65
+    assert T.attention_block_rows(16384, 16384) == 64
 
 
 def test_attention_keeps_no_block_buffer():
@@ -940,7 +951,9 @@ def test_replay_detects_a_mutated_input():
 @pytest.mark.parametrize("block_elems", [None, 3 * 12])
 def test_attention_replays_and_backpropagates_twice(monkeypatch, block_elems):
     if block_elems is not None:
-        monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", block_elems)   # 4 blocks
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", block_elems)
+        monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
+        assert T.attention_block_rows(10, 12) == 3   # blocks of 3, 3, 3 and 1 rows
     rng = np.random.default_rng(16)
     for mutated in range(3):
         ops = [tensor(rng.normal(size=(10, 3)), trainable=True),
@@ -949,8 +962,6 @@ def test_attention_replays_and_backpropagates_twice(monkeypatch, block_elems):
         with Tape() as tape:
             out = T.attention(*ops, 0.5)
             loss = T.reduce_sum(T.mul(out, out))
-        # Backward leaves the buffer at another block than forward did;
-        # a second backward must still see each block's own weights.
         first, second = (backward(tape, loss) for _ in range(2))
         for t in ops:
             assert first.wrt(t).tobytes() == second.wrt(t).tobytes()
