@@ -343,17 +343,15 @@ class SceneInputs:
     disable_local):
 
     * disp: the N·k x 3 displacement table, neighbour endpoint minus point;
-    * context_j: the N·k x Dc context rows of the neighbours,
-      ``context[rows]``, which the score layer reads in backward (it
-      takes point i's own context from `context`);
-    * rows: the flattened neighbour table as a :class:`.tensor.RowIndex`.
+    * rows: the flattened neighbour table as a :class:`.tensor.RowIndex`,
+      through which the score layer reads the neighbours' context rows
+      and the weighted sum reads their value rows.
     """
 
     config: AggregatorConfig
     context: Tensor
     motion: Tensor
     disp: Tensor | None = None
-    context_j: Tensor | None = None
     rows: T.RowIndex | None = None
 
 
@@ -407,7 +405,7 @@ def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex |
     if not np.isfinite(disp).all():
         raise ValueError("the displacement table (neighbour minus point) is not finite: "
                          "the point coordinates overflow float64 when subtracted")
-    return dict(disp=T.tensor(disp), context_j=Tensor(feats.context[rows.flat]), rows=rows)
+    return dict(disp=T.tensor(disp), rows=rows)
 
 
 def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
@@ -417,11 +415,12 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
 
     The score of neighbour j of point i is an MLP over [encoded
     displacement, context_j, context_i], from the constants in `inputs`.
-    Its first layer is one :func:`.tensor.score_layer` node, which never
-    builds that N·k x (De + 2Dc) input; the other layers are
-    :func:`.tensor.linear` nodes. The weighted sum of value rows is one
-    :func:`.tensor.local_aggregate` node, so no N·k x Dm array of
-    gathered or weighted rows stays on the tape.
+    Its first layer is one :func:`.tensor.score_layer` node, which picks
+    the neighbours' context rows out of `inputs.context` through
+    `inputs.rows` and never builds that N·k x (De + 2Dc) input; the other
+    layers are :func:`.tensor.linear` nodes. The weighted sum of value
+    rows is one :func:`.tensor.local_aggregate` node, so no N·k x Dm
+    array of gathered or weighted rows stays on the tape.
 
     Returns (g_local: N x Dm, local_weights: N x k).
     """
@@ -429,8 +428,7 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
     k = inputs.rows.flat.size // n
     enc = T.mlp_forward(params.disp_encoder, inputs.disp)
     (w0, b0), *rest = params.score.layers
-    h = T.score_layer(enc, w0, b0, inputs.context, inputs.context_j, inputs.rows,
-                      relu=bool(rest))
+    h = T.score_layer(enc, w0, b0, inputs.context, inputs.rows, relu=bool(rest))
     for i, (w, b) in enumerate(rest, start=1):
         h = T.linear(h, w, b, relu=i != len(rest))
     weights = T.softmax_rows(T.reshape(h, (n, k)))

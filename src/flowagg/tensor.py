@@ -279,41 +279,41 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
     return _record("linear", (b, x, w), fwd, bwd)
 
 
-def score_layer(enc, w, b, context, context_j, rows, relu: bool = False) -> Tensor:
+def score_layer(enc, w, b, context, rows, relu: bool = False) -> Tensor:
     """The first layer of the local scores as one tape node: ``linear(
     concat_cols([enc, context[rows], repeat(context, k)]), w, b, relu)``
     without the N·k x (De + 2Dc) input.
 
-    enc is the N·k x De encoded displacement table, `rows` the N·k
+    enc is the N·k x De encoded displacement table and `rows` the N·k
     neighbour rows of the N x Dc `context` (a :class:`RowIndex`, or
-    anything else, which becomes ``RowIndex(rows)`` on entry), and
-    `context_j` equals ``context[rows]``, built once by the caller. w is
+    anything else, which becomes ``RowIndex(rows)`` on entry). w is
     (De + 2Dc) x H and splits by rows into W_e, W_j and W_i; forward
     computes ``enc @ W_e + (context @ W_j)[rows] + repeat(context @ W_i,
     k) + b`` in one buffer, then ReLU when `relu` is set.
 
     Only enc, w and b get gradients; the node's inputs are (b, enc, w), in
-    :func:`linear`'s order. context, context_j and rows are closed-over
-    constants, like :func:`scale`'s c, so backward forms no gradient for
-    them and scatters nothing: W_j's gradient is ``context_jᵀ g`` and
-    W_i's is ``contextᵀ`` times g summed over each point's k rows. The
-    node keeps only its output y and reads the ReLU mask from ``y > 0``.
-    The sums run in another order than the chain's, so output and
-    gradients agree with it to rounding, not bit for bit.
+    :func:`linear`'s order. context and rows are closed-over constants,
+    like :func:`scale`'s c, so backward forms no gradient for them and
+    scatters nothing. W_j's gradient is ``context[rows]ᵀ g``: backward
+    gathers the neighbours' context rows again, as :func:`local_aggregate`
+    regathers v's rows, and drops them after the product. W_i's is
+    ``contextᵀ`` times g summed over each point's k rows. The node keeps
+    only its output y and reads the ReLU mask from ``y > 0``. The sums run
+    in another order than the chain's, so output and gradients agree with
+    it to rounding, not bit for bit.
     """
     enc, w, b = _as_tensor(enc), _as_tensor(w), _as_tensor(b)
     ed, wd, bd = enc.data, w.data, b.data
-    cd, cjd = _as_tensor(context).data, _as_tensor(context_j).data
+    cd = _as_tensor(context).data
     if cd.ndim != 2 or cd.shape[0] == 0:
         raise ShapeError(f"score_layer: context {cd.shape} must be N x Dc with N >= 1")
     rows = _row_index("score_layer", rows, cd.shape[0])
     (n, dc), nk = cd.shape, rows.flat.size
-    if (not nk or nk % n or ed.ndim != 2 or ed.shape[0] != nk or cjd.shape != (nk, dc)
+    if (not nk or nk % n or ed.ndim != 2 or ed.shape[0] != nk
             or wd.ndim != 2 or wd.shape[0] != ed.shape[1] + 2 * dc
             or bd.shape != (wd.shape[1],)):
         raise ShapeError(f"score_layer: incompatible shapes enc {ed.shape}, w {wd.shape}, "
-                         f"b {bd.shape}, context {cd.shape}, context_j {cjd.shape} "
-                         f"for {nk} neighbour rows")
+                         f"b {bd.shape}, context {cd.shape} for {nk} neighbour rows")
     de, k, h = ed.shape[1], nk // n, wd.shape[1]
     w_e, w_j, w_i = wd[:de], wd[de:de + dc], wd[de + dc:]
 
@@ -332,7 +332,7 @@ def score_layer(enc, w, b, context, context_j, rows, relu: bool = False) -> Tens
             g = g * (y > 0.0)
         gw = np.empty_like(wd)
         np.matmul(ed.T, g, out=gw[:de])
-        np.matmul(cjd.T, g, out=gw[de:de + dc])
+        np.matmul(cd[rows.flat].T, g, out=gw[de:de + dc])
         np.matmul(cd.T, g.reshape(n, k, h).sum(axis=1), out=gw[de + dc:])
         return g.sum(axis=0), g @ w_e.T, gw
     return _record("score_layer", (b, enc, w), fwd, bwd)
@@ -684,10 +684,6 @@ class MlpParams:
                     f"layer {i}: input dim {w.shape[0]} does not chain with "
                     f"previous output dim {self.layers[i - 1][0].shape[1]}")
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0][0].data.shape[0]
-
     def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for i, (w, b) in enumerate(self.layers):
             yield f"{prefix}.w{i}", w
@@ -697,10 +693,6 @@ class MlpParams:
 def mlp_forward(p: MlpParams, x) -> Tensor:
     """Affine / ReLU chain; the final layer has no activation. Each layer
     is one :func:`linear` node, which tapes only the layer's output."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != p.in_dim:
-        raise ShapeError(f"mlp_forward: input {x.shape} does not match first layer "
-                         f"of width {p.in_dim}")
     h = x
     last = len(p.layers) - 1
     for i, (w, b) in enumerate(p.layers):

@@ -15,6 +15,7 @@ from flowagg.aggregator import (
     DENSE_WEIGHTS_MAX_BYTES,
     AggregatorConfig,
     FeatureSet,
+    SceneInputs,
     aggregate_global,
     aggregate_local,
     forward,
@@ -152,10 +153,17 @@ def test_local_scores_match_the_concat_mlp_at_every_depth(score_hidden):
     v = T.matmul(inputs.motion, params.v_proj)
     _, weights = aggregate_local(params, inputs, v)
     enc = T.mlp_forward(params.disp_encoder, inputs.disp)
-    own = np.repeat(feats.context, cfg.k, axis=0)
-    scores = T.mlp_forward(params.score, T.concat_cols([enc, inputs.context_j, tensor(own)]))
+    nbr, own = feats.context[nbrs.indices.ravel()], np.repeat(feats.context, cfg.k, axis=0)
+    scores = T.mlp_forward(params.score, T.concat_cols([enc, tensor(nbr), tensor(own)]))
     want = T.softmax_rows(T.reshape(scores, (10, cfg.k))).data
     np.testing.assert_allclose(weights.data, want, rtol=1e-12, atol=1e-15)
+
+
+def test_scene_inputs_hold_no_neighbour_rows_but_the_index():
+    # The neighbour rows have one home, `rows`; the score layer reads the
+    # neighbours' context through it rather than from a prepared copy.
+    assert [f.name for f in dataclasses.fields(SceneInputs)] == [
+        "config", "context", "motion", "disp", "rows"]
 
 
 def test_alpha_zero_is_bitwise_identity():

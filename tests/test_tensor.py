@@ -75,6 +75,13 @@ def test_mlp_matches_loop_oracle():
     np.testing.assert_allclose(got, oracles.mlp_loops(layers, x), rtol=0, atol=1e-12)
 
 
+def test_mlp_forward_rejects_an_input_its_first_layer_cannot_take():
+    p = MlpParams([(tensor(np.ones((4, 2))), tensor(np.zeros(2)))])
+    for x in (np.ones((5, 3)), np.ones(4)):
+        with pytest.raises(ShapeError):
+            T.mlp_forward(p, tensor(x))
+
+
 def _identity_head(d):
     return NormActParams(
         weight=tensor(np.eye(d), trainable=True),
@@ -473,11 +480,6 @@ def _score_layer_chain(enc, w, b, context, idx, relu=False):
                     w, b, relu=relu)
 
 
-def _score_layer(enc, w, b, context, idx, relu=False):
-    return T.score_layer(enc, w, b, context, context.data[idx.ravel()], T.RowIndex(idx),
-                         relu=relu)
-
-
 def _score_case(case, rng):
     """(enc, w, b, context, index) for `case`; enc, w and b trainable."""
     if case == "self_neighbours":
@@ -511,7 +513,7 @@ def test_score_layer_matches_concat_linear_chain(case, relu):
         grads = backward(tape, loss)
         return [y.data] + [grads.wrt(t) for t in (enc, w, b)]
 
-    fused, chain = run(_score_layer), run(_score_layer_chain)
+    fused, chain = run(T.score_layer), run(_score_layer_chain)
     # The sums run in another order, so the two agree to rounding only.
     for got, want in zip(fused, chain):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -527,9 +529,29 @@ def test_grad_score_layer(relu):
     idx = np.array([[1, 1], [0, 2], [2, 0]])
     context, upstream = tensor(rng.normal(size=(3, 2))), tensor(rng.normal(size=(6, 4)))
     _assert_grads_match(
-        lambda te, tw, tb: T.reduce_sum(T.mul(_score_layer(te, tw, tb, context, idx, relu),
+        lambda te, tw, tb: T.reduce_sum(T.mul(T.score_layer(te, tw, tb, context, idx, relu),
                                               upstream)),
         rng.normal(size=(6, 3)), rng.normal(size=(7, 4)), rng.normal(size=4))
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("case", ["duplicates", "self_neighbours", "k_one"])
+def test_score_layer_w_gradient_is_three_stacked_products(case, relu):
+    # The bytes that keep params.gtc fixed: W_e, W_j and W_i's blocks are
+    # these three products, in this order of summation.
+    rng = np.random.default_rng(len(case))
+    enc, w, b, context, idx = _score_case(case, rng)
+    (n, k), h = idx.shape, w.shape[1]
+    upstream = rng.normal(size=(n * k, h))
+    with Tape() as tape:
+        y = T.score_layer(enc, w, b, context, idx, relu=relu)
+    [node] = tape.nodes
+    _, _, gw = node.backward_fn(upstream)
+    g = upstream * (y.data > 0.0) if relu else upstream
+    cd = context.data
+    want = np.vstack([enc.data.T @ g, cd[idx.ravel()].T @ g,
+                      cd.T @ g.reshape(n, k, h).sum(axis=1)])
+    assert gw.tobytes() == want.tobytes()
 
 
 def test_score_layer_keeps_only_its_output():
@@ -537,8 +559,8 @@ def test_score_layer_keeps_only_its_output():
     rng = np.random.default_rng(24)
     enc, w, b = (tensor(rng.normal(size=s)) for s in ((n * k, de), (de + 2 * dc, h), (h,)))
     context, idx = tensor(rng.normal(size=(n, dc))), rng.integers(0, n, size=(n, k))
-    context_j, rows = tensor(context.data[idx.ravel()]), T.RowIndex(idx)
-    kept, nodes = _kept_bytes(lambda: T.score_layer(enc, w, b, context, context_j, rows, True))
+    rows = T.RowIndex(idx)
+    kept, nodes = _kept_bytes(lambda: T.score_layer(enc, w, b, context, rows, True))
     assert [node.op for node in nodes] == ["score_layer"]
     # The chain also keeps the N·k x (De + 2Dc) input and the gathered rows.
     assert n * k * h * 8 <= kept < 1.1 * n * k * h * 8
@@ -547,14 +569,12 @@ def test_score_layer_keeps_only_its_output():
 def test_score_layer_rejects_mismatched_operands():
     enc, w, b = np.zeros((6, 3)), np.zeros((7, 4)), np.zeros(4)
     context, idx = np.zeros((3, 2)), np.zeros(6, dtype=int)
-    context_j = context[idx]
-    for bad in ((enc[:5], w, b, context, context_j, idx),
-                (enc, w[:6], b, context, context_j, idx),
-                (enc, w, b[:3], context, context_j, idx),
-                (enc, w, b, context, context_j[:, :1], idx),
-                (enc, w, b, context, context_j, np.full(6, 3)),
-                (enc[:4], w, b, context, context_j[:4], idx[:4]),
-                (enc[:0], w, b, context, context_j[:0], idx[:0])):
+    for bad in ((enc[:5], w, b, context, idx),
+                (enc, w[:6], b, context, idx),
+                (enc, w, b[:3], context, idx),
+                (enc, w, b, context, np.full(6, 3)),
+                (enc[:4], w, b, context, idx[:4]),
+                (enc[:0], w, b, context, idx[:0])):
         with pytest.raises(ShapeError):
             T.score_layer(*bad)
 
@@ -795,7 +815,7 @@ def test_softmax_backward_leaves_incoming_gradient_untouched():
                   lambda: T.attention(x, x, x, 0.5),
                   lambda: T.linear(T.transpose2(x), x, x.data[0], relu=True),
                   lambda: T.local_aggregate(x, x, np.arange(18) % 6),
-                  lambda: T.score_layer(x, T.reshape(x, (9, 2)), x.data[0, :2], x, x.data,
+                  lambda: T.score_layer(x, T.reshape(x, (9, 2)), x.data[0, :2], x,
                                         np.arange(6), relu=True)):
         with Tape() as tape:
             build()
@@ -902,7 +922,7 @@ def test_replay_reproduces_outputs_bitwise():
                                   T.RowIndex([1, 1, 0, 3] * 4))
         idx = [1, 1, 0, 3, 2, 2, 0, 1]
         T.score_layer(T.reshape(cat, (8, 6)), tensor(rng.normal(size=(14, 3))),
-                      tensor(rng.normal(size=3)), a, a.data[idx], idx, relu=True)
+                      tensor(rng.normal(size=3)), a, idx, relu=True)
         T.add(T.reduce_sum(T.add(col, T.mul(col, col))), T.reduce_sum(blend))
     # Every op name that tensor.py records is on this one tape, and linear
     # with and without ReLU.
@@ -933,7 +953,7 @@ def test_replay_detects_a_mutated_input():
                lambda a, b: T.softmax_rows(a), lambda a, b: T.linear(a, b, b.data[0]),
                lambda a, b: T.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1])),
                lambda a, b: T.score_layer(a, tensor(np.ones((9, 2))), tensor(np.ones(2)),
-                                          b, b.data[[2, 0, 1]], [2, 0, 1])):
+                                          b, [2, 0, 1])):
         a = tensor(rng.normal(size=(3, 3)))
         b = tensor(rng.normal(size=(3, 3)))
         with Tape() as tape:

@@ -233,8 +233,9 @@ def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
         leaves.append({t for node in tape.nodes for t in node.inputs
                        if t not in outputs and not t.trainable})
     # Every constant leaf is built once per run and shared by all steps:
-    # the prepared constants and the loss target. The score layer closes
-    # over context_j, which is no node's input.
+    # the prepared constants and the loss target. The score layer reads the
+    # neighbours' context rows through the row index, which is no node's
+    # input.
     assert leaves[0] == leaves[1] == leaves[2]
     assert constants <= leaves[0]
     assert [t.shape for t in leaves[0] - constants] == [(200, 3)]
