@@ -417,9 +417,9 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
     displacement, context_j, context_i], from the constants in `inputs`.
     Its first layer is one :func:`.tensor.score_layer` node, which picks
     the neighbours' context rows out of `inputs.context` through
-    `inputs.rows` and never builds that N·k x (De + 2Dc) input; the other
-    layers are :func:`.tensor.linear` nodes. The weighted sum of value
-    rows is one :func:`.tensor.local_aggregate` node, so no N·k x Dm
+    `inputs.rows` and never builds that N·k x (De + 2Dc) input; the layers
+    after it run through :func:`.tensor.mlp_forward`. The weighted sum of
+    value rows is one :func:`.tensor.local_aggregate` node, so no N·k x Dm
     array of gathered or weighted rows stays on the tape.
 
     Returns (g_local: N x Dm, local_weights: N x k).
@@ -429,8 +429,7 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
     enc = T.mlp_forward(params.disp_encoder, inputs.disp)
     (w0, b0), *rest = params.score.layers
     h = T.score_layer(enc, w0, b0, inputs.context, inputs.rows, relu=bool(rest))
-    for i, (w, b) in enumerate(rest, start=1):
-        h = T.linear(h, w, b, relu=i != len(rest))
+    h = T.mlp_forward(MlpParams(rest), h)
     weights = T.softmax_rows(T.reshape(h, (n, k)))
     return T.local_aggregate(weights, v, inputs.rows), weights
 

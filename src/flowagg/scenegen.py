@@ -526,23 +526,40 @@ def scene_from_tensors(named: dict[str, np.ndarray]) -> SyntheticScene:
     Values loaded from disk have passed through 32-bit storage, so a
     loaded scene is self-consistent but not bit-equal to the generator's
     in-memory output; re-serializing it is byte-stable. Raises KeyError
-    on a missing tensor and ContainerError when a per-point tensor does
-    not have one row per frame-1 point.
+    on a missing tensor and ContainerError naming the tensor when a
+    per-point tensor does not have one row per frame-1 point, the mask or
+    the cluster ids are not a vector, a mask value is not exactly 0 or 1,
+    a cluster id is not a whole number in [0, N), or frame2 does not have
+    one row per unoccluded (mask 0) point.
     """
     missing = [t for t in SCENE_TENSORS if t not in named]
     if missing:
         raise KeyError(f"scene container is missing tensors: {missing}")
-    frame1 = PointCloud(named["frame1"])
+    frame1, frame2 = PointCloud(named["frame1"]), PointCloud(named["frame2"])
+    n = len(frame1)
     for name in SCENE_TENSORS[2:]:   # the per-point tensors, all but the two frames
-        if named[name].shape[:1] != (len(frame1),):
+        if named[name].shape[:1] != (n,):
             raise ContainerError(f"scene tensor {name!r} has shape {named[name].shape}, "
-                                 f"but frame1 has {len(frame1)} points")
+                                 f"but frame1 has {n} points")
+    mask, cluster_id = named["occlusion_mask"], named["cluster_id"]
+    if mask.ndim != 1 or cluster_id.ndim != 1:
+        raise ContainerError(f"scene tensors 'occlusion_mask' {mask.shape} and 'cluster_id' "
+                             f"{cluster_id.shape} must both have shape ({n},)")
+    if not ((mask == 0.0) | (mask == 1.0)).all():
+        raise ContainerError("scene tensor 'occlusion_mask' holds a value other than 0 or 1")
+    if not ((cluster_id == np.floor(cluster_id)) & (cluster_id >= 0) & (cluster_id < n)).all():
+        raise ContainerError(f"scene tensor 'cluster_id' holds a value that is not a whole "
+                             f"number in [0, {n})")
+    n_visible = np.count_nonzero(mask == 0.0)
+    if len(frame2) != n_visible:
+        raise ContainerError(f"scene tensor 'frame2' has {len(frame2)} points, but "
+                             f"occlusion_mask leaves {n_visible} unoccluded")
     return SyntheticScene(
         frame1=frame1,
-        frame2=PointCloud(named["frame2"]),
+        frame2=frame2,
         gt_flow=FlowField(named["gt_flow"]),
-        occlusion_mask=named["occlusion_mask"].astype(np.float64) != 0.0,
-        cluster_id=np.asarray(np.round(named["cluster_id"]), dtype=np.int64),
+        occlusion_mask=mask == 1.0,
+        cluster_id=cluster_id.astype(np.int64),
         context=np.ascontiguousarray(named["context"], dtype=np.float64),
         motion_in=np.ascontiguousarray(named["motion_in"], dtype=np.float64),
     )

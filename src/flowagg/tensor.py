@@ -668,21 +668,12 @@ class MlpParams:
     """Weights of a perceptron: ReLU on hidden layers, identity on output.
 
     ``layers`` is a list of (weight, bias) pairs; weight is Din x Dout and
-    bias has shape (Dout,). Consecutive layer dimensions must chain.
+    bias has shape (Dout,). Consecutive layers must chain (each Din is the
+    previous Dout); :func:`linear` raises ShapeError as the stack runs when
+    they do not. An empty list is the identity.
     """
 
     layers: list[tuple[Tensor, Tensor]]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ShapeError("MlpParams needs at least one layer")
-        for i, (w, b) in enumerate(self.layers):
-            if w.data.ndim != 2 or b.data.ndim != 1 or b.data.shape[0] != w.data.shape[1]:
-                raise ShapeError(f"layer {i}: weight {w.shape} and bias {b.shape} do not agree")
-            if i > 0 and self.layers[i - 1][0].data.shape[1] != w.data.shape[0]:
-                raise ShapeError(
-                    f"layer {i}: input dim {w.shape[0]} does not chain with "
-                    f"previous output dim {self.layers[i - 1][0].shape[1]}")
 
     def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for i, (w, b) in enumerate(self.layers):

@@ -134,6 +134,31 @@ def test_train_rejects_a_scene_with_a_short_cluster_id_before_training(tmp_path,
     assert not (out / "report.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("doctored", ["occlusion_mask", "cluster_id", "frame2"])
+def test_a_doctored_scene_exits_2_naming_the_tensor(tmp_path, light_cfg, command, doctored,
+                                                    capsys):
+    scene = tmp_path / "scene.gtc"
+    main(["gen", "--config", light_cfg, "--out", str(scene)])
+    named = read_container(str(scene))
+    if doctored == "frame2":
+        named["frame2"] = named["frame2"][:-1]
+    else:   # NaN on five visible points
+        named[doctored][np.flatnonzero(named["occlusion_mask"] == 0.0)[:5]] = np.nan
+    write_container(str(scene), [(name, named[name]) for name in SCENE_TENSORS])
+    pred = tmp_path / "pred.gtc"
+    write_container(str(pred), [("flow", named["gt_flow"])])
+    out = tmp_path / "run"
+    args = {"eval": ["eval", "--pred", str(pred), "--scene", str(scene)],
+            "train": ["train", "--config", light_cfg, "--scene", str(scene),
+                      "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert doctored in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_eval_scores_prediction(tmp_path, light_cfg, capsys):
     scene_path = tmp_path / "scene.gtc"
     main(["gen", "--config", light_cfg, "--out", str(scene_path)])

@@ -245,6 +245,32 @@ def test_scene_from_tensors_rejects_a_per_point_tensor_of_other_length(name):
             scene_from_tensors({**named, name: bad})
 
 
+@pytest.mark.parametrize("name, doctor", [
+    ("occlusion_mask", lambda m: np.where(m == 0.0, np.nan, m)),
+    ("occlusion_mask", lambda m: np.where(m == 1.0, 0.5, m)),
+    ("occlusion_mask", lambda m: np.where(m == 1.0, -3.0, m)),
+    ("cluster_id", lambda c: np.where(c == 0.0, np.nan, c)),
+    ("cluster_id", lambda c: np.where(c == 0.0, 1e30, c)),
+    ("cluster_id", lambda c: np.where(c == 0.0, np.inf, c)),
+    ("cluster_id", lambda c: c + 0.5),
+    ("cluster_id", lambda c: c - 1.0),
+    ("cluster_id", lambda c: np.full_like(c, c.size)),
+    ("frame2", lambda f: f[:-1]),
+    ("frame2", lambda f: np.vstack([f, f[:1]])),
+    ("occlusion_mask", np.ones_like),   # all occluded, but frame2 still holds points
+    ("occlusion_mask", lambda m: m[:, None]),
+    ("cluster_id", lambda c: np.stack([c, c], axis=1)),
+], ids=["mask-nan", "mask-half", "mask-negative", "cluster-nan", "cluster-1e30",
+        "cluster-inf", "cluster-fraction", "cluster-negative", "cluster-n", "frame2-short",
+        "frame2-long", "mask-all-occluded", "mask-column", "cluster-two-columns"])
+def test_scene_from_tensors_rejects_values_the_generator_cannot_write(name, doctor):
+    named = dict(scene_tensors(generate_scene(_cfg(occlusion_fraction=0.2,
+                                                   occlusion_mode="local"))))
+    scene_from_tensors(named)
+    with pytest.raises(ContainerError, match=name):
+        scene_from_tensors({**named, name: doctor(named[name])})
+
+
 def test_config_validation():
     with pytest.raises(GenerationError):
         _cfg(occlusion_fraction=1.5).validate()

@@ -1009,8 +1009,21 @@ def test_finite_diff_grad_flags_nonfinite_probe():
         finite_diff_grad(lambda v: float(np.log(v).sum()), np.array([1e-6, 1.0]))
 
 
-def test_mlp_params_validates_chain():
+def test_mlp_forward_rejects_layers_that_do_not_chain():
+    # MlpParams holds its layers unchecked; the layer that runs them,
+    # linear, rejects a bias of another width and a weight whose input
+    # width is not the previous layer's output width.
+    x = tensor(np.ones((2, 3)))
     w0 = tensor(np.zeros((3, 4)), trainable=True)
+    b0 = tensor(np.zeros(4), trainable=True)
     b_bad = tensor(np.zeros(5), trainable=True)
-    with pytest.raises(ShapeError):
-        MlpParams([(w0, b_bad)])
+    w1_bad = tensor(np.zeros((5, 2)), trainable=True)
+    b1 = tensor(np.zeros(2), trainable=True)
+    for layers in ([(w0, b_bad)], [(w0, b0), (w1_bad, b1)]):
+        with pytest.raises(ShapeError, match="linear"):
+            T.mlp_forward(MlpParams(layers), x)
+
+
+def test_mlp_forward_of_no_layers_is_the_identity():
+    x = tensor(np.arange(6.0).reshape(2, 3))
+    assert T.mlp_forward(MlpParams([]), x) is x

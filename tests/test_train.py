@@ -159,6 +159,15 @@ def test_gradcheck_default_passes():
     assert grad_check() < 1e-6
 
 
+@pytest.mark.parametrize("score_hidden", [(), (5, 3)])
+def test_gradcheck_passes_at_other_score_depths(score_hidden):
+    # The score MLP's layers after the first run through mlp_forward:
+    # none at (), two at (5, 3); the default (32,) runs one.
+    cfg = default_gradcheck_config()
+    cfg.module.score_hidden = score_hidden
+    assert grad_check(cfg) < 1e-6
+
+
 def test_gradcheck_flags_corrupted_gradient():
     assert grad_check(corrupt=True) > 1e-3
 
