@@ -56,6 +56,15 @@ def time_one_size(n: int, repeats: int) -> dict:
     return row
 
 
+def host_info() -> dict:
+    """The Python, numpy and BLAS versions, and the BLAS thread count
+    taken from the environment."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[200, 1000, 2000, 4000, 8192],
@@ -66,12 +75,8 @@ def main(argv=None) -> int:
     if args.repeats < 1 or min(args.sizes) < 1:
         parser.error("--repeats and every size must be at least 1")
     train._keep_freed_heap_mapped()
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     print(json.dumps({
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        **host_info(),
         "qk_dim": QK_DIM, "value_dim": VALUE_DIM, "c": SCALE, "repeats": args.repeats,
         "rows": [time_one_size(n, args.repeats) for n in args.sizes],
     }))

@@ -16,18 +16,24 @@ reachable from the loss, whether or not it was created with
 occurrence rounds, which a :class:`RowIndex` builds once for an index
 that many passes reuse.
 
-Four fused ops stand for op chains and keep only what their backward
-needs. Two give the chain's output bytes and gradients: ``linear``
-(matmul, bias add, optional ReLU; every MLP layer and the head's affine
-map) and ``local_aggregate`` (gather, weight and sum neighbour rows, with
-no N·k row array on the tape). The other two sum in another order and
-agree with their chains to rounding: ``score_layer`` (the local scores'
-first layer, without the N·k x (De + 2Dc) concatenated input and with no
-gradient for the constant context) and ``attention`` (softmax attention
-in query-row blocks that both passes walk, with no N x N array: it keeps
-each row's softmax statistics and no block, and backward recomputes every
-block in two matmuls that fold in the scale, the row max and the softmax
-row term). The chain ops stay public; other routes and the tests use them.
+Six fused ops stand for op chains and keep only what their backward
+needs. Four give the chain's output bytes and gradients: ``linear``
+(matmul, bias add, optional ReLU; every MLP layer and the decoder),
+``local_aggregate`` (gather, weight and sum neighbour rows, with no N·k
+row array on the tape), ``norm_act_head`` (the offset head's linear map,
+standardization, gain, shift and ReLU) and ``mean_sq_dist`` (the training
+loss). The other two sum in another order and agree with their chains to
+rounding: ``score_layer`` (the local scores' first layer, without the N·k
+x (De + 2Dc) concatenated input and with no gradient for the constant
+context) and ``attention`` (softmax attention in query-row blocks that
+both passes walk, with no N x N array: it keeps each row's softmax
+statistics and no block, and backward recomputes every block in two
+matmuls that fold in the scale, the row max and the softmax row term).
+The chain ops stay public: other routes and the tests use them, and the
+benchmark's tracer (``flowbench/tracer.py``) patches them by name, so a
+traced run fails with AttributeError if one is removed. ``sqrt``,
+``add_const``, ``concat_cols`` and ``gather_rows`` have no other caller
+in the package.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -693,7 +699,10 @@ def mlp_forward(p: MlpParams, x) -> Tensor:
 
 @dataclass
 class NormActParams:
-    """Linear map followed by per-feature standardization and ReLU."""
+    """Parameters of :func:`norm_act_head`: a linear map, then
+    per-feature standardization with a learnable gain and shift, then
+    ReLU. The head is one tape node whose inputs are (shift, gain, bias,
+    x, weight)."""
 
     weight: Tensor  # D x D
     bias: Tensor    # (D,)
@@ -710,22 +719,93 @@ class NormActParams:
 def norm_act_head(p: NormActParams, x) -> Tensor:
     """Linear map, then standardization over the rows of the current cloud
     (mean 0, variance 1 per feature, epsilon 1e-5 in the denominator, with
-    learnable gain/shift), then ReLU.
+    learnable gain/shift), then ReLU, as one tape node.
 
     Statistics are recomputed from the given rows every call; nothing is
     carried between calls, so the result is independent of batching. A
     constant feature column standardizes to zeros. Needs at least 2 rows.
+
+    The node stands for the chain ``z = linear(x, weight, bias)``, ``mean =
+    scale(reduce_sum(z, axis=0, keepdims=True), 1/n)``, ``centered = sub(z,
+    mean)``, ``var = scale(reduce_sum(mul(centered, centered), axis=0,
+    keepdims=True), 1/n)``, ``relu(add(mul(div(centered, sqrt(add_const(var,
+    eps))), gain), shift))``. Forward and backward repeat that chain's numpy
+    expressions in its order, so output and gradients are its bytes: the
+    two gradient terms that reach `centered` through ``mul`` are added to
+    the one from ``div``, and the one from ``reduce_sum`` to the one that
+    reaches z through ``sub``, in the order ``backward`` sums them. The
+    inputs are recorded as (shift, gain, bias, x, weight), the order in
+    which the chain's backward reaches them, so a tensor passed twice sums
+    its gradients in the chain's order. The node keeps its output, the
+    centered rows and the per-feature standard deviation; backward reads
+    the ReLU mask from ``y > 0`` and recomputes the standardized rows.
+
+    The chain's ops stay public (``sqrt`` and ``add_const`` only for
+    this): the tests compare against the chain, and the benchmark's tracer
+    patches each by name, so a traced run fails with AttributeError
+    without them.
     """
-    x = _as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[0] < 2:
+    x, w, b, gain, shift = (_as_tensor(t) for t in (x, p.weight, p.bias, p.gain, p.shift))
+    xd, wd, bd, gd, hd = x.data, w.data, b.data, gain.data, shift.data
+    if xd.ndim != 2 or xd.shape[0] < 2:
         raise ShapeError(f"norm_act_head needs at least 2 rows, got shape {x.shape}")
-    z = linear(x, p.weight, p.bias)
-    n = z.data.shape[0]
-    mean = scale(reduce_sum(z, axis=0, keepdims=True), 1.0 / n)
-    centered = sub(z, mean)
-    var = scale(reduce_sum(mul(centered, centered), axis=0, keepdims=True), 1.0 / n)
-    standardized = div(centered, sqrt(add_const(var, NORM_EPS)))
-    return relu(add(mul(standardized, p.gain), p.shift))
+    if (wd.ndim != 2 or xd.shape[1] != wd.shape[0]
+            or not bd.shape == gd.shape == hd.shape == (wd.shape[1],)):
+        raise ShapeError(f"norm_act_head: incompatible shapes x {xd.shape}, weight "
+                         f"{wd.shape}, bias {bd.shape}, gain {gd.shape}, shift {hd.shape}")
+    c = 1.0 / xd.shape[0]
+    centered = sd = None
+
+    def fwd():
+        nonlocal centered, sd
+        centered = xd @ wd
+        centered += bd
+        centered -= centered.sum(axis=0, keepdims=True) * c
+        sd = np.sqrt((centered * centered).sum(axis=0, keepdims=True) * c + NORM_EPS)
+        y = centered / sd
+        y *= gd
+        y += hd
+        np.maximum(y, 0.0, out=y)
+        return y
+
+    def bwd(g, y):
+        g = g * (y > 0.0)
+        g_std = g * gd
+        g_sd = (-g_std * centered / (sd * sd)).sum(axis=(0,), keepdims=True)
+        g_sq = g_sd * 0.5 / sd * c * centered
+        g_centered = g_std / sd
+        g_centered += g_sq
+        g_centered += g_sq
+        g_z = g_centered + (-g_centered).sum(axis=(0,), keepdims=True) * c
+        return (g.sum(axis=(0,)), (g * (centered / sd)).sum(axis=(0,)),
+                g_z.sum(axis=0), g_z @ wd.T, xd.T @ g_z)
+    return _record("norm_act_head", (shift, gain, b, x, w), fwd, bwd)
+
+
+def mean_sq_dist(pred, target) -> Tensor:
+    """Mean over rows of the squared Euclidean distance between the rows of
+    two equally shaped rank-2 tensors, as one tape node: the chain
+    ``scale(reduce_sum(mul(d, d)), 1/n)`` with ``d = sub(pred, target)``,
+    whose numpy expressions forward and backward repeat in order, so the
+    scalar and both gradients are its bytes. The node keeps only the
+    scalar; backward forms the difference again. The chain's ops stay
+    public, for the tests and the benchmark's tracer (see
+    :func:`norm_act_head`)."""
+    pred, target = _as_tensor(pred), _as_tensor(target)
+    pd, td = pred.data, target.data
+    if pd.ndim != 2 or pd.shape != td.shape or not pd.shape[0]:
+        raise ShapeError(f"mean_sq_dist: prediction {pd.shape} vs target {td.shape}")
+    c = 1.0 / pd.shape[0]
+
+    def fwd():
+        d = pd - td
+        return (d * d).sum() * c
+
+    def bwd(g, y):
+        g_d = g * c * (pd - td)
+        g_d += g_d
+        return g_d, -g_d
+    return _record("mean_sq_dist", (pred, target), fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -61,14 +61,33 @@ def decode_flow(decoder: DecoderParams, y_tilde: Tensor) -> Tensor:
 
 
 def loss_epe(pred: Tensor, gt: Tensor | np.ndarray) -> Tensor:
-    """Mean squared Euclidean flow error as a differentiable scalar.
+    """Mean squared Euclidean flow error as a differentiable scalar, one
+    tape node (:func:`tensor.mean_sq_dist`).
 
     `gt` is an N x 3 array, or a constant Tensor that a caller taking
     many steps built once."""
-    if pred.shape != gt.shape:
-        raise T.ShapeError(f"loss_epe: prediction {pred.shape} vs target {gt.shape}")
-    diff = T.sub(pred, gt)
-    return T.scale(T.reduce_sum(T.mul(diff, diff)), 1.0 / gt.shape[0])
+    return T.mean_sq_dist(pred, gt)
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of `flat`, one view per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+def _apply_flat(named: list[tuple[str, Tensor]], grads: Gradients, update) -> None:
+    """One elementwise update over all parameters: concatenate the
+    parameters and their gradients in `named` order, call ``update(p, g)``
+    on the two flat arrays, and rebind each tensor's data to its slice of
+    the flat result (a view)."""
+    p = np.concatenate([t.data.ravel() for _, t in named])
+    g = np.concatenate([grads.wrt(t).ravel() for _, t in named])
+    for (_, t), view in zip(named, _views(update(p, g), [t.data.shape for _, t in named])):
+        t.data = view
 
 
 class Sgd:
@@ -76,35 +95,56 @@ class Sgd:
         self.lr = lr
 
     def step(self, named: list[tuple[str, Tensor]], grads: Gradients) -> None:
-        for _, t in named:
-            t.data = t.data - self.lr * grads.wrt(t)
+        _apply_flat(named, grads, lambda p, g: p - self.lr * g)
 
 
 class Adam:
-    """Plain Adam with bias correction; state keyed by parameter name."""
+    """Plain Adam with bias correction.
+
+    The moments of all parameters live in two flat arrays, laid out in the
+    `named` order of the first step; a later step whose names or shapes
+    differ raises ValueError. Each step is one elementwise update over
+    the concatenated parameters (the per-parameter expressions, so the
+    same bytes as updating each parameter on its own), and ``m`` and ``v``
+    read each parameter's slice of the moments by name.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self._layout: list[tuple[str, tuple[int, ...]]] = []
+        self._m = self._v = np.zeros(0)
+
+    def _by_name(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: view for (name, _), view
+                in zip(self._layout, _views(flat, [shape for _, shape in self._layout]))}
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        return self._by_name(self._m)
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        return self._by_name(self._v)
 
     def step(self, named: list[tuple[str, Tensor]], grads: Gradients) -> None:
+        layout = [(name, t.data.shape) for name, t in named]
+        if not self.t:
+            self._layout = layout
+            self._m = self._v = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        elif layout != self._layout:
+            raise ValueError(f"Adam.step: parameters {layout} differ from the first "
+                             f"step's {self._layout}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, t in named:
-            g = grads.wrt(t)
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(t.data)
-                self.v[name] = np.zeros_like(t.data)
-            v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
-            self.m[name], self.v[name] = m, v
-            t.data = t.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+        def update(p, g):
+            self._m = m = self.beta1 * self._m + (1.0 - self.beta1) * g
+            self._v = v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
+            return p - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        _apply_flat(named, grads, update)
 
 
 def _make_optimizer(ts: TrainSettings):

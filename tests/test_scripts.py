@@ -36,6 +36,23 @@ def test_time_attention_prints_one_json_line_with_every_field():
     assert all(row[key] > 0 for key in row)
 
 
+def test_time_step_prints_one_json_line_per_case():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "time_step.py"), "--steps", "1"],
+                          capture_output=True, text=True, check=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert set(report) == {"python", "numpy", "blas", "blas_threads", "steps", "rows"}
+    assert report["steps"] == 1
+    phases = ("forward", "loss", "backward", "optimizer", "step")
+    for row, case, n in zip(report["rows"], ("local_n200", "global_n2000"), (200, 2000),
+                            strict=True):
+        assert set(row) == {"case", "n", "nodes", "tape_mb"} | {
+            f"{phase}_ms_{stat}" for phase in phases for stat in ("min", "median")}
+        assert (row["case"], row["n"], row["nodes"]) == (case, n, 17)
+        assert all(row[key] > 0 for key in row if key != "case")
+
+
 def test_run_ablation_tabulates_one_seed_per_variant():
     lines = _run_one_seed("run_ablation.py")
     assert lines[0] == f"config: {SMOKE_CFG}"

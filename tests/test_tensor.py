@@ -397,6 +397,107 @@ def test_linear_rejects_mismatched_operands():
             T.linear(*bad)
 
 
+def _norm_act_chain(p, x):
+    """The chain that norm_act_head's one node stands for: linear, then 12
+    elementwise and reduction ops."""
+    z = T.linear(x, p.weight, p.bias)
+    n = z.data.shape[0]
+    mean = T.scale(T.reduce_sum(z, axis=0, keepdims=True), 1.0 / n)
+    centered = T.sub(z, mean)
+    var = T.scale(T.reduce_sum(T.mul(centered, centered), axis=0, keepdims=True), 1.0 / n)
+    standardized = T.div(centered, T.sqrt(T.add_const(var, T.NORM_EPS)))
+    return T.relu(T.add(T.mul(standardized, p.gain), p.shift))
+
+
+def _norm_head_case(case, rng):
+    """(x, params, upstream gradient) for `case`."""
+    n, d = {"two_rows": (2, 3), "shared_gain_shift": (6, 32),
+            "n2000_d32": (2000, 32)}.get(case, (4, 3))
+    x, w, upstream = (rng.normal(size=s) for s in ((n, d), (d, d), (n, d)))
+    b, gain, shift = (rng.normal(size=d) for _ in range(3))
+    if case == "constant_column":
+        # z[:, 0] is 1.5 in every row; over 4 rows its mean is exact.
+        w[:, 0], b[0] = 0.0, 1.5
+    if case in ("dead_column", "negative_upstream"):
+        # Standardized values lie within ±sqrt(n - 1), so no row survives.
+        gain[1], shift[1] = 1.0, -10.0
+    if case == "negative_upstream":
+        upstream = -np.abs(upstream)
+    p = NormActParams(*(tensor(a, trainable=True) for a in (w, b, gain, shift)))
+    if case == "shared_gain_shift":
+        p.shift = p.gain
+    return tensor(x, trainable=True), p, tensor(upstream)
+
+
+NORM_HEAD_CASES = ["distinct", "two_rows", "constant_column", "dead_column",
+                   "negative_upstream", "shared_gain_shift", "n2000_d32"]
+
+
+@pytest.mark.parametrize("case", NORM_HEAD_CASES)
+def test_norm_act_head_bitwise_equals_linear_and_twelve_op_chain(case):
+    rng = np.random.default_rng(len(case))
+    x, p, upstream = _norm_head_case(case, rng)
+
+    def run(op):
+        def build():
+            y = op(p, x)
+            loss = T.reduce_sum(T.mul(y, upstream))
+            if case == "shared_gain_shift":
+                # The shared tensor's gradient then sums three terms, whose
+                # order shows in the bytes.
+                loss = T.add(loss, T.reduce_sum(T.mul(p.gain, p.gain)))
+            return y, loss
+        return _bytes_and_grads(build, [x, p.weight, p.bias, p.gain, p.shift])
+
+    fused = run(T.norm_act_head)
+    assert fused == run(_norm_act_chain)
+    out, *grads = (np.frombuffer(b) for b in fused)
+    assert all(np.isfinite(g).all() for g in grads)
+    out = out.reshape(x.shape)
+    if case == "constant_column":
+        assert (out[:, 0] == max(p.shift.data[0], 0.0)).all()
+    if case in ("dead_column", "negative_upstream"):
+        assert (out[:, 1] == 0.0).all() and grads[4][1] == 0.0
+    if case == "negative_upstream":
+        # The ReLU mask turns every incoming gradient it drops into -0.0.
+        assert (upstream.data[out == 0.0] < 0.0).all() and (out == 0.0).sum() >= 4
+
+
+def test_norm_act_head_backpropagates_twice_with_the_same_bytes():
+    # Backward reads the kept centered rows and must leave them as they were.
+    rng = np.random.default_rng(23)
+    x, p, upstream = _norm_head_case("distinct", rng)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(T.norm_act_head(p, x), upstream))
+    assert [node.op for node in tape.nodes] == ["norm_act_head", "mul", "reduce_sum"]
+    first, second = (backward(tape, loss) for _ in range(2))
+    for t in (x, p.weight, p.bias, p.gain, p.shift):
+        assert first.wrt(t).tobytes() == second.wrt(t).tobytes()
+
+
+def test_norm_act_head_keeps_no_more_than_its_chain():
+    rng = np.random.default_rng(24)
+    x, p, _ = _norm_head_case("n2000_d32", rng)
+    kept, nodes = _kept_bytes(lambda: T.norm_act_head(p, x))
+    chain_kept, chain_nodes = _kept_bytes(lambda: _norm_act_chain(p, x))
+    assert [node.op for node in nodes] == ["norm_act_head"] and len(chain_nodes) == 13
+    # The node keeps its output and the centered rows; the chain keeps
+    # seven N x D arrays.
+    rows_bytes = x.data.nbytes
+    assert 2 * rows_bytes <= kept < 2.1 * rows_bytes
+    assert kept <= chain_kept
+
+
+def test_norm_act_head_rejects_mismatched_params():
+    x = tensor(np.zeros((4, 3)))
+    for field, bad in (("weight", np.zeros((2, 3))), ("bias", np.zeros(2)),
+                       ("gain", np.zeros((1, 3))), ("shift", np.zeros(4))):
+        p = _identity_head(3)
+        setattr(p, field, tensor(bad))
+        with pytest.raises(ShapeError):
+            T.norm_act_head(p, x)
+
+
 def _local_aggregate_chain(weights, v, rows):
     n, k = weights.shape
     picked = T.gather_rows(v, rows)
@@ -816,7 +917,9 @@ def test_softmax_backward_leaves_incoming_gradient_untouched():
                   lambda: T.linear(T.transpose2(x), x, x.data[0], relu=True),
                   lambda: T.local_aggregate(x, x, np.arange(18) % 6),
                   lambda: T.score_layer(x, T.reshape(x, (9, 2)), x.data[0, :2], x,
-                                        np.arange(6), relu=True)):
+                                        np.arange(6), relu=True),
+                  lambda: T.norm_act_head(NormActParams(x.data[:3], *x.data[3:]), x),
+                  lambda: T.mean_sq_dist(x, x.data[::-1])):
         with Tape() as tape:
             build()
         for node in tape.nodes:
@@ -923,11 +1026,13 @@ def test_replay_reproduces_outputs_bitwise():
         idx = [1, 1, 0, 3, 2, 2, 0, 1]
         T.score_layer(T.reshape(cat, (8, 6)), tensor(rng.normal(size=(14, 3))),
                       tensor(rng.normal(size=3)), a, idx, relu=True)
-        T.add(T.reduce_sum(T.add(col, T.mul(col, col))), T.reduce_sum(blend))
+        head = T.norm_act_head(NormActParams(a, *a.data[:3]), hidden)
+        T.add(T.reduce_sum(T.add(col, T.mul(col, col))),
+              T.add(T.reduce_sum(blend), T.mean_sq_dist(head, hidden)))
     # Every op name that tensor.py records is on this one tape, and linear
     # with and without ReLU.
     ops = set(re.findall(r'(?:_record|_elementwise)\("(\w+)"', inspect.getsource(T)))
-    assert len(ops) == 20
+    assert len(ops) == 22
     assert {node.op for node in tape.nodes} == ops
     assert [node.output.data.min() >= 0.0 for node in tape.nodes
             if node.op == "linear"] == [True, False]
@@ -953,7 +1058,9 @@ def test_replay_detects_a_mutated_input():
                lambda a, b: T.softmax_rows(a), lambda a, b: T.linear(a, b, b.data[0]),
                lambda a, b: T.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1])),
                lambda a, b: T.score_layer(a, tensor(np.ones((9, 2))), tensor(np.ones(2)),
-                                          b, [2, 0, 1])):
+                                          b, [2, 0, 1]),
+               lambda a, b: T.norm_act_head(NormActParams(b, *b.data), a),
+               T.mean_sq_dist):
         a = tensor(rng.normal(size=(3, 3)))
         b = tensor(rng.normal(size=(3, 3)))
         with Tape() as tape:

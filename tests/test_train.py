@@ -65,6 +65,36 @@ def test_mse_loss_two_points():
     assert float(loss_epe(pred, tensor(gt)).data) == pytest.approx(2.5, abs=0)
 
 
+def _loss_chain(pred, gt):
+    """The chain that loss_epe's one node stands for."""
+    diff = T.sub(pred, gt)
+    return T.scale(T.reduce_sum(T.mul(diff, diff)), 1.0 / gt.shape[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_loss_epe_is_one_node_with_the_chains_bytes(n):
+    rng = np.random.default_rng(n)
+    pred, gt = (tensor(rng.normal(size=(n, 3)), trainable=True) for _ in range(2))
+    # A row predicted exactly: +0.0 and -0.0 in the two gradients.
+    pred.data[0] = gt.data[0]
+    results, ops = [], []
+    for op in (loss_epe, _loss_chain):
+        with Tape() as tape:
+            loss = op(pred, gt)
+        grads = backward(tape, loss)
+        results.append([np.asarray(loss.data).tobytes(), grads.wrt(pred).tobytes(),
+                        grads.wrt(gt).tobytes()])
+        ops.append([node.op for node in tape.nodes])
+    assert ops == [["mean_sq_dist"], ["sub", "mul", "reduce_sum", "scale"]]
+    assert results[0] == results[1]
+
+
+def test_loss_epe_rejects_mismatched_shapes():
+    for gt in (np.zeros((4, 2)), np.zeros((3, 3)), np.zeros(12)):
+        with pytest.raises(T.ShapeError):
+            loss_epe(tensor(np.zeros((4, 3))), gt)
+
+
 def test_decoder_matches_matmul_oracle():
     dec = init_decoder(8, seed=3)
     y = np.random.default_rng(0).normal(size=(5, 8))
@@ -106,6 +136,97 @@ def test_adam_state_is_per_parameter():
         opt.step([("a", a), ("b", b)], backward(tape, out))
     assert a.data[0] != b.data[0]
     assert "a" in opt.m and "b" in opt.m
+
+
+class _PerParameterAdam:
+    """Adam updating one parameter at a time: the reference that the flat
+    update must reproduce bit for bit."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t, self.m, self.v = 0, {}, {}
+
+    def step(self, named, grads):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for name, t in named:
+            g = grads.wrt(t)
+            m = self.m.get(name)
+            if m is None:
+                m = np.zeros_like(t.data)
+                self.v[name] = np.zeros_like(t.data)
+            v = self.v[name]
+            m = self.beta1 * m + (1.0 - self.beta1) * g
+            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            self.m[name], self.v[name] = m, v
+            t.data = t.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class _PerParameterSgd:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, named, grads):
+        for _, t in named:
+            t.data = t.data - self.lr * grads.wrt(t)
+
+
+def _model_tensors():
+    """A small model's parameters and decoder in training order: matrices,
+    vectors and the 0-d gate alpha, set nonzero."""
+    module = AggregatorConfig(context_dim=8, motion_dim=8, qk_dim=4, disp_dim=4, k=3)
+    params = train_module.init_params(module, seed=5)
+    params.alpha.data = np.asarray(0.25)
+    return params.named_tensors() + init_decoder(8, seed=5).named_tensors()
+
+
+@pytest.mark.parametrize("freeze_alpha", [False, True])
+@pytest.mark.parametrize("flat, loop", [(Adam, _PerParameterAdam), (Sgd, _PerParameterSgd)])
+def test_flat_optimizer_steps_equal_the_per_parameter_loop(flat, loop, freeze_alpha):
+    models = [_model_tensors(), _model_tensors()]
+    assert {t.shape for _, t in models[0]} >= {(), (8,), (8, 8)}
+    upstream = {name: np.random.default_rng(i).normal(size=t.shape)
+                for i, (name, t) in enumerate(models[0])}
+    opts = [flat(0.05), loop(0.05)]
+    for _ in range(5):
+        for named, opt in zip(models, opts):
+            with Tape() as tape:
+                # A cubic loss over every tensor, so that gradients change
+                # from step to step; alpha gets one even when frozen.
+                terms = [T.reduce_sum(T.mul(T.mul(t, t), tensor(upstream[name])))
+                         for name, t in named]
+                loss = terms[0]
+                for term in terms[1:]:
+                    loss = T.add(loss, term)
+            opt.step([(name, t) for name, t in named
+                      if not (freeze_alpha and name == "alpha")], backward(tape, loss))
+        assert [(name, t.data.tobytes()) for name, t in models[0]] == \
+            [(name, t.data.tobytes()) for name, t in models[1]]
+    if flat is Adam:
+        for moments, loop_moments in ((opts[0].m, opts[1].m), (opts[0].v, opts[1].v)):
+            assert list(moments) == list(loop_moments)
+            assert all(moments[name].tobytes() == loop_moments[name].tobytes()
+                       and moments[name].shape == loop_moments[name].shape
+                       for name in moments)
+        assert ("alpha" in opts[0].m) != freeze_alpha
+
+
+def test_adam_rejects_a_changed_parameter_layout():
+    a, b = Tensor(np.ones(2), trainable=True), Tensor(np.ones((2, 2)), trainable=True)
+    with Tape() as tape:
+        out = T.add(T.reduce_sum(T.mul(a, a)), T.reduce_sum(b))
+    grads = backward(tape, out)
+    opt = Adam(lr=0.1)
+    opt.step([("a", a), ("b", b)], grads)
+    state = (opt.t, a.data.tobytes(), b.data.tobytes())
+    for named in ([("a", a)], [("b", b), ("a", a)], [("a", a), ("c", b)],
+                  [("a", a), ("b", Tensor(np.ones(4)))]):
+        with pytest.raises(ValueError):
+            opt.step(named, grads)
+    assert (opt.t, a.data.tobytes(), b.data.tobytes()) == state
+    opt.step([("a", a), ("b", b)], grads)
+    assert opt.t == 2
 
 
 def test_training_reduces_loss():
@@ -235,7 +356,13 @@ def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
     inputs, = prepared
     constants = {inputs.context, inputs.motion, inputs.disp}
     assert len(tapes) == 3
-    assert len({len(tape) for tape in tapes}) == 1 and len(tapes[0]) == 32
+    assert len({len(tape) for tape in tapes}) == 1
+    assert [node.op for node in tapes[0].nodes] == [
+        "matmul", "matmul", "attention",                          # global route
+        "linear", "linear", "score_layer", "linear", "reshape",   # local route
+        "softmax_rows", "local_aggregate",
+        "add", "sub", "norm_act_head", "mul", "add",              # offset head
+        "linear", "mean_sq_dist"]                                 # decoder, loss
     leaves = []
     for tape in tapes:
         outputs = {node.output for node in tape.nodes}
