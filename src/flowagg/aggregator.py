@@ -21,11 +21,10 @@ exact identity on motion features.
 The module's one input is a prepared scene: :func:`prepare_inputs`
 checks a scene's cloud, features and neighbour table against the config
 and builds, once, everything that does not depend on the parameters
-(feature tensors, displacements, the neighbours' context rows for the
-local scores, the neighbour row index). :func:`forward` takes only the
-parameters and that :class:`SceneInputs`. All forward math runs through
-:mod:`.tensor` primitives, so recording a tape during the call yields
-exact gradients for every parameter.
+(feature tensors, displacements, the neighbour row index). :func:`forward`
+takes only the parameters and that :class:`SceneInputs`. All forward
+math runs through :mod:`.tensor` primitives, so recording a tape during
+the call yields exact gradients for every parameter.
 """
 
 from __future__ import annotations
@@ -124,14 +123,13 @@ class AttentionMap:
     with the NeighborIndex rows. A disabled route leaves its entry None.
 
     The default global route keeps no N x N array, on the tape or here:
-    each read of global_weights recomputes, from that call's q and k and
-    with no tape node, the shifted exponentials E and row sums of the
-    route's kernel (its bytes at every size the tests and goldens run, to
-    rounding in general, since the kernel forms logits in blocks), and
-    returns E / rowsum as a fresh N x N array (the route itself divides
-    only its output); past DENSE_WEIGHTS_MAX_BYTES it raises ShapeError
-    before allocating. With use_weight_mlp the weights are a tape output,
-    and the read returns that array.
+    each read of global_weights walks, from that call's q and k and with
+    no tape node, the blocks of query rows that the route's kernel walked,
+    forms each block's shifted exponentials E and row sums as the kernel
+    did, and returns E / rowsum as a fresh N x N array (the route itself
+    divides only its output); past DENSE_WEIGHTS_MAX_BYTES it raises
+    ShapeError before allocating. With use_weight_mlp the weights are a
+    tape output, and the read returns that array.
     """
 
     global_reader: Callable[[], np.ndarray] | None
@@ -264,8 +262,8 @@ def weight_mlp_bytes(n: int, config: AggregatorConfig) -> int:
     return 8 * n * n * (5 + config.scale_logits + sum(config.weight_hidden))
 
 
-def _logit_scale(q: Tensor, config: AggregatorConfig) -> float | None:
-    return 1.0 / np.sqrt(q.data.shape[1]) if config.scale_logits else None
+def _logit_scale(q: Tensor, config: AggregatorConfig) -> float:
+    return 1.0 / np.sqrt(q.data.shape[1]) if config.scale_logits else 1.0
 
 
 def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
@@ -292,7 +290,7 @@ def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
         _check_dense_bytes("use_weight_mlp", n, weight_mlp_bytes(n, config))
     c = _logit_scale(q, config)
     logits = T.matmul(q, T.transpose2(k))
-    w = T.softmax_rows(logits if c is None else T.scale(logits, c))
+    w = T.softmax_rows(T.scale(logits, c) if config.scale_logits else logits)
     if not config.use_weight_mlp:
         return w
     flat = T.reshape(w, (n * n, 1))
@@ -314,7 +312,8 @@ def aggregate_global(params: AggregatorParams, q: Tensor, k: Tensor, v: Tensor,
     :func:`global_attention_weights` and a matmul.
 
     Returns (g_global: N x Dm, a reader that returns W as an N x N array;
-    on the default route it is bounded by DENSE_WEIGHTS_MAX_BYTES).
+    on the default route it is :func:`.tensor.attention_weights_data` over
+    the node's own blocks, bounded by DENSE_WEIGHTS_MAX_BYTES).
     """
     if q.data.shape[0] != k.data.shape[0] or k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(f"aggregate_global: q {q.shape}, k {k.shape} and values "

@@ -19,11 +19,10 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, config_defaults, parse_config_file
+from .config import RunConfig, config_defaults, parse_config_file
 from .containers import ContainerError, read_container, write_container
 from .metrics import FlowField, evaluate_split, metric_lines
-from .scenegen import (GenerationError, SyntheticScene, generate_scene,
-                       scene_from_tensors, scene_tensors)
+from .scenegen import SyntheticScene, generate_scene, scene_from_tensors, scene_tensors
 from .train import (DivergenceError, ExperimentReport, ablation_table, grad_check,
                     named_model_tensors, report_lines, run_ablation, train)
 
@@ -167,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContainerError, GenerationError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # every input error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

@@ -31,9 +31,9 @@ statistics and no block, and backward recomputes every block in two
 matmuls that fold in the scale, the row max and the softmax row term).
 The chain ops stay public: other routes and the tests use them, and the
 benchmark's tracer (``flowbench/tracer.py``) patches them by name, so a
-traced run fails with AttributeError if one is removed. ``sqrt``,
-``add_const``, ``concat_cols`` and ``gather_rows`` have no other caller
-in the package.
+traced run fails with AttributeError if one is removed. ``relu``,
+``sqrt``, ``add_const``, ``concat_cols`` and ``gather_rows`` have no
+other caller in the package.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -513,12 +513,6 @@ def _exp_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rowmax, w.sum(axis=1, keepdims=True)
 
 
-def _softmax_rows_inplace(w: np.ndarray) -> np.ndarray:
-    """Max-shifted row softmax written over `w`, which is returned."""
-    w /= _exp_rows(w)[1]
-    return w
-
-
 def _softmax_rows_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(g - rowsum(g * w)) * w as a fresh array; `g` is left untouched,
     since ``add``'s backward hands one gradient array to both inputs."""
@@ -538,19 +532,12 @@ def softmax_rows(m) -> Tensor:
     md = m.data
     if md.ndim != 2:
         raise ShapeError(f"softmax_rows expects rank 2, got shape {md.shape}")
-    return _record("softmax_rows", (m,), lambda: _softmax_rows_inplace(md.copy()),
-                   lambda g, w: (_softmax_rows_grad(g, w),))
 
-
-def _attention_logits(q_rows: np.ndarray, kt: np.ndarray, c: float | None,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """c · q_rows @ kt (no scale when `c` is None) written into `out`
-    (fresh when None), which is returned; `kt` is k transposed,
-    C-contiguous. The expressions of ``scale(matmul(q, transpose2(k)), c)``."""
-    logits = np.matmul(q_rows, kt, out=out)
-    if c is not None:
-        logits *= c
-    return logits
+    def fwd():
+        w = md.copy()
+        w /= _exp_rows(w)[1]
+        return w
+    return _record("softmax_rows", (m,), fwd, lambda g, w: (_softmax_rows_grad(g, w),))
 
 
 def _check_attention(op: str, qd: np.ndarray, kd: np.ndarray, vd: np.ndarray | None = None):
@@ -561,14 +548,17 @@ def _check_attention(op: str, qd: np.ndarray, kd: np.ndarray, vd: np.ndarray | N
         raise ShapeError(f"{op}: incompatible shapes {shapes}")
 
 
-def attention_weights_data(q, k, c: float | None = None) -> np.ndarray:
-    """The N x M weights ``softmax_rows(scale(matmul(q, transpose2(k)), c))``
-    (no scale when `c` is None), bit for bit, as a plain array. Records no
-    tape node, also while a tape is active."""
+def attention_weights_data(q, k, c: float) -> np.ndarray:
+    """The N x M weights of ``attention(q, k, v, c)`` as a plain array,
+    E / rowsum over its forward's blocks: each block's rows are the bytes
+    of the chain ``softmax_rows(scale(matmul(q, transpose2(k)), c))`` on
+    that block's query rows. Records no tape node, also under a tape."""
     qd, kd = _as_tensor(q).data, _as_tensor(k).data
     _check_attention("attention_weights_data", qd, kd)
-    return _softmax_rows_inplace(_attention_logits(qd, np.ascontiguousarray(kd.T),
-                                                   None if c is None else float(c)))
+    w = np.empty((qd.shape[0], kd.shape[0]))
+    for r0, r1, e, _, rowsum in _exp_blocks(qd, kd, c):
+        np.divide(e, rowsum, out=w[r0:r1])
+    return w
 
 
 # Elements of one block of attention weights (query rows x keys). While
@@ -587,24 +577,39 @@ def attention_block_rows(n: int, m: int) -> int:
     return min(n, max(ATTENTION_MIN_ROWS, ATTENTION_BLOCK_ELEMS // m))
 
 
+def _exp_blocks(qd: np.ndarray, kd: np.ndarray, c: float) -> Iterator[tuple]:
+    """Per block of :func:`attention`'s query rows r0:r1, yield (r0, r1,
+    E, rowmax, rowsum): E = exp(l - rowmax) of the logits l = c · q[r0:r1]
+    kᵀ, written into one buffer that the next block reuses, and each row's
+    max of l and sum of E as column vectors."""
+    n, m = qd.shape[0], kd.shape[0]
+    rows = attention_block_rows(n, m)
+    kt, buf = np.ascontiguousarray(kd.T), np.empty((rows, m))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        e = np.matmul(qd[r0:r1], kt, out=buf[:r1 - r0])
+        e *= c
+        yield (r0, r1, e, *_exp_rows(e))
+
+
 def _folded_exps(qa_rows: np.ndarray, ka: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(qa_rows @ ka) into `out`: one backward block of attention's E."""
     return np.exp(np.matmul(qa_rows, ka, out=out), out=out)
 
 
-def attention(q, k, v, c: float | None = None) -> Tensor:
+def attention(q, k, v, c: float) -> Tensor:
     """softmax(c · q kᵀ) v as one tape node that never holds the N x M
     weights: ``matmul(softmax_rows(scale(matmul(q, transpose2(k)), c)), v)``
     in O(N + M) memory.
 
-    q is N x D, k is M x D and v is M x Dv; the scale is skipped when `c`
-    is None. Both passes walk the same blocks of query rows
-    (:func:`attention_block_rows`). Forward fills one buffer it allocates
-    per call: per block it forms the shifted exponentials E = exp(l -
-    rowmax) of the logits l, stores each row's max of l and sum of E, and
-    writes E @ v into the output rows; one divide by the row sums on N x Dv
-    then normalises the output, so no pass divides N x M weights. The node
-    keeps q, k, v and the two N x 1 row statistics, and no block buffer.
+    q is N x D, k is M x D and v is M x Dv; c = 1.0 is the unscaled
+    route. Both passes walk the same blocks of query rows
+    (:func:`attention_block_rows`). Forward takes each block's shifted
+    exponentials E from :func:`_exp_blocks`, keeps each row's max of the
+    logits and sum of E, and writes E @ v into the output rows; one divide
+    by the row sums on N x Dv then normalises the output, so no pass
+    divides N x M weights. The node keeps q, k, v and the two N x 1 row
+    statistics, and no block buffer.
 
     Backward recomputes every block's E in two buffers of its own. With
     gs = g / rowsum and Dp = rowsum(gs ∘ y), it builds four operands once,
@@ -616,35 +621,32 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
     (Dao 2023, arXiv 2307.08691): backward takes no row max or row sum and
     forms no softmax weights.
 
-    At every size the tests and goldens run, forward's E, rowmax and
-    rowsum are the chain's softmax_rows bytes and no output row depends on
-    the blocking; in general both hold to rounding, since the BLAS may
-    round a row of q kᵀ or E @ v differently at another block height.
-    Output and gradients agree with the chain to rounding (about 1e-15
-    relative); over several blocks the k and v gradients are block sums.
+    Each block's E, rowmax and rowsum are the chain's softmax_rows bytes
+    on its query rows; :func:`attention_weights_data` reads those blocks.
+    No output row depends on the blocking at the sizes the tests and
+    goldens run, and to rounding in general (the BLAS may round a row of
+    q kᵀ or E @ v differently at another block height). Output and
+    gradients agree with the chain to rounding (about 1e-15 relative);
+    over several blocks the k and v gradients are block sums.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
     _check_attention("attention", qd, kd, vd)
-    c = None if c is None else float(c)
     n, m = qd.shape[0], kd.shape[0]
     rows = attention_block_rows(n, m)
     rowmax, rowsum = np.empty((n, 1)), np.empty((n, 1))
 
     def fwd():
-        kt, buf = np.ascontiguousarray(kd.T), np.empty((rows, m))
         out = np.empty((n, vd.shape[1]))
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            e = _attention_logits(qd[r0:r1], kt, c, out=buf[:r1 - r0])
-            rowmax[r0:r1], rowsum[r0:r1] = _exp_rows(e)
+        for r0, r1, e, block_max, block_sum in _exp_blocks(qd, kd, c):
+            rowmax[r0:r1], rowsum[r0:r1] = block_max, block_sum
             np.matmul(e, vd, out=out[r0:r1])
         out /= rowsum
         return out
 
     def bwd(g, y):
         gs = g / rowsum
-        qa = np.hstack((qd if c is None else qd * c, -rowmax))
+        qa = np.hstack((qd * c, -rowmax))
         ga = np.hstack((gs, -(gs * y).sum(axis=1, keepdims=True)))
         ka, va = np.vstack((kd.T, np.ones(m))), np.vstack((vd.T, np.ones(m)))
         dq, dkt, dv = np.empty(qd.shape), np.zeros(kd.T.shape), np.zeros(vd.shape)
@@ -658,8 +660,7 @@ def attention(q, k, v, c: float | None = None) -> Tensor:
             np.matmul(ds, kd, out=dq[r0:r1])
             dv += np.matmul(e.T, gs[r0:r1], out=vpart)
             dkt += np.matmul(qa[r0:r1, :-1].T, ds, out=kpart)
-        if c is not None:
-            dq *= c
+        dq *= c
         return dq, np.ascontiguousarray(dkt.T), dv
 
     return _record("attention", (q, k, v), fwd, bwd)
@@ -740,9 +741,9 @@ def norm_act_head(p: NormActParams, x) -> Tensor:
     centered rows and the per-feature standard deviation; backward reads
     the ReLU mask from ``y > 0`` and recomputes the standardized rows.
 
-    The chain's ops stay public (``sqrt`` and ``add_const`` only for
-    this): the tests compare against the chain, and the benchmark's tracer
-    patches each by name, so a traced run fails with AttributeError
+    The chain's ops stay public (``relu``, ``sqrt`` and ``add_const`` only
+    for this): the tests compare against the chain, and the benchmark's
+    tracer patches each by name, so a traced run fails with AttributeError
     without them.
     """
     x, w, b, gain, shift = (_as_tensor(t) for t in (x, p.weight, p.bias, p.gain, p.shift))

@@ -19,8 +19,12 @@ from flowagg.cli import (
     EXIT_VERIFY,
     main,
 )
-from flowagg.containers import read_container, write_container
-from flowagg.scenegen import SCENE_TENSORS
+from flowagg.config import ConfigError
+from flowagg.containers import ContainerError, read_container, write_container
+from flowagg.metrics import EmptySelectionError
+from flowagg.scenegen import SCENE_TENSORS, GenerationError
+from flowagg.tensor import ShapeError
+from flowagg.train import DivergenceError
 
 ABLATION_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                             "ablation_local.cfg")
@@ -260,6 +264,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     bad.write_text("scene.wibble = 3\n")
     out = tmp_path / "x.gtc"
     assert main(["gen", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+
+
+def test_input_errors_exit_2_through_value_error():
+    # main maps (KeyError, ValueError) to exit 2, so each input error class
+    # must stay a ValueError; divergence keeps its own code.
+    for cls in (ConfigError, ContainerError, GenerationError, ShapeError, EmptySelectionError):
+        assert issubclass(cls, ValueError), cls
+    assert not issubclass(DivergenceError, ValueError)
 
 
 def test_missing_input_file_exits_3(tmp_path):

@@ -688,6 +688,14 @@ def test_grad_softmax_rows():
         lambda t: T.reduce_sum(T.mul(T.softmax_rows(t), tensor(w))), x)
 
 
+# A scale of None stands for the unscaled route (scale_logits off): the
+# fused ops take c = 1.0 there, while the chain and the numpy reference
+# form their logits with no multiply, so those cases pin that the unscaled
+# route kept its bytes.
+def _op_scale(c):
+    return 1.0 if c is None else c
+
+
 def _attention_chain(q, k, c):
     logits = T.matmul(q, T.transpose2(k))
     if c is not None:
@@ -704,7 +712,7 @@ def test_attention_weights_bitwise_equals_four_op_chain(n, shared, c):
     q = tensor(rng.normal(size=(n, 5)))
     k = q if shared else tensor(rng.normal(size=(n + 3, 5)))
     with Tape() as tape:
-        got = T.attention_weights_data(q, k, c)
+        got = T.attention_weights_data(q, k, _op_scale(c))
     assert not tape.nodes
     assert got.tobytes() == _attention_chain(q, k, c).data.tobytes()
 
@@ -741,6 +749,10 @@ def _attention_chain_then_blend(q, k, v, c):
     return T.matmul(_attention_chain(q, k, c), v)
 
 
+def _fused_attention(q, k, v, c):
+    return T.attention(q, k, v, _op_scale(c))
+
+
 def _attention_reference(qd, kd, vd, c):
     """attention's forward expressions in numpy: the shifted exponentials
     of the logits, E @ v, then a divide by E's row sums."""
@@ -759,7 +771,7 @@ ATTENTION_SCALES = [None, 1.0 / np.sqrt(5), 0.4]
 @pytest.mark.parametrize("c", ATTENTION_SCALES)
 def test_attention_one_block_bitwise_equals_numpy_reference(n, shared, c):
     qd, kd, vd, _ = _attention_operands(n, shared, c)
-    got = _attention_run(T.attention, n, shared, c)[0]
+    got = _attention_run(_fused_attention, n, shared, c)[0]
     assert got.tobytes() == _attention_reference(qd, kd, vd, c).tobytes()
 
 
@@ -775,7 +787,7 @@ def test_attention_matches_weights_then_matmul(n, shared, c):
     # Output and q, k, v gradients: the fused node normalises after E @ v
     # and takes the softmax row term from rowsum(dO * O), so it agrees
     # with the chain to rounding.
-    _assert_attention_runs_close(_attention_run(T.attention, n, shared, c),
+    _assert_attention_runs_close(_attention_run(_fused_attention, n, shared, c),
                                  _attention_run(_attention_chain_then_blend, n, shared, c))
 
 
@@ -792,28 +804,49 @@ def _count_attention_blocks(monkeypatch, kernel: str = "_exp_rows") -> list[int]
 
 
 def test_attention_forward_computes_each_block_once(monkeypatch):
-    # Backward forms its exponentials through neither kernel.
+    # Forward forms each block's logits and exponentials once, through
+    # _exp_blocks; backward forms its exponentials without _exp_rows.
     rows = _count_attention_blocks(monkeypatch)
-    logits = _count_attention_blocks(monkeypatch, "_attention_logits")
     _attention_run(T.attention, 300, False, 0.5)
-    assert rows == logits == [300]
+    assert rows == [300]
 
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("c", [None, 0.4])
 def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
-    one_block = _attention_run(T.attention, 50, shared, c, extra_keys=0)
+    one_block = _attention_run(_fused_attention, 50, shared, c, extra_keys=0)
     # 8-row blocks over 50 queries: six full blocks and one of 2 rows.
     monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
     monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
     rows = _count_attention_blocks(monkeypatch)
     folded = _count_attention_blocks(monkeypatch, "_folded_exps")
-    blocked = _attention_run(T.attention, 50, shared, c, extra_keys=0)
+    blocked = _attention_run(_fused_attention, 50, shared, c, extra_keys=0)
     assert rows == folded == [8] * 6 + [2]
     # Every output row comes from the same expressions whatever the block;
     # the k and v gradients are sums over blocks.
     assert blocked[0].tobytes() == one_block[0].tobytes()
     _assert_attention_runs_close(blocked[1:], one_block[1:])
+
+
+@pytest.mark.parametrize("c", [None, 0.4])
+def test_attention_weights_reader_walks_forward_blocks(monkeypatch, c):
+    # 8-row blocks over 50 queries, as above: the reader forms the weights
+    # in forward's own blocks, so it returns the weights the route used.
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
+    monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
+    qd, kd, vd, _ = _attention_operands(50, False, c, extra_keys=0)
+    q, k = tensor(qd), tensor(kd)
+    blocks = _count_attention_blocks(monkeypatch)
+    _fused_attention(q, k, tensor(vd), c)
+    forward_blocks = blocks.copy()
+    blocks.clear()
+    with Tape() as tape:
+        got = T.attention_weights_data(q, k, _op_scale(c))
+    assert not tape.nodes
+    assert blocks == forward_blocks == [8] * 6 + [2]
+    for r0 in range(0, 50, 8):
+        want = _attention_chain(tensor(qd[r0:r0 + 8]), k, c).data
+        assert got[r0:r0 + 8].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("floor", [4, 16, 64])
@@ -826,13 +859,12 @@ def test_attention_backward_recomputes_every_block_from_folded_operands(monkeypa
     with Tape() as tape:
         out = T.attention(q, q, v, 0.4)
     stats = _count_attention_blocks(monkeypatch)
-    logits = _count_attention_blocks(monkeypatch, "_attention_logits")
     folded = _count_attention_blocks(monkeypatch, "_folded_exps")
     tape.nodes[-1].backward_fn(rng.normal(size=out.shape))
     # No row max, row sum or logits of its own: every block, the last one
     # included, comes from the folded operands, in forward's blocks of
     # max(8, floor) query rows.
-    assert stats == logits == []
+    assert stats == []
     assert folded == forward_rows == {4: [8] * 6 + [2], 16: [16] * 3 + [2], 64: [50]}[floor]
 
 
@@ -849,7 +881,7 @@ def test_attention_both_passes_walk_blocks_of_16_16_and_8_rows(monkeypatch, max_
     monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 16)
     forward_rows = _count_attention_blocks(monkeypatch)
     backward_rows = _count_attention_blocks(monkeypatch, "_folded_exps")
-    got = _attention_run(T.attention, 40, shared, c, max_logit=max_logit)
+    got = _attention_run(_fused_attention, 40, shared, c, max_logit=max_logit)
     assert forward_rows == backward_rows == [16, 16, 8]
     _assert_attention_runs_close(got, want)
 
@@ -878,7 +910,7 @@ def test_attention_keeps_no_block_buffer():
 def test_attention_stays_finite_at_large_logits(shared, c):
     # Logits up to ±900: exp would overflow without the row max, and the
     # rows are close to one-hot.
-    fused = _attention_run(T.attention, 40, shared, c, max_logit=900.0)
+    fused = _attention_run(_fused_attention, 40, shared, c, max_logit=900.0)
     assert all(np.isfinite(a).all() for a in fused)
     _assert_attention_runs_close(
         fused, _attention_run(_attention_chain_then_blend, 40, shared, c, max_logit=900.0))
@@ -894,18 +926,18 @@ def test_grad_attention():
         lambda tq, tk, tv: T.reduce_sum(T.mul(T.attention(tq, tk, tv, 0.7), tensor(w))),
         q, k, v)
     _assert_grads_match(
-        lambda t: T.reduce_sum(T.mul(T.attention(t, t, t), tensor(w[:, :1]))), q[:, :1])
+        lambda t: T.reduce_sum(T.mul(T.attention(t, t, t, 1.0), tensor(w[:, :1]))), q[:, :1])
 
 
 def test_attention_rejects_mismatched_operands():
     q, k = tensor(np.zeros((4, 3))), tensor(np.zeros((5, 3)))
     for v in (np.zeros((4, 2)), np.zeros(5)):
         with pytest.raises(ShapeError):
-            T.attention(q, k, tensor(v))
+            T.attention(q, k, tensor(v), 1.0)
     with pytest.raises(ShapeError):
-        T.attention(q, tensor(np.zeros((5, 2))), tensor(np.zeros((5, 2))))
+        T.attention(q, tensor(np.zeros((5, 2))), tensor(np.zeros((5, 2))), 1.0)
     with pytest.raises(ShapeError):
-        T.attention(q, tensor(np.zeros((0, 3))), tensor(np.zeros((0, 2))))
+        T.attention(q, tensor(np.zeros((0, 3))), tensor(np.zeros((0, 2))), 1.0)
 
 
 def test_softmax_backward_leaves_incoming_gradient_untouched():
