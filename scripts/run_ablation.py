@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Train all module variants across several seeds and tabulate
-occluded-point EPE per variant."""
+occluded-point EPE per variant.
+
+A seed whose scene has no occluded point shows "-" and is left out of
+the mean."""
 
 import argparse
 import dataclasses
@@ -11,6 +14,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from flowagg.config import parse_config_file
 from flowagg.train import ABLATION_VARIANTS, run_ablation
+
+
+def _cell(epe):
+    return f"{'-' if epe is None else format(epe, '.5f'):>16}"
 
 
 def main():
@@ -24,7 +31,7 @@ def main():
     print(f"config: {args.config}")
     header = "seed " + " ".join(f"{v:>16}" for v in ABLATION_VARIANTS)
     print(header)
-    sums = {v: 0.0 for v in ABLATION_VARIANTS}
+    epes = {v: [] for v in ABLATION_VARIANTS}
     for seed in range(args.seeds):
         cfg = dataclasses.replace(base)
         cfg.scene = dataclasses.replace(base.scene, seed=seed)
@@ -32,12 +39,12 @@ def main():
         reports = run_ablation(cfg)
         row = [f"{seed:>4}"]
         for v in ABLATION_VARIANTS:
-            e = reports[v].metrics_occluded.epe_m
-            sums[v] += e
-            row.append(f"{e:>16.5f}")
+            occluded = reports[v].metrics_occluded
+            if occluded is not None:
+                epes[v].append(occluded.epe_m)
+            row.append(_cell(None if occluded is None else occluded.epe_m))
         print(" ".join(row))
-    print("mean " + " ".join(f"{sums[v] / args.seeds:>16.5f}"
-                             for v in ABLATION_VARIANTS))
+    print("mean " + " ".join(_cell(sum(e) / len(e) if e else None) for e in epes.values()))
 
 
 if __name__ == "__main__":

@@ -62,9 +62,9 @@ class AggregatorConfig:
     counterpart cloud, which only unoccluded scenes provide; train,
     ablate and gradcheck prepare frame 1 alone and refuse it with a
     ConfigError before building a scene.
-    disable_local / disable_global zero out the respective route;
-    plain_aggregator replaces the gated residual correction with
-    y + MLP(aggregate), no normalization and no gate.
+    disable_local / disable_global skip the respective route; nothing of
+    it is taped. plain_aggregator replaces the gated residual correction
+    with y + MLP(aggregate), no normalization and no gate.
     """
 
     context_dim: int = 32
@@ -433,19 +433,17 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
     return T.local_aggregate(weights, v, inputs.rows), weights
 
 
-def offset_aggregate(params: AggregatorParams, y: Tensor,
-                     g_local: Tensor, g_global: Tensor) -> Tensor:
+def offset_aggregate(params: AggregatorParams, y: Tensor, g: Tensor) -> Tensor:
     """Gated residual correction of motion features.
 
-    The head sees y - (g_local + g_global); its output is scaled by the
-    learnable gate alpha and added to y. With alpha at its initial value
-    0, the result is y unchanged, bit for bit.
+    The head sees y - g, where g is the sum of the routes that ran (see
+    :func:`forward`); its output is scaled by the learnable gate alpha and
+    added to y. With alpha at its initial value 0, the result is y
+    unchanged, bit for bit.
     """
-    if y.data.shape != g_local.data.shape or y.data.shape != g_global.data.shape:
-        raise ShapeError(f"offset_aggregate: shapes differ: y {y.shape}, "
-                         f"g_local {g_local.shape}, g_global {g_global.shape}")
-    resid = T.sub(y, T.add(g_local, g_global))
-    g_offset = T.norm_act_head(params.offset_head, resid)
+    if y.data.shape != g.data.shape:
+        raise ShapeError(f"offset_aggregate: shapes differ: y {y.shape}, g {g.shape}")
+    g_offset = T.norm_act_head(params.offset_head, T.sub(y, g))
     return T.add(y, T.mul(g_offset, params.alpha))
 
 
@@ -453,31 +451,27 @@ def forward(params: AggregatorParams, inputs: SceneInputs) -> tuple[Tensor, Atte
     """Full pass over a prepared scene: project, attend globally and
     locally, correct, as inputs.config defines the module.
 
-    Returns the corrected motion features (N x Dm) and the attention maps
-    used. Record on a tape to differentiate through the whole thing.
+    The head sees g, the sum of the routes that ran (a zero tensor when
+    neither runs). Returns the corrected motion features (N x Dm) and the
+    attention maps used. Record on a tape to differentiate through it.
     """
     config = inputs.config
     q, k, v = project_qkv(params, inputs.context, inputs.motion, config)
     y = inputs.motion
-    n, dm = y.data.shape
-
-    if config.disable_global:
-        g_global = Tensor(np.zeros((n, dm)))
-        global_w = None
-    else:
-        g_global, global_w = aggregate_global(params, q, k, v, config)
-
-    if config.disable_local:
-        g_local = Tensor(np.zeros((n, dm)))
-        local_w = None
-    else:
+    g = global_w = local_w = None
+    if not config.disable_global:
+        g, global_w = aggregate_global(params, q, k, v, config)
+    if not config.disable_local:
         g_local, lw = aggregate_local(params, inputs, v)
+        g = g_local if g is None else T.add(g_local, g)
         local_w = lw.data
+    if g is None:
+        g = Tensor(np.zeros(y.data.shape))
 
     if config.plain_aggregator:
         if params.plain_head is None:
             raise ShapeError("plain_aggregator is set but params carry no plain_head")
-        y_tilde = T.add(y, T.mlp_forward(params.plain_head, T.add(g_local, g_global)))
+        y_tilde = T.add(y, T.mlp_forward(params.plain_head, g))
     else:
-        y_tilde = offset_aggregate(params, y, g_local, g_global)
+        y_tilde = offset_aggregate(params, y, g)
     return y_tilde, AttentionMap(global_reader=global_w, local_weights=local_w)

@@ -105,8 +105,7 @@ class Adam:
     `named` order of the first step; a later step whose names or shapes
     differ raises ValueError. Each step is one elementwise update over
     the concatenated parameters (the per-parameter expressions, so the
-    same bytes as updating each parameter on its own), and ``m`` and ``v``
-    read each parameter's slice of the moments by name.
+    same bytes as updating each parameter on its own).
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -115,18 +114,6 @@ class Adam:
         self.t = 0
         self._layout: list[tuple[str, tuple[int, ...]]] = []
         self._m = self._v = np.zeros(0)
-
-    def _by_name(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: view for (name, _), view
-                in zip(self._layout, _views(flat, [shape for _, shape in self._layout]))}
-
-    @property
-    def m(self) -> dict[str, np.ndarray]:
-        return self._by_name(self._m)
-
-    @property
-    def v(self) -> dict[str, np.ndarray]:
-        return self._by_name(self._v)
 
     def step(self, named: list[tuple[str, Tensor]], grads: Gradients) -> None:
         layout = [(name, t.data.shape) for name, t in named]

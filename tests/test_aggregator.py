@@ -174,7 +174,7 @@ def test_alpha_zero_is_bitwise_identity():
 
 
 def test_matched_aggregate_zero_shift_keeps_motion():
-    # When y equals g_local + g_global the head input is all zeros; a
+    # When y equals the routes' sum g the head input is all zeros; a
     # constant column standardizes to zero, shift 0 and ReLU keep it
     # there, so the correction vanishes for any gate value.
     params, cloud, feats, nbrs = _instance(2, 6, alpha=3.0)
@@ -186,9 +186,7 @@ def test_matched_aggregate_zero_shift_keeps_motion():
 def test_offset_aggregate_direct():
     params, _, feats, _ = _instance(5, 7, alpha=0.9)
     y = tensor(feats.motion)
-    gl = tensor(np.zeros((7, 4)))
-    gg = tensor(np.zeros((7, 4)))
-    got = offset_aggregate(params, y, gl, gg).data
+    got = offset_aggregate(params, y, tensor(np.zeros((7, 4)))).data
     head = oracles.norm_head_loops(
         params.offset_head.weight.data, params.offset_head.bias.data,
         params.offset_head.gain.data, params.offset_head.shift.data, feats.motion)
@@ -260,6 +258,17 @@ def test_plain_aggregator_path():
     # no gate: even freshly initialized, the head output shifts motion
     assert got.data.shape == (6, 4)
     assert not np.array_equal(got.data, feats.motion)
+
+
+def test_plain_head_with_no_route_adds_its_mlp_of_zero():
+    cfg = dataclasses.replace(SMALL, plain_aggregator=True, disable_local=True,
+                              disable_global=True)
+    params, cloud, feats, _ = _instance(11, 6, cfg)
+    got, amap = forward(params, prepare_inputs(cloud, feats, None, cfg))
+    layers = [(w.data, b.data) for w, b in params.plain_head.layers]
+    want = feats.motion + oracles.mlp_loops(layers, np.zeros((6, 4)))
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    assert amap.global_weights is None and amap.local_weights is None
 
 
 def test_cross_frame_displacements_need_counterparts():

@@ -38,6 +38,19 @@ GLOBAL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
 GLOBAL_SCENE_SHA256 = "2ec84cf640812ff6a46d1b5c978093b18dbc8ce62aca4fb245aec2d00723d8b5"
 
 SMOKE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
+# SHA-256 of each file `flowagg ablate` writes on smoke.cfg. golden_checksums.txt
+# pins only the full module; these pin the variants that switch a route or
+# the head.
+SMOKE_ABLATE_SHA256 = {
+    "ablation.txt": "bc99744393013a155afa03da463552f422775224efe3924fcf0d6b7daf3c2185",
+    "report_full.txt": "07a69a8a77f4d286c1ce7d90380f18e3832d1128bb0fc88ebe33fa62092ba0ef",
+    "report_plain_aggregator.txt":
+        "8f74ed96acbd069046f0ee2695fd80976798f2640121bc676ecb67913fb6303b",
+    "report_no_local.txt": "bf89f773025030c0b573a507caef73c7d95ced1faa731c43277cf7dd537df68f",
+    "report_no_global.txt": "405b01065d4921c35857dc5d4586c0be64ae1432e7546bc8251b518189c0936d",
+    "report_backbone_only.txt":
+        "4a6ace14403cccd8e8f2cc759a656482e3ad0b0e78ed26ef5f170d91ab7a06d6",
+}
 
 LIGHT_CFG = """
 scene.n_clusters = 2
@@ -248,6 +261,13 @@ def test_ablate_writes_table_and_reports(tmp_path, light_cfg, capsys):
         assert variant in table
         assert (out / f"report_{variant}.txt").exists()
     assert capsys.readouterr().out == table
+
+
+def test_ablate_smoke_outputs_match_pinned_digests(tmp_path):
+    out = tmp_path / "abl"
+    assert main(["ablate", "--config", SMOKE_CFG, "--out", str(out)]) == EXIT_OK
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()} == SMOKE_ABLATE_SHA256
 
 
 def test_defaults_round_trips(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Smoke tests of the scripts under scripts/."""
 
+import importlib.util
 import json
 import math
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
+
+import pytest
 
 from flowagg.train import ABLATION_VARIANTS
 
@@ -12,11 +16,27 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 SMOKE_CFG = SCRIPTS.parent / "configs" / "smoke.cfg"
 
 
-def _run_one_seed(script):
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--config", str(SMOKE_CFG),
+def _run_one_seed(script, config=SMOKE_CFG):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--config", str(config),
                            "--seeds", "1"],
                           capture_output=True, text=True, check=True, timeout=120)
     return proc.stdout.splitlines()
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def unoccluded_cfg(tmp_path):
+    """smoke.cfg without its occlusion lines: a scene with no occluded point."""
+    path = tmp_path / "unoccluded.cfg"
+    path.write_text("".join(line for line in SMOKE_CFG.read_text().splitlines(keepends=True)
+                            if not line.startswith("scene.occlusion_")))
+    return path
 
 
 def test_time_attention_prints_one_json_line_with_every_field():
@@ -75,3 +95,61 @@ def test_run_occlusion_reports_one_seed_and_the_worst_ratio():
     assert label == "worst ratio:" and worst == ratio
     assert math.isfinite(float(worst))
     assert len(lines) == 4
+
+
+def test_run_ablation_shows_a_scene_with_no_occluded_point_as_dashes(unoccluded_cfg):
+    lines = _run_one_seed("run_ablation.py", unoccluded_cfg)
+    assert lines[2].split() == ["0", *["-"] * len(ABLATION_VARIANTS)]
+    assert lines[3].split() == ["mean", *["-"] * len(ABLATION_VARIANTS)]
+    assert len(lines) == 4
+
+
+def test_run_occlusion_shows_a_scene_with_no_occluded_point_as_dashes(unoccluded_cfg):
+    lines = _run_one_seed("run_occlusion.py", unoccluded_cfg)
+    assert lines[2].split()[:4] == ["0", "-", "-", "-"]
+    assert lines[3] == "worst ratio: -"
+    assert len(lines) == 4
+
+
+def test_run_occlusion_ratio_is_inf_when_the_full_epe_is_zero(monkeypatch, capsys):
+    script = _load_script("run_occlusion")
+    epes = {"full": 0.0, "baseline": 0.5}
+    monkeypatch.setattr(script, "run_occlusion_experiment", lambda cfg: {
+        name: SimpleNamespace(metrics_occluded=SimpleNamespace(epe_m=epe))
+        for name, epe in epes.items()})
+    monkeypatch.setattr(sys, "argv", ["run_occlusion.py", "--config", str(SMOKE_CFG),
+                                      "--seeds", "1"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split()[:4] == ["0", "0.00000", "0.50000", "inf"]
+    assert lines[3] == "worst ratio: inf"
+
+
+GOLDEN = "a" * 64 + "  scene.gtc\n" + "b" * 64 + "  report.txt\n"
+
+
+@pytest.fixture
+def make_goldens(tmp_path, monkeypatch):
+    """scripts/make_goldens.py with its pipeline stubbed to return GOLDEN
+    and its checksum file moved to tmp_path."""
+    script = _load_script("make_goldens")
+    monkeypatch.setattr(script, "golden_text", lambda: GOLDEN)
+    monkeypatch.setattr(script, "OUT", str(tmp_path / "golden_checksums.txt"))
+    return script
+
+
+def test_make_goldens_check_exits_0_on_a_match(make_goldens, capsys):
+    pathlib.Path(make_goldens.OUT).write_text(GOLDEN)
+    assert make_goldens.main(["--check"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"matches {make_goldens.OUT}"
+    assert pathlib.Path(make_goldens.OUT).read_text() == GOLDEN
+
+
+def test_make_goldens_check_exits_1_naming_the_file_and_both_digests(make_goldens, capsys):
+    committed = GOLDEN.replace("b" * 64, "c" * 64)
+    pathlib.Path(make_goldens.OUT).write_text(committed)
+    assert make_goldens.main(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [f"report.txt: committed {'c' * 64}, recomputed {'b' * 64}",
+                        f"mismatch with {make_goldens.OUT}"]
+    assert pathlib.Path(make_goldens.OUT).read_text() == committed
