@@ -221,7 +221,7 @@ def init_params(config: AggregatorConfig, seed: int) -> AggregatorParams:
 
 
 def project_qkv(params: AggregatorParams, context: Tensor, motion: Tensor,
-                config: AggregatorConfig) -> tuple[Tensor, Tensor, Tensor]:
+                config: AggregatorConfig) -> tuple[Tensor | None, Tensor | None, Tensor | None]:
     """Query, key, and value projections of the context (N x Dc) and
     motion (N x Dm) tensors.
 
@@ -229,15 +229,21 @@ def project_qkv(params: AggregatorParams, context: Tensor, motion: Tensor,
     q and k are the same tensor (one matmul, gradients from both uses
     accumulate on it). With raw_context_logits, q and k are the context
     tensor itself and the shared projection is skipped. v applies the
-    motion-feature projection.
+    motion-feature projection. A projection that no route reads is not
+    formed: q and k are None with disable_global, and v too when the local
+    route is off as well.
     """
     dc, dm = config.context_dim, config.motion_dim
     if params.qk_proj.shape != (dc, config.qk_dim) or params.v_proj.shape != (dm, dm):
         raise ShapeError(
             f"projections {params.qk_proj.shape}/{params.v_proj.shape} do not match "
             f"config dims Dc={dc}, Dqk={config.qk_dim}, Dm={dm}")
-    qk = context if config.raw_context_logits else T.matmul(context, params.qk_proj)
-    return qk, qk, T.matmul(motion, params.v_proj)
+    qk = v = None
+    if not config.disable_global:
+        qk = context if config.raw_context_logits else T.matmul(context, params.qk_proj)
+    if not (config.disable_global and config.disable_local):
+        v = T.matmul(motion, params.v_proj)
+    return qk, qk, v
 
 
 # Largest N x N memory in bytes (1 GiB) that the use_weight_mlp route may

@@ -36,9 +36,10 @@ class TrainSettings:
 
     ``optimizer`` is "sgd" or "adam" (beta/eps fields apply to adam only).
     ``seed`` drives parameter initialization, independent of the scene
-    seed. ``freeze_alpha`` pins the residual gate at its initial zero,
-    turning the module into a pass-through; this is the no-aggregation
-    baseline used in experiments.
+    seed. ``freeze_alpha`` is the no-aggregation baseline used in
+    experiments: the module stays at its initial pass-through (the gate
+    at zero), so the decoder reads the input motion features, no module
+    runs whatever the head, and only the decoder trains.
     """
 
     steps: int = 300

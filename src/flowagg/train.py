@@ -237,10 +237,14 @@ def _setup_model(cfg: RunConfig, cloud: PointCloud,
             init_decoder(module.motion_dim, cfg.train.seed))
 
 
-def _predict(params: AggregatorParams, decoder: DecoderParams, inputs: SceneInputs) -> Tensor:
+def _predict(params: AggregatorParams | None, decoder: DecoderParams,
+             inputs: SceneInputs) -> Tensor:
     """Per-point flow prediction on prepared inputs: the aggregator, then
-    the decoder."""
-    y_tilde, _ = forward(params, inputs)
+    the decoder.
+
+    With params None the decoder reads the input motion features, which is
+    what the aggregator returns with its gate at zero; no module runs."""
+    y_tilde = inputs.motion if params is None else forward(params, inputs)[0]
     return decode_flow(decoder, y_tilde)
 
 
@@ -250,7 +254,9 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     The scene is generated from cfg.scene unless passed in, and its
     aggregator inputs are prepared once for all steps. Loss is mean
     squared flow error over all points, occluded included; metrics in the
-    report are split by the ground-truth occlusion mask.
+    report are split by the ground-truth occlusion mask. With
+    cfg.train.freeze_alpha no module runs and only the decoder trains; the
+    report carries the aggregator parameters as initialised.
     """
     cfg.train.validate()
     cfg.module.validate()
@@ -262,15 +268,14 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
     inputs, params, decoder = _setup_model(
         cfg, scene.frame1, FeatureSet(scene.context, scene.motion_in))
     target = T.tensor(scene.gt_flow.vectors)
-    named = params.named_tensors() + decoder.named_tensors()
-    if cfg.train.freeze_alpha:
-        named = [(n, t) for n, t in named if n != "alpha"]
+    module_params = None if cfg.train.freeze_alpha else params
+    named = ([] if module_params is None else params.named_tensors()) + decoder.named_tensors()
     opt = _make_optimizer(cfg.train)
 
     losses: list[float] = []
     for step in range(cfg.train.steps):
         with Tape() as tape:
-            pred = _predict(params, decoder, inputs)
+            pred = _predict(module_params, decoder, inputs)
             loss = loss_epe(pred, target)
         value = float(loss.data)
         if not math.isfinite(value):
@@ -278,7 +283,7 @@ def train(cfg: RunConfig, scene: SyntheticScene | None = None) -> ExperimentRepo
         losses.append(value)
         opt.step(named, backward(tape, loss))
 
-    pred = _predict(params, decoder, inputs)
+    pred = _predict(module_params, decoder, inputs)
     if not np.isfinite(pred.data).all():
         raise DivergenceError(cfg.train.steps, float("nan"))
     occ, vis, everything = evaluate_split(
@@ -363,10 +368,11 @@ def run_occlusion_experiment(cfg: RunConfig,
     """Train the full module and the frozen-gate baseline on the same
     scene with identical initialization; report both.
 
-    The baseline differs in exactly one way: the residual gate stays at
-    zero, so corrected motion features equal the inputs and only the
-    decoder learns. Any occluded-split advantage of "full" over
-    "baseline" is attributable to the aggregation routes.
+    The baseline differs in exactly one way: no module runs, so the
+    decoder reads the input motion features (the module's output with its
+    gate at zero) and only the decoder learns. Any occluded-split
+    advantage of "full" over "baseline" is attributable to the
+    aggregation module.
     """
     _check_trainable(cfg.module)
     if scene is None:

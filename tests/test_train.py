@@ -463,20 +463,45 @@ def test_ablation_runs_all_variants():
 
 
 def test_each_variant_tapes_only_the_routes_that_run(monkeypatch):
-    # A disabled route leaves nothing on the tape: no zero tensor and no
-    # add of it into the routes' sum.
-    nodes = []
+    # A disabled route leaves nothing on the tape: no zero tensor, no add
+    # of it into the routes' sum and no projection that only it reads. The
+    # frozen-gate baseline runs no module: the decoder and the loss.
+    ops = []
 
     def count(tape, loss):
-        nodes.append(len(tape))
+        ops.append([node.op for node in tape.nodes])
         return backward(tape, loss)
     monkeypatch.setattr(train_module, "backward", count)
     cfg = parse_config_file(ABLATION_CFG)
     cfg.train = dataclasses.replace(cfg.train, steps=1)
     run_ablation(cfg)
-    assert dict(zip(ABLATION_VARIANTS, nodes, strict=True)) == {
-        "full": 17, "plain_aggregator": 16, "no_local": 9, "no_global": 15,
-        "backbone_only": 17}
+    by_variant = dict(zip(ABLATION_VARIANTS, ops, strict=True))
+    assert {v: len(nodes) for v, nodes in by_variant.items()} == {
+        "full": 17, "plain_aggregator": 16, "no_local": 9, "no_global": 14,
+        "backbone_only": 2}
+    assert by_variant["no_global"].count("matmul") == 1
+    assert by_variant["backbone_only"] == ["linear", "mean_sq_dist"]
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_backbone_only_runs_no_module_on_a_plain_head_base(optimizer):
+    # The plain head has no gate to hold at zero; the baseline still
+    # trains the decoder alone on the input motion, so no aggregator
+    # tensor moves and the run is the default base's baseline.
+    runs = {}
+    for plain in (True, False):
+        cfg = _light_cfg(module=dict(plain_aggregator=plain),
+                         train=dict(steps=10, freeze_alpha=True, optimizer=optimizer))
+        runs[plain] = train(cfg)
+        initial = train_module.init_params(cfg.module, cfg.train.seed)
+        assert [(n, t.data.tobytes()) for n, t in runs[plain].params.named_tensors()] == \
+            [(n, t.data.tobytes()) for n, t in initial.named_tensors()]
+    assert runs[True].params.plain_head is not None
+
+    def outcome(report):
+        return [line for line in report_lines(report) if not line.startswith("config.")]
+    assert outcome(runs[True]) == outcome(runs[False])
+    assert runs[True].decoder.weight.data.tobytes() == runs[False].decoder.weight.data.tobytes()
 
 
 def test_variants_share_core_initialization():
