@@ -15,8 +15,9 @@ Both routes produce convex combinations of value-projected motion
 features. Their sum enters a gated residual correction: the difference
 between the original motion feature and the aggregate passes through a
 linear/normalize/ReLU head, is scaled by a learnable gate that starts at
-zero, and is added back. At initialization the module is therefore an
-exact identity on motion features.
+zero, and is added back. At initialization the module therefore returns
+its motion features unchanged, with one exception: the sum y + 0 · head
+turns a -0.0 entry into +0.0.
 
 The module's one input is a prepared scene: :func:`prepare_inputs`
 checks a scene's cloud, features and neighbour table against the config
@@ -440,17 +441,15 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
 
 
 def offset_aggregate(params: AggregatorParams, y: Tensor, g: Tensor) -> Tensor:
-    """Gated residual correction of motion features.
+    """Gated residual correction of motion features, one
+    :func:`.tensor.offset_head` node.
 
     The head sees y - g, where g is the sum of the routes that ran (see
     :func:`forward`); its output is scaled by the learnable gate alpha and
-    added to y. With alpha at its initial value 0, the result is y
-    unchanged, bit for bit.
+    added to y. With alpha at its initial value 0, the result is y + 0 ·
+    head: y's bytes, except that a -0.0 entry comes back +0.0.
     """
-    if y.data.shape != g.data.shape:
-        raise ShapeError(f"offset_aggregate: shapes differ: y {y.shape}, g {g.shape}")
-    g_offset = T.norm_act_head(params.offset_head, T.sub(y, g))
-    return T.add(y, T.mul(g_offset, params.alpha))
+    return T.offset_head(params.offset_head, params.alpha, y, g)
 
 
 def forward(params: AggregatorParams, inputs: SceneInputs) -> tuple[Tensor, AttentionMap]:

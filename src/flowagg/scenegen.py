@@ -418,15 +418,6 @@ def _group_of(cluster_id: np.ndarray, cfg: SceneConfig) -> np.ndarray:
     return cluster_id // cfg.clusters_per_group
 
 
-def _motion_embedding(motion_dim: int) -> np.ndarray:
-    """Fixed 3 x Dm embedding that tiles the flow components across the
-    motion feature width; the identity when Dm == 3."""
-    e = np.zeros((3, motion_dim))
-    for c in range(motion_dim):
-        e[c % 3, c] = 1.0
-    return e
-
-
 def synth_features(gt_flow: np.ndarray, cluster_id: np.ndarray, occlusion_mask: np.ndarray,
                    cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray]:
     """Context and motion input features for a scene's frame-1 points,
@@ -438,7 +429,8 @@ def synth_features(gt_flow: np.ndarray, cluster_id: np.ndarray, occlusion_mask: 
     projections of the context separate groups more sharply from the
     start, which matters when training has to bootstrap attention from
     occluded-point errors alone.
-    Motion rows are gt_flow pushed through a fixed tiling embedding; at
+    Motion rows tile gt_flow's components across the motion width
+    (column c is component c mod 3; gt_flow itself when Dm == 3); at
     occluded points the row is corrupted instead (zeroed, or pure noise of
     std corruption_noise_std), modelling that frame-to-frame matching
     carries no information exactly there.
@@ -454,7 +446,7 @@ def synth_features(gt_flow: np.ndarray, cluster_id: np.ndarray, occlusion_mask: 
     if cfg.feature_noise_std > 0.0:
         context = context + rng.normal_array((n, cfg.context_dim)) * cfg.feature_noise_std
 
-    motion_in = gt_flow @ _motion_embedding(cfg.motion_dim)
+    motion_in = gt_flow[:, np.arange(cfg.motion_dim) % 3]
     occluded = np.flatnonzero(occlusion_mask)
     if cfg.motion_corruption == "zero":
         motion_in[occluded] = 0.0

@@ -1,6 +1,6 @@
 """Dense float64 arrays, a reverse-mode differentiation tape, and the small
-neural building blocks (MLP, normalization head) the rest of the package
-composes.
+neural building blocks (MLP, gated normalization head) the rest of the
+package composes.
 
 Values live in :class:`Tensor`, a thin wrapper over a C-contiguous float64
 numpy array. Operations are plain functions. While a :class:`Tape` is
@@ -20,20 +20,20 @@ Six fused ops stand for op chains and keep only what their backward
 needs. Four give the chain's output bytes and gradients: ``linear``
 (matmul, bias add, optional ReLU; every MLP layer and the decoder),
 ``local_aggregate`` (gather, weight and sum neighbour rows, with no N·k
-row array on the tape), ``norm_act_head`` (the offset head's linear map,
-standardization, gain, shift and ReLU) and ``mean_sq_dist`` (the training
-loss). The other two sum in another order and agree with their chains to
-rounding: ``score_layer`` (the local scores' first layer, without the N·k
-x (De + 2Dc) concatenated input and with no gradient for the constant
-context) and ``attention`` (softmax attention in query-row blocks that
-both passes walk, with no N x N array: it keeps each row's softmax
-statistics and no block, and backward recomputes every block in two
-matmuls that fold in the scale, the row max and the softmax row term).
+row array on the tape), ``offset_head`` (the offset aggregator's gated
+residual) and ``mean_sq_dist`` (the training loss). The other two sum in
+another order and agree with their chains to rounding: ``score_layer``
+(the local scores' first layer, without the N·k x (De + 2Dc)
+concatenated input and with no gradient for the constant context) and
+``attention`` (softmax attention in query-row blocks that both passes
+walk, with no N x N array: it keeps each row's softmax statistics and
+no block, and backward recomputes every block in two matmuls that fold
+in the scale, the row max and the softmax row term).
 The chain ops stay public: other routes and the tests use them, and the
 benchmark's tracer (``flowbench/tracer.py``) patches them by name, so a
-traced run fails with AttributeError if one is removed. ``relu``,
-``sqrt``, ``add_const``, ``concat_cols`` and ``gather_rows`` have no
-other caller in the package.
+traced run fails with AttributeError if one is removed. ``sub``,
+``mul``, ``relu``, ``sqrt``, ``add_const``, ``concat_cols`` and
+``gather_rows`` have no other caller in the package.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -700,10 +700,8 @@ def mlp_forward(p: MlpParams, x) -> Tensor:
 
 @dataclass
 class NormActParams:
-    """Parameters of :func:`norm_act_head`: a linear map, then
-    per-feature standardization with a learnable gain and shift, then
-    ReLU. The head is one tape node whose inputs are (shift, gain, bias,
-    x, weight)."""
+    """Parameters of the head inside :func:`offset_head`: a linear map,
+    per-feature standardization with learnable gain and shift, ReLU."""
 
     weight: Tensor  # D x D
     bias: Tensor    # (D,)
@@ -717,70 +715,71 @@ class NormActParams:
         yield f"{prefix}.shift", self.shift
 
 
-def norm_act_head(p: NormActParams, x) -> Tensor:
-    """Linear map, then standardization over the rows of the current cloud
-    (mean 0, variance 1 per feature, epsilon 1e-5 in the denominator, with
-    learnable gain/shift), then ReLU, as one tape node.
+def offset_head(p: NormActParams, alpha, y, g) -> Tensor:
+    """The gated residual ``y + alpha · head(y - g)`` as one tape node. The
+    head is a linear map, then standardization over the rows (mean 0,
+    variance 1 per feature, epsilon 1e-5 in the denominator, with
+    learnable gain/shift), then ReLU. alpha has shape () or (1,).
 
     Statistics are recomputed from the given rows every call; nothing is
     carried between calls, so the result is independent of batching. A
     constant feature column standardizes to zeros. Needs at least 2 rows.
 
-    The node stands for the chain ``z = linear(x, weight, bias)``, ``mean =
-    scale(reduce_sum(z, axis=0, keepdims=True), 1/n)``, ``centered = sub(z,
-    mean)``, ``var = scale(reduce_sum(mul(centered, centered), axis=0,
-    keepdims=True), 1/n)``, ``relu(add(mul(div(centered, sqrt(add_const(var,
-    eps))), gain), shift))``. Forward and backward repeat that chain's numpy
-    expressions in its order, so output and gradients are its bytes: the
-    two gradient terms that reach `centered` through ``mul`` are added to
-    the one from ``div``, and the one from ``reduce_sum`` to the one that
-    reaches z through ``sub``, in the order ``backward`` sums them. The
-    inputs are recorded as (shift, gain, bias, x, weight), the order in
-    which the chain's backward reaches them, so a tensor passed twice sums
-    its gradients in the chain's order. The node keeps its output, the
-    centered rows and the per-feature standard deviation; backward reads
-    the ReLU mask from ``y > 0`` and recomputes the standardized rows.
-
-    The chain's ops stay public (``relu``, ``sqrt`` and ``add_const`` only
-    for this): the tests compare against the chain, and the benchmark's
-    tracer patches each by name, so a traced run fails with AttributeError
-    without them.
+    The node stands for the chain ``x = sub(y, g)``, ``z = linear(x,
+    weight, bias)``, ``mean = scale(reduce_sum(z, axis=0, keepdims=True),
+    1/n)``, ``centered = sub(z, mean)``, ``var = scale(reduce_sum(mul(
+    centered, centered), axis=0, keepdims=True), 1/n)``, ``h = relu(add(
+    mul(div(centered, sqrt(add_const(var, eps))), gain), shift))``,
+    ``add(y, mul(h, alpha))``. Forward and backward repeat that chain's
+    numpy expressions in its order, so output and gradients are its bytes:
+    the two gradient terms that reach `centered` through ``mul`` are added
+    to the one from ``div``, the one from ``reduce_sum`` to the one that
+    reaches z through ``sub``, and y's from ``sub`` to its own from
+    ``add``, in the order ``backward`` sums them. The inputs are recorded
+    as (y, alpha, shift, gain, bias, weight, g), the order in which the
+    chain's backward reaches them. The node keeps its output, h, the
+    centered rows and the per-feature standard deviation; backward forms
+    y - g again and reads the ReLU mask from ``h > 0``.
     """
-    x, w, b, gain, shift = (_as_tensor(t) for t in (x, p.weight, p.bias, p.gain, p.shift))
-    xd, wd, bd, gd, hd = x.data, w.data, b.data, gain.data, shift.data
-    if xd.ndim != 2 or xd.shape[0] < 2:
-        raise ShapeError(f"norm_act_head needs at least 2 rows, got shape {x.shape}")
-    if (wd.ndim != 2 or xd.shape[1] != wd.shape[0]
-            or not bd.shape == gd.shape == hd.shape == (wd.shape[1],)):
-        raise ShapeError(f"norm_act_head: incompatible shapes x {xd.shape}, weight "
-                         f"{wd.shape}, bias {bd.shape}, gain {gd.shape}, shift {hd.shape}")
-    c = 1.0 / xd.shape[0]
-    centered = sd = None
+    y, g, alpha, w, b, gain, shift = (
+        _as_tensor(t) for t in (y, g, alpha, p.weight, p.bias, p.gain, p.shift))
+    yd, gd, ad, wd, bd, gn, sh = (t.data for t in (y, g, alpha, w, b, gain, shift))
+    if (yd.ndim != 2 or yd.shape[0] < 2 or gd.shape != yd.shape or ad.shape not in ((), (1,))
+            or wd.shape != (yd.shape[1],) * 2
+            or not bd.shape == gn.shape == sh.shape == (yd.shape[1],)):
+        raise ShapeError(f"offset_head needs y and g of one N x D shape with N >= 2, alpha of "
+                         f"shape () or (1,), a D x D weight and D-vectors; got y {yd.shape}, "
+                         f"g {gd.shape}, alpha {ad.shape}, weight {wd.shape}, bias "
+                         f"{bd.shape}, gain {gn.shape}, shift {sh.shape}")
+    c = 1.0 / yd.shape[0]
+    h = centered = sd = None
 
     def fwd():
-        nonlocal centered, sd
-        centered = xd @ wd
+        nonlocal h, centered, sd
+        centered = (yd - gd) @ wd
         centered += bd
         centered -= centered.sum(axis=0, keepdims=True) * c
         sd = np.sqrt((centered * centered).sum(axis=0, keepdims=True) * c + NORM_EPS)
-        y = centered / sd
-        y *= gd
-        y += hd
-        np.maximum(y, 0.0, out=y)
-        return y
+        h = centered / sd
+        h *= gn
+        h += sh
+        np.maximum(h, 0.0, out=h)
+        return yd + h * ad
 
-    def bwd(g, y):
-        g = g * (y > 0.0)
-        g_std = g * gd
+    def bwd(go, out):
+        g_h = go * ad * (h > 0.0)
+        g_std = g_h * gn
         g_sd = (-g_std * centered / (sd * sd)).sum(axis=(0,), keepdims=True)
         g_sq = g_sd * 0.5 / sd * c * centered
         g_centered = g_std / sd
         g_centered += g_sq
         g_centered += g_sq
         g_z = g_centered + (-g_centered).sum(axis=(0,), keepdims=True) * c
-        return (g.sum(axis=(0,)), (g * (centered / sd)).sum(axis=(0,)),
-                g_z.sum(axis=0), g_z @ wd.T, xd.T @ g_z)
-    return _record("norm_act_head", (shift, gain, b, x, w), fwd, bwd)
+        dx = g_z @ wd.T
+        return (go + dx, _unbroadcast(go * h, ad.shape), g_h.sum(axis=(0,)),
+                (g_h * (centered / sd)).sum(axis=(0,)), g_z.sum(axis=0),
+                (yd - gd).T @ g_z, -dx)
+    return _record("offset_head", (y, alpha, shift, gain, b, w, g), fwd, bwd)
 
 
 def mean_sq_dist(pred, target) -> Tensor:
@@ -789,9 +788,7 @@ def mean_sq_dist(pred, target) -> Tensor:
     ``scale(reduce_sum(mul(d, d)), 1/n)`` with ``d = sub(pred, target)``,
     whose numpy expressions forward and backward repeat in order, so the
     scalar and both gradients are its bytes. The node keeps only the
-    scalar; backward forms the difference again. The chain's ops stay
-    public, for the tests and the benchmark's tracer (see
-    :func:`norm_act_head`)."""
+    scalar; backward forms the difference again."""
     pred, target = _as_tensor(pred), _as_tensor(target)
     pd, td = pred.data, target.data
     if pd.ndim != 2 or pd.shape != td.shape or not pd.shape[0]:

@@ -243,7 +243,8 @@ def _predict(params: AggregatorParams | None, decoder: DecoderParams,
     the decoder.
 
     With params None the decoder reads the input motion features, which is
-    what the aggregator returns with its gate at zero; no module runs."""
+    what the aggregator returns with its gate at zero (but for -0.0
+    entries, which it returns as +0.0); no module runs."""
     y_tilde = inputs.motion if params is None else forward(params, inputs)[0]
     return decode_flow(decoder, y_tilde)
 

@@ -173,6 +173,18 @@ def test_alpha_zero_is_bitwise_identity():
         assert got.data.tobytes() == feats.motion.tobytes()
 
 
+def test_alpha_zero_returns_negative_zero_motion_as_positive_zero():
+    # The gate at zero adds 0 * head to y, and -0.0 + 0.0 is +0.0: the one
+    # entry whose bytes the zero gate changes.
+    params, cloud, feats, nbrs = _instance(3, 9)
+    motion = feats.motion.copy()
+    motion[0] = -0.0
+    inputs = prepare_inputs(cloud, FeatureSet(feats.context, motion), nbrs, SMALL)
+    got = forward(params, inputs)[0].data
+    assert (got[0] == 0.0).all() and not np.signbit(got[0]).any()
+    assert got[1:].tobytes() == motion[1:].tobytes()
+
+
 def test_matched_aggregate_zero_shift_keeps_motion():
     # When y equals the routes' sum g the head input is all zeros; a
     # constant column standardizes to zero, shift 0 and ReLU keep it

@@ -201,7 +201,7 @@ def test_motion_embedding_is_identity_at_dim_3():
     cfg = _cfg(motion_dim=3, occlusion_fraction=0.3, occlusion_mode="local")
     s = generate_scene(cfg)
     vis = ~s.occlusion_mask
-    np.testing.assert_allclose(s.motion_in[vis], s.gt_flow.vectors[vis], atol=1e-12)
+    np.testing.assert_array_equal(s.motion_in[vis], s.gt_flow.vectors[vis])
     np.testing.assert_array_equal(s.motion_in[~vis], 0.0)
 
 

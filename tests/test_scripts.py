@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -69,7 +70,7 @@ def test_time_step_prints_one_json_line_per_case():
                             strict=True):
         assert set(row) == {"case", "n", "nodes", "tape_mb"} | {
             f"{phase}_ms_{stat}" for phase in phases for stat in ("min", "median")}
-        assert (row["case"], row["n"], row["nodes"]) == (case, n, 17)
+        assert (row["case"], row["n"], row["nodes"]) == (case, n, 14)
         assert all(row[key] > 0 for key in row if key != "case")
 
 
@@ -111,7 +112,8 @@ def test_run_occlusion_shows_a_scene_with_no_occluded_point_as_dashes(unoccluded
     assert len(lines) == 4
 
 
-def test_run_occlusion_ratio_is_inf_when_the_full_epe_is_zero(monkeypatch, capsys):
+def test_run_occlusion_ratio_divides_by_at_least_one_millimetre(monkeypatch, capsys):
+    # A full-module EPE below 1 mm (here exactly 0) counts as 1 mm.
     script = _load_script("run_occlusion")
     epes = {"full": 0.0, "baseline": 0.5}
     monkeypatch.setattr(script, "run_occlusion_experiment", lambda cfg: {
@@ -121,8 +123,8 @@ def test_run_occlusion_ratio_is_inf_when_the_full_epe_is_zero(monkeypatch, capsy
                                       "--seeds", "1"])
     script.main()
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2].split()[:4] == ["0", "0.00000", "0.50000", "inf"]
-    assert lines[3] == "worst ratio: inf"
+    assert lines[2].split()[:4] == ["0", "0.00000", "0.50000", "500.0"]
+    assert lines[3] == "worst ratio: 500.0"
 
 
 GOLDEN = "a" * 64 + "  scene.gtc\n" + "b" * 64 + "  report.txt\n"
@@ -153,3 +155,13 @@ def test_make_goldens_check_exits_1_naming_the_file_and_both_digests(make_golden
     assert out[-2:] == [f"report.txt: committed {'c' * 64}, recomputed {'b' * 64}",
                         f"mismatch with {make_goldens.OUT}"]
     assert pathlib.Path(make_goldens.OUT).read_text() == committed
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_make_goldens_check_matches_at_one_and_two_blas_threads(threads):
+    # The pinned pipeline gives the committed bytes whatever the BLAS
+    # thread count.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "make_goldens.py"), "--check"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

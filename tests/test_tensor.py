@@ -91,10 +91,17 @@ def _identity_head(d):
     )
 
 
+def _head(p, x):
+    """The head alone: offset_head with y = 0, g = -x and alpha = 1, so the
+    head sees 0 - (-x) = x and the node returns 0 + head(x) * 1."""
+    x = np.asarray(x, dtype=np.float64)
+    return T.offset_head(p, Tensor(np.asarray(1.0)), tensor(np.zeros_like(x)), tensor(-x))
+
+
 def test_norm_head_two_point_column():
     # Standardizing [-1, 1] gives +-1 up to the epsilon in the
     # denominator; ReLU then clips the negative side to exactly zero.
-    out = T.norm_act_head(_identity_head(1), tensor([[-1.0], [1.0]])).data
+    out = _head(_identity_head(1), [[-1.0], [1.0]]).data
     assert out[0, 0] == 0.0
     assert out[1, 0] == pytest.approx(1.0, abs=1e-4)
 
@@ -103,7 +110,7 @@ def test_norm_head_constant_column_standardizes_to_zero():
     p = _identity_head(2)
     p.shift = tensor(np.array([0.3, -0.2]), trainable=True)
     x = np.tile([[2.0, -7.0]], (5, 1))
-    out = T.norm_act_head(p, tensor(x)).data
+    out = _head(p, x).data
     np.testing.assert_allclose(out[:, 0], 0.3, atol=1e-15)
     np.testing.assert_allclose(out[:, 1], 0.0, atol=0)
 
@@ -112,7 +119,7 @@ def test_norm_head_mean_tracks_shift_when_relu_inactive():
     rng = np.random.default_rng(2)
     p = _identity_head(3)
     p.shift = tensor(np.full(3, 5.0), trainable=True)
-    out = T.norm_act_head(p, tensor(rng.normal(size=(40, 3)))).data
+    out = _head(p, rng.normal(size=(40, 3))).data
     assert (out > 0.0).all()
     np.testing.assert_allclose(out.mean(axis=0), 5.0, atol=1e-9)
 
@@ -124,14 +131,14 @@ def test_norm_head_matches_loop_oracle():
     p = NormActParams(weight=tensor(w, trainable=True), bias=tensor(b, trainable=True),
                       gain=tensor(g, trainable=True), shift=tensor(s, trainable=True))
     x = rng.normal(size=(7, 4))
-    got = T.norm_act_head(p, tensor(x)).data
+    got = _head(p, x).data
     np.testing.assert_allclose(got, oracles.norm_head_loops(w, b, g, s, x),
                                rtol=0, atol=1e-12)
 
 
 def test_norm_head_rejects_single_row():
     with pytest.raises(ShapeError):
-        T.norm_act_head(_identity_head(2), tensor([[1.0, 2.0]]))
+        _head(_identity_head(2), [[1.0, 2.0]])
 
 
 def _grad_of(build, params):
@@ -397,24 +404,26 @@ def test_linear_rejects_mismatched_operands():
             T.linear(*bad)
 
 
-def _norm_act_chain(p, x):
-    """The chain that norm_act_head's one node stands for: linear, then 12
-    elementwise and reduction ops."""
-    z = T.linear(x, p.weight, p.bias)
+def _offset_head_chain(p, alpha, y, g):
+    """The 16-op chain that offset_head's one node stands for: sub, linear,
+    12 elementwise and reduction ops for the head, then mul and add."""
+    z = T.linear(T.sub(y, g), p.weight, p.bias)
     n = z.data.shape[0]
     mean = T.scale(T.reduce_sum(z, axis=0, keepdims=True), 1.0 / n)
     centered = T.sub(z, mean)
     var = T.scale(T.reduce_sum(T.mul(centered, centered), axis=0, keepdims=True), 1.0 / n)
     standardized = T.div(centered, T.sqrt(T.add_const(var, T.NORM_EPS)))
-    return T.relu(T.add(T.mul(standardized, p.gain), p.shift))
+    head = T.relu(T.add(T.mul(standardized, p.gain), p.shift))
+    return T.add(y, T.mul(head, alpha))
 
 
 def _norm_head_case(case, rng):
-    """(x, params, upstream gradient) for `case`."""
+    """(y, g, alpha, params, upstream gradient) for `case`."""
     n, d = {"two_rows": (2, 3), "shared_gain_shift": (6, 32),
             "n2000_d32": (2000, 32)}.get(case, (4, 3))
-    x, w, upstream = (rng.normal(size=s) for s in ((n, d), (d, d), (n, d)))
+    y, g, w, upstream = (rng.normal(size=s) for s in ((n, d), (n, d), (d, d), (n, d)))
     b, gain, shift = (rng.normal(size=d) for _ in range(3))
+    alpha = rng.normal()
     if case == "constant_column":
         # z[:, 0] is 1.5 in every row; over 4 rows its mean is exact.
         w[:, 0], b[0] = 0.0, 1.5
@@ -422,80 +431,101 @@ def _norm_head_case(case, rng):
         # Standardized values lie within ±sqrt(n - 1), so no row survives.
         gain[1], shift[1] = 1.0, -10.0
     if case == "negative_upstream":
-        upstream = -np.abs(upstream)
+        upstream, alpha = -np.abs(upstream), abs(alpha)
+    if case == "all_dead":
+        # No column survives and the upstream gradient has both signs, so
+        # every column of the gradient at z is zeros of both signs, and
+        # both BLAS products and the bias sum take all-zero columns.
+        gain[:], shift[:] = 1.0, -10.0
     p = NormActParams(*(tensor(a, trainable=True) for a in (w, b, gain, shift)))
     if case == "shared_gain_shift":
         p.shift = p.gain
-    return tensor(x, trainable=True), p, tensor(upstream)
+    return (tensor(y, trainable=True), tensor(g, trainable=True),
+            Tensor(np.asarray(alpha), trainable=True), p, tensor(upstream))
 
 
 NORM_HEAD_CASES = ["distinct", "two_rows", "constant_column", "dead_column",
-                   "negative_upstream", "shared_gain_shift", "n2000_d32"]
+                   "negative_upstream", "all_dead", "shared_gain_shift", "n2000_d32"]
 
 
 @pytest.mark.parametrize("case", NORM_HEAD_CASES)
 def test_norm_act_head_bitwise_equals_linear_and_twelve_op_chain(case):
     rng = np.random.default_rng(len(case))
-    x, p, upstream = _norm_head_case(case, rng)
+    y, g, alpha, p, upstream = _norm_head_case(case, rng)
 
     def run(op):
         def build():
-            y = op(p, x)
-            loss = T.reduce_sum(T.mul(y, upstream))
+            out = op(p, alpha, y, g)
+            loss = T.reduce_sum(T.mul(out, upstream))
             if case == "shared_gain_shift":
                 # The shared tensor's gradient then sums three terms, whose
                 # order shows in the bytes.
                 loss = T.add(loss, T.reduce_sum(T.mul(p.gain, p.gain)))
-            return y, loss
-        return _bytes_and_grads(build, [x, p.weight, p.bias, p.gain, p.shift])
+            return out, loss
+        return _bytes_and_grads(build, [y, g, alpha, p.weight, p.bias, p.gain, p.shift])
 
-    fused = run(T.norm_act_head)
-    assert fused == run(_norm_act_chain)
+    fused = run(T.offset_head)
+    assert fused == run(_offset_head_chain)
     out, *grads = (np.frombuffer(b) for b in fused)
-    assert all(np.isfinite(g).all() for g in grads)
-    out = out.reshape(x.shape)
+    assert all(np.isfinite(gr).all() for gr in grads)
+    out, yd, ad = out.reshape(y.shape), y.data, alpha.data
     if case == "constant_column":
-        assert (out[:, 0] == max(p.shift.data[0], 0.0)).all()
+        assert (out[:, 0] == yd[:, 0] + max(p.shift.data[0], 0.0) * ad).all()
     if case in ("dead_column", "negative_upstream"):
-        assert (out[:, 1] == 0.0).all() and grads[4][1] == 0.0
+        assert (out[:, 1] == yd[:, 1]).all() and grads[6][1] == 0.0
     if case == "negative_upstream":
         # The ReLU mask turns every incoming gradient it drops into -0.0.
-        assert (upstream.data[out == 0.0] < 0.0).all() and (out == 0.0).sum() >= 4
+        dropped = out == yd
+        assert (upstream.data[dropped] < 0.0).all() and dropped.sum() >= 4
+    if case == "all_dead":
+        # Numpy's sums and the BLAS products start at +0.0, so every head
+        # gradient is +0.0 and g's, the negated product, is -0.0.
+        assert (out == yd).all() and grads[0].tobytes() == upstream.data.tobytes()
+        assert all(not np.signbit(gr).any() for gr in grads[2:])
+        assert np.signbit(grads[1]).all()
 
 
 def test_norm_act_head_backpropagates_twice_with_the_same_bytes():
-    # Backward reads the kept centered rows and must leave them as they were.
+    # Backward reads the kept head output and centered rows and must leave
+    # them as they were.
     rng = np.random.default_rng(23)
-    x, p, upstream = _norm_head_case("distinct", rng)
+    y, g, alpha, p, upstream = _norm_head_case("distinct", rng)
     with Tape() as tape:
-        loss = T.reduce_sum(T.mul(T.norm_act_head(p, x), upstream))
-    assert [node.op for node in tape.nodes] == ["norm_act_head", "mul", "reduce_sum"]
+        loss = T.reduce_sum(T.mul(T.offset_head(p, alpha, y, g), upstream))
+    assert [node.op for node in tape.nodes] == ["offset_head", "mul", "reduce_sum"]
     first, second = (backward(tape, loss) for _ in range(2))
-    for t in (x, p.weight, p.bias, p.gain, p.shift):
+    for t in (y, g, alpha, p.weight, p.bias, p.gain, p.shift):
         assert first.wrt(t).tobytes() == second.wrt(t).tobytes()
 
 
 def test_norm_act_head_keeps_no_more_than_its_chain():
     rng = np.random.default_rng(24)
-    x, p, _ = _norm_head_case("n2000_d32", rng)
-    kept, nodes = _kept_bytes(lambda: T.norm_act_head(p, x))
-    chain_kept, chain_nodes = _kept_bytes(lambda: _norm_act_chain(p, x))
-    assert [node.op for node in nodes] == ["norm_act_head"] and len(chain_nodes) == 13
-    # The node keeps its output and the centered rows; the chain keeps
-    # seven N x D arrays.
-    rows_bytes = x.data.nbytes
-    assert 2 * rows_bytes <= kept < 2.1 * rows_bytes
+    y, g, alpha, p, _ = _norm_head_case("n2000_d32", rng)
+    kept, nodes = _kept_bytes(lambda: T.offset_head(p, alpha, y, g))
+    chain_kept, chain_nodes = _kept_bytes(lambda: _offset_head_chain(p, alpha, y, g))
+    assert [node.op for node in nodes] == ["offset_head"] and len(chain_nodes) == 16
+    # The node keeps its output, the head's output and the centered rows;
+    # the chain keeps ten N x D arrays.
+    rows_bytes = y.data.nbytes
+    assert 3 * rows_bytes <= kept < 3.1 * rows_bytes
     assert kept <= chain_kept
 
 
 def test_norm_act_head_rejects_mismatched_params():
-    x = tensor(np.zeros((4, 3)))
-    for field, bad in (("weight", np.zeros((2, 3))), ("bias", np.zeros(2)),
-                       ("gain", np.zeros((1, 3))), ("shift", np.zeros(4))):
+    y, g, alpha = tensor(np.zeros((4, 3))), tensor(np.zeros((4, 3))), Tensor(np.zeros(()))
+    for field, bad in (("weight", np.zeros((2, 3))), ("weight", np.zeros((3, 2))),
+                       ("bias", np.zeros(2)), ("gain", np.zeros((1, 3))),
+                       ("shift", np.zeros(4))):
         p = _identity_head(3)
         setattr(p, field, tensor(bad))
         with pytest.raises(ShapeError):
-            T.norm_act_head(p, x)
+            T.offset_head(p, alpha, y, g)
+    for bad_alpha, bad_y, bad_g in ((tensor(np.zeros(3)), y, g),
+                                    (alpha, y, tensor(np.zeros((5, 3)))),
+                                    (alpha, tensor(np.zeros(3)), tensor(np.zeros(3)))):
+        with pytest.raises(ShapeError):
+            T.offset_head(_identity_head(3), bad_alpha, bad_y, bad_g)
+
 
 
 def _local_aggregate_chain(weights, v, rows):
@@ -950,7 +980,8 @@ def test_softmax_backward_leaves_incoming_gradient_untouched():
                   lambda: T.local_aggregate(x, x, np.arange(18) % 6),
                   lambda: T.score_layer(x, T.reshape(x, (9, 2)), x.data[0, :2], x,
                                         np.arange(6), relu=True),
-                  lambda: T.norm_act_head(NormActParams(x.data[:3], *x.data[3:]), x),
+                  lambda: T.offset_head(NormActParams(x.data[:3], *x.data[3:]), x.data[0, 0],
+                                        x, x.data[::-1]),
                   lambda: T.mean_sq_dist(x, x.data[::-1])):
         with Tape() as tape:
             build()
@@ -963,15 +994,16 @@ def test_softmax_backward_leaves_incoming_gradient_untouched():
 
 def test_grad_norm_head_full():
     rng = np.random.default_rng(12)
-    x = rng.normal(size=(6, 3))
+    y, agg = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
     w, b = rng.normal(size=(3, 3)), rng.normal(size=3)
     g, s = rng.normal(size=3), rng.normal(size=3)
+    upstream = tensor(rng.normal(size=(6, 3)))
 
-    def build(tx, tw, tb, tg, ts):
+    def build(ty, tagg, talpha, tw, tb, tg, ts):
         p = NormActParams(weight=tw, bias=tb, gain=tg, shift=ts)
-        return T.reduce_sum(T.norm_act_head(p, tx))
+        return T.reduce_sum(T.mul(T.offset_head(p, talpha, ty, tagg), upstream))
 
-    _assert_grads_match(build, x, w, b, g, s)
+    _assert_grads_match(build, y, agg, np.array([0.7]), w, b, g, s)
 
 
 def test_grad_mlp_forward():
@@ -1058,7 +1090,8 @@ def test_replay_reproduces_outputs_bitwise():
         idx = [1, 1, 0, 3, 2, 2, 0, 1]
         T.score_layer(T.reshape(cat, (8, 6)), tensor(rng.normal(size=(14, 3))),
                       tensor(rng.normal(size=3)), a, idx, relu=True)
-        head = T.norm_act_head(NormActParams(a, *a.data[:3]), hidden)
+        head = T.offset_head(NormActParams(a, *a.data[:3]), a.data[0, 0], hidden,
+                             hidden.data[::-1])
         T.add(T.reduce_sum(T.add(col, T.mul(col, col))),
               T.add(T.reduce_sum(blend), T.mean_sq_dist(head, hidden)))
     # Every op name that tensor.py records is on this one tape, and linear
@@ -1091,7 +1124,7 @@ def test_replay_detects_a_mutated_input():
                lambda a, b: T.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1])),
                lambda a, b: T.score_layer(a, tensor(np.ones((9, 2))), tensor(np.ones(2)),
                                           b, [2, 0, 1]),
-               lambda a, b: T.norm_act_head(NormActParams(b, *b.data), a),
+               lambda a, b: T.offset_head(NormActParams(b, *b.data), b.data[0, 0], a, b),
                T.mean_sq_dist):
         a = tensor(rng.normal(size=(3, 3)))
         b = tensor(rng.normal(size=(3, 3)))

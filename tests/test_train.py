@@ -365,7 +365,7 @@ def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
         "matmul", "matmul", "attention",                          # global route
         "linear", "linear", "score_layer", "linear", "reshape",   # local route
         "softmax_rows", "local_aggregate",
-        "add", "sub", "norm_act_head", "mul", "add",              # offset head
+        "add", "offset_head",                                     # offset head
         "linear", "mean_sq_dist"]                                 # decoder, loss
     leaves = []
     for tape in tapes:
@@ -477,7 +477,7 @@ def test_each_variant_tapes_only_the_routes_that_run(monkeypatch):
     run_ablation(cfg)
     by_variant = dict(zip(ABLATION_VARIANTS, ops, strict=True))
     assert {v: len(nodes) for v, nodes in by_variant.items()} == {
-        "full": 17, "plain_aggregator": 16, "no_local": 9, "no_global": 14,
+        "full": 14, "plain_aggregator": 16, "no_local": 6, "no_global": 11,
         "backbone_only": 2}
     assert by_variant["no_global"].count("matmul") == 1
     assert by_variant["backbone_only"] == ["linear", "mean_sq_dist"]
