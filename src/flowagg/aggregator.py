@@ -121,7 +121,9 @@ class AttentionMap:
     """Weights actually used in one forward call, for inspection.
 
     global_weights is N x N row-stochastic; local_weights is N x k aligned
-    with the NeighborIndex rows. A disabled route leaves its entry None.
+    with the NeighborIndex rows: the softmax weights the local_route node
+    formed and keeps, not a tape output. A disabled route leaves its entry
+    None.
 
     The default global route keeps no N x N array, on the tape or here:
     each read of global_weights walks, from that call's q and k and with
@@ -350,8 +352,8 @@ class SceneInputs:
 
     * disp: the N·k x 3 displacement table, neighbour endpoint minus point;
     * rows: the flattened neighbour table as a :class:`.tensor.RowIndex`,
-      through which the score layer reads the neighbours' context rows
-      and the weighted sum reads their value rows.
+      through which the local route reads the neighbours' context and
+      value rows, holding that route's per-block scatter plans.
     """
 
     config: AggregatorConfig
@@ -406,6 +408,10 @@ def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex |
     else:
         endpoint = cloud.points
     rows, k = T.RowIndex(nbrs.indices), config.k
+    # The local route's per-block scatter plans, built here once per run.
+    width = max(config.context_dim, config.motion_dim, config.disp_dim,
+                *config.disp_hidden, *config.score_hidden)
+    rows.blocks(k * T.local_block_points(n, k, width))
     with np.errstate(over="ignore", invalid="ignore"):
         disp = endpoint[rows.flat] - np.repeat(cloud.points, k, axis=0)
     if not np.isfinite(disp).all():
@@ -421,23 +427,17 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
 
     The score of neighbour j of point i is an MLP over [encoded
     displacement, context_j, context_i], from the constants in `inputs`.
-    Its first layer is one :func:`.tensor.score_layer` node, which picks
-    the neighbours' context rows out of `inputs.context` through
-    `inputs.rows` and never builds that N·k x (De + 2Dc) input; the layers
-    after it run through :func:`.tensor.mlp_forward`. The weighted sum of
-    value rows is one :func:`.tensor.local_aggregate` node, so no N·k x Dm
-    array of gathered or weighted rows stays on the tape.
+    The whole route is one :func:`.tensor.local_route` node: it walks
+    blocks of points, reads the neighbours' context and value rows through
+    `inputs.rows`, and keeps no N·k-row array on the tape but its last
+    block's layer outputs.
 
-    Returns (g_local: N x Dm, local_weights: N x k).
+    Returns (g_local: N x Dm, local_weights: N x k). The weights are the
+    node's softmax weights as a tensor with no tape node of its own.
     """
-    n = v.data.shape[0]
-    k = inputs.rows.flat.size // n
-    enc = T.mlp_forward(params.disp_encoder, inputs.disp)
-    (w0, b0), *rest = params.score.layers
-    h = T.score_layer(enc, w0, b0, inputs.context, inputs.rows, relu=bool(rest))
-    h = T.mlp_forward(MlpParams(rest), h)
-    weights = T.softmax_rows(T.reshape(h, (n, k)))
-    return T.local_aggregate(weights, v, inputs.rows), weights
+    g_local, weights = T.local_route(params.disp_encoder, params.score, inputs.disp,
+                                     inputs.context, v, inputs.rows)
+    return g_local, Tensor(weights)
 
 
 def offset_aggregate(params: AggregatorParams, y: Tensor, g: Tensor) -> Tensor:

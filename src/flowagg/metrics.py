@@ -110,6 +110,11 @@ def evaluate(predicted: FlowField, target: FlowField,
     """Compute all aggregate metrics, optionally over a boolean subset.
 
     `mask` selects which points participate; selecting none is an error.
+    The package's reports call :func:`evaluate_split` instead. This stays
+    as the public form for any one subset, such as a mask other than the
+    occlusion split, and as the statement each of evaluate_split's three
+    records is tested against: that one call of evaluate_split equals
+    three calls of this function, each masking the errors anew.
     """
     errs, mags = _errors_and_magnitudes(predicted, target)
     if mask is not None:

@@ -144,6 +144,7 @@ def brute_force_knn(query: PointCloud, reference: PointCloud, k: int,
     reference point no farther than a row's k-th smallest distance is a
     candidate (so ties at the boundary are all kept); candidates are
     ordered by (distance, index) and the first k of each row are returned.
+    With k = 1 and no self to exclude, each row's argmin is that pick.
     """
     _validate_knn_args(query, reference, k, include_self)
     q = query.points
@@ -174,14 +175,23 @@ def brute_force_knn(query: PointCloud, reference: PointCloud, k: int,
             # NaN, not +inf: it sorts after +inf and fails every <= test,
             # so self stays out even where real distances overflow to +inf.
             d2[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
+        elif k == 1:
+            # No NaN can occur, and argmin returns a row's first minimum:
+            # the lowest index among ties, as the scan below picks.
+            col = d2.argmin(axis=1)
+            indices[lo:hi, 0] = col
+            sq_dists[lo:hi, 0] = d2[np.arange(hi - lo), col]
+            continue
         tmp[...] = d2
         tmp.partition(k - 1, axis=1)
         kth = tmp[:, k - 1, None]
-        row, col = np.nonzero(d2 <= kth)
-        dist = d2[row, col]
-        # np.nonzero yields rows ascending and columns ascending within a
-        # row, so this stable sort breaks distance ties by lower index and
-        # leaves each row's candidates in place; every row has at least k.
+        flat = np.flatnonzero(d2 <= kth)
+        row, col = np.divmod(flat, m)
+        dist = d2.take(flat)
+        # The candidates come in row-major order, rows ascending and
+        # columns ascending within a row, so this stable sort breaks
+        # distance ties by lower index and leaves each row's candidates in
+        # place; every row has at least k.
         order = np.lexsort((dist, row))
         starts = np.searchsorted(row, np.arange(hi - lo))
         pick = order[starts[:, None] + first_k]

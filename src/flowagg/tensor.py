@@ -12,27 +12,29 @@ forward expression is written once. ``backward(tape, loss)`` then runs
 reverse accumulation and returns exact gradients for every leaf tensor
 reachable from the loss, whether or not it was created with
 ``trainable=True`` (that flag only labels parameters in a tensor's repr).
-``gather_rows`` and ``local_aggregate`` scatter-add their gradients in
+``gather_rows`` and ``local_route`` scatter-add their gradients in
 occurrence rounds, which a :class:`RowIndex` builds once for an index
 that many passes reuse.
 
-Six fused ops stand for op chains and keep only what their backward
-needs. Four give the chain's output bytes and gradients: ``linear``
+Five fused ops stand for op chains and keep only what their backward
+needs. Three give the chain's output bytes and gradients: ``linear``
 (matmul, bias add, optional ReLU; every MLP layer and the decoder),
-``local_aggregate`` (gather, weight and sum neighbour rows, with no N·k
-row array on the tape), ``offset_head`` (the offset aggregator's gated
-residual) and ``mean_sq_dist`` (the training loss). The other two sum in
-another order and agree with their chains to rounding: ``score_layer``
-(the local scores' first layer, without the N·k x (De + 2Dc)
-concatenated input and with no gradient for the constant context) and
-``attention`` (softmax attention in query-row blocks that both passes
-walk, with no N x N array: it keeps each row's softmax statistics and
-no block, and backward recomputes every block in two matmuls that fold
-in the scale, the row max and the softmax row term).
-The chain ops stay public: other routes and the tests use them, and the
-benchmark's tracer (``flowbench/tracer.py``) patches them by name, so a
-traced run fails with AttributeError if one is removed. ``sub``,
-``mul``, ``relu``, ``sqrt``, ``add_const``, ``concat_cols`` and
+``offset_head`` (the offset aggregator's gated residual) and
+``mean_sq_dist`` (the training loss). Two walk blocks of rows in both
+passes and recompute in backward instead of storing: ``local_route``
+(the whole local route, from the displacement encoder through the
+neighbour scores and their softmax to the weighted sum of neighbour
+rows; it keeps its output, the N x k weights and its last block's layer
+outputs, gives the chain's bytes on one block and sums parameter
+gradients over blocks otherwise) and ``attention`` (softmax attention in
+query-row blocks, with no N x N array: it keeps each row's softmax
+statistics and no block, and backward recomputes every block in two
+matmuls that fold in the scale, the row max and the softmax row term;
+it agrees with its chain to rounding).
+The chain ops stay public: the weight-MLP route and the tests use them,
+and the benchmark's tracer (``flowbench/tracer.py``) patches them by
+name, so a traced run fails with AttributeError if one is removed.
+``sub``, ``mul``, ``relu``, ``sqrt``, ``add_const``, ``concat_cols`` and
 ``gather_rows`` have no other caller in the package.
 
 Computation is float64 throughout: the verification tolerances in the test
@@ -271,77 +273,28 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
         raise ShapeError(f"linear: incompatible shapes x {xd.shape}, w {wd.shape}, "
                          f"b {bd.shape}")
 
-    def fwd():
-        y = xd @ wd
-        y += bd
-        if relu:
-            np.maximum(y, 0.0, out=y)
-        return y
-
-    def bwd(g, y):
-        if relu:
-            g = g * (y > 0.0)
-        return g.sum(axis=0), g @ wd.T, xd.T @ g
-    return _record("linear", (b, x, w), fwd, bwd)
+    return _record("linear", (b, x, w), lambda: _affine(xd, wd, bd, relu),
+                   lambda g, y: _affine_grads(g, xd, y, wd, relu))
 
 
-def score_layer(enc, w, b, context, rows, relu: bool = False) -> Tensor:
-    """The first layer of the local scores as one tape node: ``linear(
-    concat_cols([enc, context[rows], repeat(context, k)]), w, b, relu)``
-    without the N·k x (De + 2Dc) input.
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """x @ w + b in one fresh buffer, then ReLU in place when `relu` is set:
+    the forward of :func:`linear` and of every layer of :func:`local_route`."""
+    y = x @ w
+    y += b
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    return y
 
-    enc is the N·k x De encoded displacement table and `rows` the N·k
-    neighbour rows of the N x Dc `context` (a :class:`RowIndex`, or
-    anything else, which becomes ``RowIndex(rows)`` on entry). w is
-    (De + 2Dc) x H and splits by rows into W_e, W_j and W_i; forward
-    computes ``enc @ W_e + (context @ W_j)[rows] + repeat(context @ W_i,
-    k) + b`` in one buffer, then ReLU when `relu` is set.
 
-    Only enc, w and b get gradients; the node's inputs are (b, enc, w), in
-    :func:`linear`'s order. context and rows are closed-over constants,
-    like :func:`scale`'s c, so backward forms no gradient for them and
-    scatters nothing. W_j's gradient is ``context[rows]ᵀ g``: backward
-    gathers the neighbours' context rows again, as :func:`local_aggregate`
-    regathers v's rows, and drops them after the product. W_i's is
-    ``contextᵀ`` times g summed over each point's k rows. The node keeps
-    only its output y and reads the ReLU mask from ``y > 0``. The sums run
-    in another order than the chain's, so output and gradients agree with
-    it to rounding, not bit for bit.
-    """
-    enc, w, b = _as_tensor(enc), _as_tensor(w), _as_tensor(b)
-    ed, wd, bd = enc.data, w.data, b.data
-    cd = _as_tensor(context).data
-    if cd.ndim != 2 or cd.shape[0] == 0:
-        raise ShapeError(f"score_layer: context {cd.shape} must be N x Dc with N >= 1")
-    rows = _row_index("score_layer", rows, cd.shape[0])
-    (n, dc), nk = cd.shape, rows.flat.size
-    if (not nk or nk % n or ed.ndim != 2 or ed.shape[0] != nk
-            or wd.ndim != 2 or wd.shape[0] != ed.shape[1] + 2 * dc
-            or bd.shape != (wd.shape[1],)):
-        raise ShapeError(f"score_layer: incompatible shapes enc {ed.shape}, w {wd.shape}, "
-                         f"b {bd.shape}, context {cd.shape} for {nk} neighbour rows")
-    de, k, h = ed.shape[1], nk // n, wd.shape[1]
-    w_e, w_j, w_i = wd[:de], wd[de:de + dc], wd[de + dc:]
-
-    def fwd():
-        y = ed @ w_e
-        y += (cd @ w_j)[rows.flat]
-        y_by_point = y.reshape(n, k, h)
-        y_by_point += (cd @ w_i)[:, None, :]
-        y += bd
-        if relu:
-            np.maximum(y, 0.0, out=y)
-        return y
-
-    def bwd(g, y):
-        if relu:
-            g = g * (y > 0.0)
-        gw = np.empty_like(wd)
-        np.matmul(ed.T, g, out=gw[:de])
-        np.matmul(cd[rows.flat].T, g, out=gw[de:de + dc])
-        np.matmul(cd.T, g.reshape(n, k, h).sum(axis=1), out=gw[de + dc:])
-        return g.sum(axis=0), g @ w_e.T, gw
-    return _record("score_layer", (b, enc, w), fwd, bwd)
+def _affine_grads(g: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray, relu: bool,
+                  dx: bool = True) -> tuple:
+    """(bias, x, w) gradients of ``y = _affine(x, w, b, relu)`` for the
+    output gradient g, with the ReLU mask read from ``y > 0``; the x
+    gradient is None unless `dx` is set."""
+    if relu:
+        g = g * (y > 0.0)
+    return g.sum(axis=0), g @ w.T if dx else None, x.T @ g
 
 
 def transpose2(a) -> Tensor:
@@ -396,9 +349,8 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 class RowIndex:
-    """A flat row index for :func:`gather_rows` and
-    :func:`local_aggregate` together with the occurrence rounds of its
-    scatter-add, built once.
+    """A flat row index for :func:`gather_rows` and :func:`local_route`
+    together with the occurrence rounds of its scatter-add, built once.
 
     ``flat`` is a read-only flattened copy of the index. ``rounds`` holds one
     (rows, positions) pair per round: round r lists the r-th occurrence of
@@ -406,7 +358,7 @@ class RowIndex:
     position in ``flat``. Rows are unique within a round.
     """
 
-    __slots__ = ("flat", "rounds")
+    __slots__ = ("flat", "rounds", "_blocks")
 
     def __init__(self, idx):
         flat = np.array(idx, dtype=np.int64).ravel()
@@ -424,14 +376,30 @@ class RowIndex:
         self.flat = flat
         self.rounds = tuple((rows[by_round[a:b]], order[by_round[a:b]])
                             for a, b in zip([0] + ends, ends))
+        self._blocks = {}
 
     def scatter_add(self, g: np.ndarray, n_rows: int) -> np.ndarray:
         """Zeros of shape (n_rows, *g.shape[1:]) plus row ``flat[i]`` of
         the result += ``g[i]`` for every i, round by round."""
-        acc = np.zeros((n_rows, *g.shape[1:]))
+        return self.scatter_into(np.zeros((n_rows, *g.shape[1:])), g)
+
+    def scatter_into(self, acc: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Row ``flat[i]`` of `acc` += ``g[i]`` for every i, round by round,
+        in place; returns `acc`."""
         for rows, pos in self.rounds:
             acc[rows] += g[pos]
         return acc
+
+    def blocks(self, size: int) -> tuple["RowIndex", ...]:
+        """The index cut into consecutive runs of `size` positions (the
+        last may be shorter), each a RowIndex of its own, so that
+        scattering them in order adds every row's gradient rows in
+        position order, as one scatter does. One run is this index itself.
+        Built on the first call for a size and kept."""
+        if size not in self._blocks:
+            self._blocks[size] = ((self,) if size >= self.flat.size else tuple(
+                RowIndex(self.flat[a:a + size]) for a in range(0, self.flat.size, size)))
+        return self._blocks[size]
 
 
 def _row_index(op: str, idx, n_rows: int) -> RowIndex:
@@ -460,47 +428,6 @@ def gather_rows(a, idx) -> Tensor:
     rows = _row_index("gather_rows", idx, ad.shape[0])
     return _record("gather_rows", (a,), lambda: ad[rows.flat],
                    lambda g, y: (rows.scatter_add(g, ad.shape[0]),))
-
-
-def local_aggregate(weights, v, rows) -> Tensor:
-    """Per point i, the weighted sum over its k neighbour rows:
-    ``out[i] = sum_j weights[i, j] * v[rows[i·k + j]]``, as one tape node.
-
-    weights is N x k, v is M x Dm and `rows` holds N·k row numbers of v:
-    a :class:`RowIndex`, or anything else, which becomes ``RowIndex(rows)``
-    on entry. It equals the chain ``reduce_sum(reshape(mul(gather_rows(v,
-    rows), reshape(weights, (N·k, 1))), (N, k, Dm)), axis=1)`` in output
-    bytes and gradients, but the N·k x Dm gathered and weighted rows are
-    transient: the node keeps only its N x Dm output, and backward gathers
-    the rows again and scatters v's gradient through the index's
-    occurrence rounds.
-    """
-    weights, v = _as_tensor(weights), _as_tensor(v)
-    wd, vd = weights.data, v.data
-    if wd.ndim != 2 or vd.ndim != 2:
-        raise ShapeError(f"local_aggregate: weights {wd.shape} and values {vd.shape} "
-                         f"must be rank 2")
-    rows = _row_index("local_aggregate", rows, vd.shape[0])
-    (n, k), dm = wd.shape, vd.shape[1]
-    if rows.flat.size != n * k:
-        raise ShapeError(f"local_aggregate: {rows.flat.size} neighbour rows for weights "
-                         f"{wd.shape}")
-
-    def picked() -> np.ndarray:
-        return vd[rows.flat].reshape(n, k, dm)
-
-    def fwd():
-        p = picked()
-        p *= wd[..., None]
-        return p.sum(axis=1)
-
-    def bwd(g, y):
-        # The chain's mul backward on (N·k, Dm) rows, into one buffer.
-        p, g3 = picked(), g[:, None, :]
-        gw = np.multiply(g3, p, out=p).sum(axis=2)
-        gp = np.multiply(g3, wd[..., None], out=p).reshape(n * k, dm)
-        return gw, rows.scatter_add(gp, vd.shape[0])
-    return _record("local_aggregate", (weights, v), fwd, bwd)
 
 
 def _exp_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -561,11 +488,12 @@ def attention_weights_data(q, k, c: float) -> np.ndarray:
     return w
 
 
-# Elements of one block of attention weights (query rows x keys). While
-# they set the block (M up to 2040), every per-block array stays below
-# 1 MiB, glibc malloc's mmap threshold when pinned there, so blocks reuse
-# heap memory instead of mapping fresh pages.
-ATTENTION_BLOCK_ELEMS = (1 << 17) - 512
+# Elements of one block: attention's weights (query rows x keys), or a
+# local_route block's widest array (neighbour rows x widest per-row
+# width). While they set the block (M up to 2040 for attention), every
+# per-block array stays below 1 MiB, glibc malloc's mmap threshold when
+# pinned there, so blocks reuse heap memory instead of mapping fresh pages.
+BLOCK_ELEMS = (1 << 17) - 512
 # Fewest query rows in a block; it sets the block past M = 2040. Each
 # backward block adds M x Dv and D x M partials into dv and dkᵀ.
 ATTENTION_MIN_ROWS = 64
@@ -574,7 +502,7 @@ ATTENTION_MIN_ROWS = 64
 def attention_block_rows(n: int, m: int) -> int:
     """Query rows per block of :func:`attention`, in forward and backward
     alike, for n queries over m keys."""
-    return min(n, max(ATTENTION_MIN_ROWS, ATTENTION_BLOCK_ELEMS // m))
+    return min(n, max(ATTENTION_MIN_ROWS, BLOCK_ELEMS // m))
 
 
 def _exp_blocks(qd: np.ndarray, kd: np.ndarray, c: float) -> Iterator[tuple]:
@@ -696,6 +624,171 @@ def mlp_forward(p: MlpParams, x) -> Tensor:
     for i, (w, b) in enumerate(p.layers):
         h = linear(h, w, b, relu=i != last)
     return h
+
+
+def local_block_points(n: int, k: int, width: int) -> int:
+    """Points per block of :func:`local_route`, in forward and backward
+    alike, for n points of k neighbours each whose widest per-neighbour-row
+    array has `width` columns: as many as keep that array within
+    BLOCK_ELEMS elements, and at least one."""
+    return min(n, max(1, BLOCK_ELEMS // (k * width)))
+
+
+def _stack_width(layers: list[tuple[np.ndarray, np.ndarray]], width: int) -> int | None:
+    """Output width of a layer stack fed `width` columns, or None when a
+    layer's weight or bias does not fit."""
+    for w, b in layers:
+        if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
+            return None
+        width = w.shape[1]
+    return width
+
+
+def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
+                rows) -> tuple[Tensor, np.ndarray]:
+    """The local route as one tape node: per point, a softmax over the
+    scores of its k neighbours, applied to their rows of v.
+
+    context is N x Dc and v is N x Dm; `rows` holds the N·k neighbour rows
+    (a :class:`RowIndex`, or anything else, which becomes ``RowIndex(rows)``
+    on entry) and disp the N·k x 3 displacements. The score of neighbour j
+    of point i is ``score`` applied to [encoder(disp), context_j,
+    context_i]; the first score layer's weight ((De + 2Dc) x H) splits by
+    rows into W_e, W_j and W_i, so that layer is ``enc @ W_e + (context @
+    W_j)[rows] + repeat(context @ W_i, k) + b`` and no N·k x (De + 2Dc)
+    input is formed. Returns the N x Dm output, recorded as one
+    ``local_route`` node, and the N x k softmax weights as a plain array
+    (no node) that every run of the node's forward rewrites in place.
+
+    The node stands for the chain ``mlp_forward(encoder, disp)``, the first
+    score layer, ``mlp_forward`` over the later score layers,
+    ``softmax_rows(reshape(scores, (N, k)))`` and the weighted sum of v's
+    neighbour rows. Both passes walk blocks of whole points
+    (:func:`local_block_points`), so every per-block array stays below
+    1 MiB; per block they repeat that chain's numpy expressions in its
+    order. The node keeps its output, the weights and the last block's
+    layer outputs; backward recomputes every other block. It forms no
+    gradient for the constants disp and context. v's gradient is scattered
+    block by block through ``rows.blocks``, in position order, so it has
+    the bytes of one scatter whatever the blocking. With one block the
+    output and every gradient are the chain's bytes; over several blocks
+    each parameter gradient is the sum of the blocks' partials, which
+    agrees with the chain to rounding. The inputs are recorded as v, then
+    the score layers' (b, w) from the last layer to the first, then the
+    encoder's likewise: the order in which the chain's backward reaches
+    them.
+    """
+    enc_p = [(_as_tensor(w), _as_tensor(b)) for w, b in encoder.layers]
+    score_p = [(_as_tensor(w), _as_tensor(b)) for w, b in score.layers]
+    v = _as_tensor(v)
+    dd, cd, vd = _as_tensor(disp).data, _as_tensor(context).data, v.data
+    ew = [(w.data, b.data) for w, b in enc_p]
+    sw = [(w.data, b.data) for w, b in score_p]
+    if (dd.ndim != 2 or cd.ndim != 2 or vd.ndim != 2 or not cd.shape[0]
+            or vd.shape[0] != cd.shape[0]):
+        raise ShapeError(f"local_route: disp {dd.shape}, context {cd.shape} and values "
+                         f"{vd.shape} must be rank 2, with one context and value row per point")
+    (n, dc), dm = cd.shape, vd.shape[1]
+    rows = _row_index("local_route", rows, n)
+    nk, de = rows.flat.size, _stack_width(ew, dd.shape[1])
+    if (not nk or nk % n or dd.shape[0] != nk or de is None or not sw
+            or _stack_width(sw, de + 2 * dc) != 1):
+        raise ShapeError(
+            f"local_route: {nk} neighbour rows for {n} points, disp {dd.shape}, encoder "
+            f"{[w.shape for w, _ in ew]} and score {[w.shape for w, _ in sw]} layers do not "
+            f"chain from the displacement width to (De + 2Dc) to 1")
+    k = nk // n
+    (w0, b0), rest = sw[0], sw[1:]
+    h0 = w0.shape[1]
+    w_e, w_j, w_i = w0[:de], w0[de:de + dc], w0[de + dc:]
+    points = local_block_points(n, k, max(dc, dm, *(w.shape[1] for w, _ in ew + sw)))
+    blocks = [(p0, min(p0 + points, n), block)
+              for p0, block in zip(range(0, n, points), rows.blocks(points * k))]
+    weights = np.empty((n, k))
+    kept: list[np.ndarray] = []
+
+    def layer_outputs(p0: int, p1: int, block: RowIndex, cj: np.ndarray,
+                      ci: np.ndarray) -> list:
+        """Every layer's output on the neighbour rows of points p0:p1: the
+        encoder's, then the score layers'; the last one is the scores."""
+        x, outs = dd[p0 * k:p1 * k], []
+        for i, (w, b) in enumerate(ew):
+            x = _affine(x, w, b, i != len(ew) - 1)
+            outs.append(x)
+        y = x @ w_e
+        y += cj[block.flat]
+        y_by_point = y.reshape(p1 - p0, k, h0)
+        y_by_point += ci[p0:p1, None, :]
+        y += b0
+        if rest:
+            np.maximum(y, 0.0, out=y)
+        outs.append(y)
+        for i, (w, b) in enumerate(rest):
+            outs.append(_affine(outs[-1], w, b, i != len(rest) - 1))
+        return outs
+
+    def fwd():
+        nonlocal kept
+        out = np.empty((n, dm))
+        cj, ci = cd @ w_j, cd @ w_i
+        for p0, p1, block in blocks:
+            kept = layer_outputs(p0, p1, block, cj, ci)
+            s = weights[p0:p1]
+            s[...] = kept[-1].reshape(p1 - p0, k)
+            s /= _exp_rows(s)[1]
+            picked = vd[block.flat].reshape(p1 - p0, k, dm)
+            picked *= s[..., None]
+            out[p0:p1] = picked.sum(axis=1)
+        return out
+
+    def block_grads(g: np.ndarray, p0: int, p1: int, block: RowIndex, outs: list,
+                    dv: np.ndarray) -> list:
+        """The parameter gradients of points p0:p1's block, in input order
+        after v; its share of v's gradient is scattered into dv."""
+        r = block.flat.size
+        s = weights[p0:p1]
+        picked, g3 = vd[block.flat].reshape(p1 - p0, k, dm), g[p0:p1, None, :]
+        gs = np.multiply(g3, picked, out=picked).sum(axis=2)
+        block.scatter_into(dv, np.multiply(g3, s[..., None], out=picked).reshape(r, dm))
+        gh, grads = _softmax_rows_grad(gs, s).reshape(r, 1), []
+        e = len(ew)
+        for i in reversed(range(len(rest))):
+            gb, gh, gw = _affine_grads(gh, outs[e + i], outs[e + i + 1], rest[i][0],
+                                       i != len(rest) - 1)
+            grads += [gb, gw]
+        if rest:
+            gh = gh * (outs[e] > 0.0)
+        x = outs[e - 1] if e else dd[p0 * k:p1 * k]
+        gw0 = np.empty_like(w0)
+        np.matmul(x.T, gh, out=gw0[:de])
+        np.matmul(cd[block.flat].T, gh, out=gw0[de:de + dc])
+        np.matmul(cd[p0:p1].T, gh.reshape(p1 - p0, k, h0).sum(axis=1), out=gw0[de + dc:])
+        grads += [gh.sum(axis=0), gw0]
+        if e:
+            gh = gh @ w_e.T
+        for i in reversed(range(e)):
+            x = outs[i - 1] if i else dd[p0 * k:p1 * k]
+            gb, gh, gw = _affine_grads(gh, x, outs[i], ew[i][0], i != e - 1, dx=i > 0)
+            grads += [gb, gw]
+        return grads
+
+    def bwd(g, out):
+        dv = np.zeros(vd.shape)
+        cj = ci = total = None
+        if len(blocks) > 1:
+            cj, ci = cd @ w_j, cd @ w_i
+        for i, (p0, p1, block) in enumerate(blocks):
+            outs = kept if i == len(blocks) - 1 else layer_outputs(p0, p1, block, cj, ci)
+            parts = block_grads(g, p0, p1, block, outs, dv)
+            if total is None:
+                total = parts
+            else:
+                for acc, part in zip(total, parts):
+                    acc += part
+        return (dv, *total)
+
+    params = [t for w, b in (*reversed(score_p), *reversed(enc_p)) for t in (b, w)]
+    return _record("local_route", (v, *params), fwd, bwd), weights
 
 
 @dataclass

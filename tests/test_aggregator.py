@@ -160,7 +160,7 @@ def test_local_scores_match_the_concat_mlp_at_every_depth(score_hidden):
 
 
 def test_scene_inputs_hold_no_neighbour_rows_but_the_index():
-    # The neighbour rows have one home, `rows`; the score layer reads the
+    # The neighbour rows have one home, `rows`; the local route reads the
     # neighbours' context through it rather than from a prepared copy.
     assert [f.name for f in dataclasses.fields(SceneInputs)] == [
         "config", "context", "motion", "disp", "rows"]
@@ -384,10 +384,8 @@ def test_global_route_tapes_no_n_by_n_array():
 
 
 def test_local_route_tapes_no_n_k_by_dm_array():
-    # The pinned N=200 local config: its gathered and weighted value rows
-    # (N·k x Dm each) stay off the tape. The score MLP's hidden layer, one
-    # score_layer node, is the one node of that size, since its width (32)
-    # equals Dm.
+    # The pinned N=200 local config: the route is one local_route node with
+    # an N x Dm output, and no node's output has a row per neighbour.
     cfg = parse_config_file(os.path.join(os.path.dirname(__file__), os.pardir,
                                          "configs", "occlusion_local.cfg"))
     scene = generate_scene(cfg.scene)
@@ -396,10 +394,28 @@ def test_local_route_tapes_no_n_k_by_dm_array():
     with Tape() as tape:
         forward(params, prepare_inputs(scene.frame1, FeatureSet(scene.context, scene.motion_in),
                                        knn(scene.frame1, scene.frame1, k), cfg.module))
-    wide = [node for node in tape.nodes if node.output.size == n * k * dm]
-    assert [(node.op, params.score.layers[0][0] in node.inputs)
-            for node in wide] == [("score_layer", True)]
-    assert "local_aggregate" in [node.op for node in tape.nodes]
+    assert not [node for node in tape.nodes if node.output.shape[:1] == (n * k,)]
+    assert [node.output.shape for node in tape.nodes if node.op == "local_route"] == [(n, dm)]
+
+
+def test_local_route_block_plans_are_built_once_in_prepare_inputs(monkeypatch):
+    # SMALL's widest layer is 32 columns and k = 2: blocks of 3 points over
+    # N=10 (3, 3, 3 and 1 points), whose scatter plans prepare_inputs
+    # builds; no step builds a row index.
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 3 * 2 * 32)
+    params, cloud, feats, nbrs = _instance(5, 10, alpha=0.5)
+    real_init, built = T.RowIndex.__init__, []
+    monkeypatch.setattr(T.RowIndex, "__init__",
+                        lambda self, idx: built.append(np.size(idx)) or real_init(self, idx))
+    inputs = prepare_inputs(cloud, feats, nbrs, SMALL)
+    assert built == [20, 6, 6, 6, 2]
+    built.clear()
+    for _ in range(2):
+        with Tape() as tape:
+            out, _ = forward(params, inputs)
+            loss = T.reduce_sum(T.mul(out, out))
+        backward(tape, loss)
+    assert built == []
 
 
 def test_global_weights_read_over_budget_raises_before_allocating(monkeypatch):

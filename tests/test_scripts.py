@@ -70,7 +70,7 @@ def test_time_step_prints_one_json_line_per_case():
                             strict=True):
         assert set(row) == {"case", "n", "nodes", "tape_mb"} | {
             f"{phase}_ms_{stat}" for phase in phases for stat in ("min", "median")}
-        assert (row["case"], row["n"], row["nodes"]) == (case, n, 14)
+        assert (row["case"], row["n"], row["nodes"]) == (case, n, 8)
         assert all(row[key] > 0 for key in row if key != "case")
 
 
@@ -155,6 +155,49 @@ def test_make_goldens_check_exits_1_naming_the_file_and_both_digests(make_golden
     assert out[-2:] == [f"report.txt: committed {'c' * 64}, recomputed {'b' * 64}",
                         f"mismatch with {make_goldens.OUT}"]
     assert pathlib.Path(make_goldens.OUT).read_text() == committed
+
+
+def test_make_goldens_kernels_prints_one_triple_per_setting_and_compares_nothing(
+        make_goldens, capsys, monkeypatch):
+    # Each setting's subprocess is stubbed: it echoes its OpenBLAS core as
+    # the kernels and GOLDEN as its digests; the third one fails.
+    runs = []
+
+    def run(argv, env, **kwargs):
+        runs.append((argv[1:], {k: env[k] for k in env if k in (
+            "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}))
+        if len(runs) == 3:
+            return SimpleNamespace(returncode=1, stdout="", stderr="Traceback\nOSError: no\n")
+        child = {"kernels": env.get("OPENBLAS_CORETYPE", "own"), "golden": GOLDEN}
+        return SimpleNamespace(returncode=0, stdout="flowagg output\n" + json.dumps(child),
+                               stderr="")
+    monkeypatch.setattr(make_goldens.subprocess, "run", run)
+    # A kernel the caller picked does not leak into the default setting.
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Zen")
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    assert make_goldens.main(["--kernels"]) == 0
+    assert capsys.readouterr().out == ("# default: own\n" + GOLDEN + "# haswell: Haswell\n"
+                                       + GOLDEN + "# haswell_no_avx512: failed (OSError: no)\n")
+    assert [argv for argv, _ in runs] == [
+        ["-c", make_goldens.KERNEL_CHILD, os.path.dirname(make_goldens.__file__)]] * 3
+    assert [env for _, env in runs] == [
+        {}, {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Haswell",
+         "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}]
+    assert not pathlib.Path(make_goldens.OUT).exists()
+
+
+def test_make_goldens_kernel_child_reports_its_kernels_and_digests(make_goldens):
+    # The child program itself, with the pipeline stubbed in its process.
+    script_dir = os.path.dirname(make_goldens.__file__)
+    stub = ("import sys; sys.path.insert(0, sys.argv[1]); import make_goldens; "
+            f"make_goldens.golden_text = lambda: {GOLDEN!r}; "
+            "exec(sys.argv[2], {})")
+    proc = subprocess.run([sys.executable, "-c", stub, script_dir, make_goldens.KERNEL_CHILD,
+                           script_dir], capture_output=True, text=True, timeout=60, check=True)
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["golden"] == GOLDEN
+    assert child["kernels"].startswith("OpenBLAS ")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -62,6 +62,10 @@ def _scan_cases():
         ("include_self", rounded, None, 5, True),
         ("cross_cloud", other, cloud, 9, False),
         ("cross_cloud_k_all", np.round(other), rounded, 50, False),
+        # k = 1 with no self excluded takes each row's argmin.
+        ("k_one_ties_with_self", rounded, None, 1, True),
+        ("all_identical_k_one_with_self", same, None, 1, True),
+        ("cross_cloud_k_one_ties", np.round(other), rounded, 1, False),
     ]
 
 
@@ -90,6 +94,23 @@ def test_scan_excludes_self_when_distances_overflow():
     np.testing.assert_array_equal(got.indices, [[1, 2], [0, 2], [0, 1]])
     np.testing.assert_array_equal(got.indices, tree.indices)
     assert np.isposinf(got.sq_dists).all()
+
+
+def test_k_one_takes_the_lowest_index_when_distances_overflow():
+    # Every squared distance from the first query overflows to +inf, so
+    # all references tie and the scan and the tree pick the lowest index;
+    # the other two have one finite distance each.
+    ref = _cloud([[-3e200, 0, 0], [2e200, 0, 0], [4e200, 0, 0]])
+    qry = _cloud([[0.0, 0, 0], [2e200, 0, 0], [4e200, 1e150, 0]])
+    with np.errstate(over="ignore"):
+        got = knn(qry, ref, k=1)
+        self_too = knn(ref, ref, k=1, include_self=True)
+        tree = knn(qry, ref, k=1, method="kdtree")
+    np.testing.assert_array_equal(got.indices, [[0], [1], [2]])
+    np.testing.assert_array_equal(got.indices, tree.indices)
+    assert got.sq_dists.tobytes() == tree.sq_dists.tobytes()
+    assert np.isposinf(got.sq_dists[0]).all()
+    np.testing.assert_array_equal(self_too.indices, [[0], [1], [2]])
 
 
 def test_duplicate_points_tie_break_by_index():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chain_ops
 import oracles
 from flowagg import tensor as T
 from flowagg.aggregator import AggregatorConfig, FeatureSet, forward, init_params, prepare_inputs
@@ -579,7 +580,7 @@ def test_local_aggregate_bitwise_equals_gather_mul_sum_chain(case, row_index):
                               T.reduce_sum(T.mul(v, v)))
         return _bytes_and_grads(build, [weights, v])
 
-    assert run(T.local_aggregate) == run(_local_aggregate_chain)
+    assert run(chain_ops.local_aggregate) == run(_local_aggregate_chain)
 
 
 def test_local_aggregate_keeps_no_gathered_rows():
@@ -587,7 +588,7 @@ def test_local_aggregate_keeps_no_gathered_rows():
     rng = np.random.default_rng(22)
     weights, v = tensor(rng.normal(size=(n, k))), tensor(rng.normal(size=(n, dm)))
     rows = T.RowIndex(rng.integers(0, n, size=(n, k)))
-    kept, nodes = _kept_bytes(lambda: T.local_aggregate(weights, v, rows))
+    kept, nodes = _kept_bytes(lambda: chain_ops.local_aggregate(weights, v, rows))
     assert [node.op for node in nodes] == ["local_aggregate"]
     # The N x Dm output and bookkeeping; the chain keeps two N·k x Dm arrays.
     assert n * dm * 8 <= kept < 2 * n * dm * 8
@@ -601,7 +602,7 @@ def test_local_aggregate_rejects_mismatched_operands():
                 (tensor(np.zeros((4, 2, 1))), v, np.zeros(8, dtype=int)),
                 (w, tensor(np.zeros(5)), np.zeros(8, dtype=int))):
         with pytest.raises(ShapeError):
-            T.local_aggregate(*bad)
+            chain_ops.local_aggregate(*bad)
 
 
 def _score_layer_chain(enc, w, b, context, idx, relu=False):
@@ -644,7 +645,7 @@ def test_score_layer_matches_concat_linear_chain(case, relu):
         grads = backward(tape, loss)
         return [y.data] + [grads.wrt(t) for t in (enc, w, b)]
 
-    fused, chain = run(T.score_layer), run(_score_layer_chain)
+    fused, chain = run(chain_ops.score_layer), run(_score_layer_chain)
     # The sums run in another order, so the two agree to rounding only.
     for got, want in zip(fused, chain):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -660,7 +661,7 @@ def test_grad_score_layer(relu):
     idx = np.array([[1, 1], [0, 2], [2, 0]])
     context, upstream = tensor(rng.normal(size=(3, 2))), tensor(rng.normal(size=(6, 4)))
     _assert_grads_match(
-        lambda te, tw, tb: T.reduce_sum(T.mul(T.score_layer(te, tw, tb, context, idx, relu),
+        lambda te, tw, tb: T.reduce_sum(T.mul(chain_ops.score_layer(te, tw, tb, context, idx, relu),
                                               upstream)),
         rng.normal(size=(6, 3)), rng.normal(size=(7, 4)), rng.normal(size=4))
 
@@ -675,7 +676,7 @@ def test_score_layer_w_gradient_is_three_stacked_products(case, relu):
     (n, k), h = idx.shape, w.shape[1]
     upstream = rng.normal(size=(n * k, h))
     with Tape() as tape:
-        y = T.score_layer(enc, w, b, context, idx, relu=relu)
+        y = chain_ops.score_layer(enc, w, b, context, idx, relu=relu)
     [node] = tape.nodes
     _, _, gw = node.backward_fn(upstream)
     g = upstream * (y.data > 0.0) if relu else upstream
@@ -691,7 +692,7 @@ def test_score_layer_keeps_only_its_output():
     enc, w, b = (tensor(rng.normal(size=s)) for s in ((n * k, de), (de + 2 * dc, h), (h,)))
     context, idx = tensor(rng.normal(size=(n, dc))), rng.integers(0, n, size=(n, k))
     rows = T.RowIndex(idx)
-    kept, nodes = _kept_bytes(lambda: T.score_layer(enc, w, b, context, rows, True))
+    kept, nodes = _kept_bytes(lambda: chain_ops.score_layer(enc, w, b, context, rows, True))
     assert [node.op for node in nodes] == ["score_layer"]
     # The chain also keeps the N·k x (De + 2Dc) input and the gathered rows.
     assert n * k * h * 8 <= kept < 1.1 * n * k * h * 8
@@ -707,7 +708,159 @@ def test_score_layer_rejects_mismatched_operands():
                 (enc[:4], w, b, context, idx[:4]),
                 (enc[:0], w, b, context, idx[:0])):
         with pytest.raises(ShapeError):
-            T.score_layer(*bad)
+            chain_ops.score_layer(*bad)
+
+
+def _route_case(rng, n=10, k=3, dc=4, dm=4, disp_hidden=(4,), de=2, score_hidden=(5,)):
+    """(encoder, score, disp, context, v, rows) for :func:`T.local_route`,
+    with trainable layers and v, and neighbour rows with duplicates, self
+    neighbours and rows no point reaches."""
+    def stack(dims):
+        return MlpParams([(tensor(rng.normal(size=(a, b)), trainable=True),
+                           tensor(rng.normal(size=b), trainable=True))
+                          for a, b in zip(dims[:-1], dims[1:])])
+    idx = rng.integers(0, n - 1, size=(n, k))
+    idx[0], idx[1, :2] = 0, 3
+    return (stack((3, *disp_hidden, de)), stack((de + 2 * dc, *score_hidden, 1)),
+            rng.normal(size=(n * k, 3)), tensor(rng.normal(size=(n, dc))),
+            tensor(rng.normal(size=(n, dm)), trainable=True), T.RowIndex(idx))
+
+
+def _route_chain(encoder, score, disp, context, v, rows):
+    """The chain local_route stands for, from its two former fused ops."""
+    n = context.shape[0]
+    enc = T.mlp_forward(encoder, disp)
+    (w0, b0), *rest = score.layers
+    h = chain_ops.score_layer(enc, w0, b0, context, rows, relu=bool(rest))
+    weights = T.softmax_rows(T.reshape(T.mlp_forward(MlpParams(rest), h),
+                                       (n, rows.flat.size // n)))
+    return chain_ops.local_aggregate(weights, v, rows), weights.data
+
+
+def _route_run(op, case, upstream):
+    """[output, weights, v's gradient, then each layer's w and b gradient]."""
+    encoder, score, disp, context, v, rows = case
+    with Tape() as tape:
+        out, weights = op(encoder, score, disp, context, v, rows)
+        loss = T.reduce_sum(T.mul(out, upstream))
+    grads = backward(tape, loss)
+    leaves = [v] + [t for w, b in encoder.layers + score.layers for t in (w, b)]
+    return [out.data, np.array(weights)] + [grads.wrt(t) for t in leaves]
+
+
+def _route_upstream(rng, case):
+    # Magnitudes from 1e-6 to 1e6, so that sums depend on their order.
+    n, dm = case[4].shape
+    return tensor(rng.normal(size=(n, dm)) * 10.0 ** rng.integers(-6, 7, size=(n, dm)))
+
+
+@pytest.mark.parametrize("disp_hidden, score_hidden", [((4,), ()), ((4,), (5,)),
+                                                       ((4,), (5, 3)), ((), (5,))])
+def test_local_route_is_its_chain_at_one_block(disp_hidden, score_hidden):
+    rng = np.random.default_rng(30)
+    case = _route_case(rng, disp_hidden=disp_hidden, score_hidden=score_hidden)
+    upstream = _route_upstream(rng, case)
+    got, want = (_route_run(op, case, upstream) for op in (T.local_route, _route_chain))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("disp_hidden, score_hidden", [((4,), (5,)), ((), (5, 3))])
+def test_local_route_over_blocks_matches_one_block(monkeypatch, disp_hidden, score_hidden):
+    rng = np.random.default_rng(31)
+    case = _route_case(rng, disp_hidden=disp_hidden, score_hidden=score_hidden)
+    upstream = _route_upstream(rng, case)
+    one_block = _route_run(T.local_route, case, upstream)
+    # Width 5 (the widest layer): blocks of 3, 3, 3 and 1 points.
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 3 * 3 * 5)
+    assert T.local_block_points(10, 3, 5) == 3
+    blocked = _route_run(T.local_route, case, upstream)
+    # v's gradient is scattered block by block in position order: the
+    # bytes of one scatter.
+    assert blocked[2].tobytes() == one_block[2].tobytes()
+    # Each block repeats the chain's expressions on its own rows, and each
+    # parameter gradient is a sum of block partials: they agree to 1e-12
+    # of the largest entry of any of them (the last score bias's gradient
+    # sums softmax gradient rows, which cancel to rounding noise).
+    scale = max(np.abs(a).max() for a in one_block)
+    for got, want in zip(blocked, one_block):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_local_route_backward_recomputes_every_block_but_the_last(monkeypatch):
+    rng = np.random.default_rng(32)
+    case = _route_case(rng)
+    upstream = _route_upstream(rng, case).data
+    real = T._affine
+    calls = []
+    monkeypatch.setattr(T, "_affine", lambda *args: calls.append(1) or real(*args))
+    # Three layers run per block: the encoder's two and the score
+    # layer after the first.
+    for block_elems, blocks in ((None, 1), (3 * 3 * 5, 4)):
+        if block_elems is not None:
+            monkeypatch.setattr(T, "BLOCK_ELEMS", block_elems)
+        calls.clear()
+        with Tape() as tape:
+            T.local_route(*case)
+        assert len(calls) == 3 * blocks
+        calls.clear()
+        tape.nodes[-1].backward_fn(upstream)
+        assert len(calls) == 3 * (blocks - 1)
+
+
+@pytest.mark.parametrize("block_elems", [None, 3 * 3 * 5])
+def test_local_route_replays_and_backpropagates_twice(monkeypatch, block_elems):
+    if block_elems is not None:
+        monkeypatch.setattr(T, "BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(33)
+    case = _route_case(rng)
+    upstream = _route_upstream(rng, case)
+    encoder, score, _, _, v, _ = case
+    with Tape() as tape:
+        out, weights = T.local_route(*case)
+        loss = T.reduce_sum(T.mul(out, upstream))
+    first, second = (backward(tape, loss) for _ in range(2))
+    leaves = [v] + [t for w, b in encoder.layers + score.layers for t in (w, b)]
+    assert [first.wrt(t).tobytes() for t in leaves] == [second.wrt(t).tobytes() for t in leaves]
+    before = weights.tobytes()
+    assert tape.replay()
+    assert weights.tobytes() == before
+    v.data[0, 0] += 1.0
+    assert not tape.replay()
+
+
+@pytest.mark.parametrize("points", [400, 100, 25])
+def test_local_route_keeps_its_output_weights_and_one_block(monkeypatch, points):
+    n, k, dm = 400, 8, 16
+    case = _route_case(np.random.default_rng(34), n=n, k=k, dc=16, dm=dm, disp_hidden=(16,),
+                       de=8, score_hidden=(32,))
+    # Width 32: blocks of `points` points. The plan belongs to the index,
+    # which builds it once (prepare_inputs does so for the module).
+    monkeypatch.setattr(T, "BLOCK_ELEMS", points * k * 32)
+    case[-1].blocks(points * k)
+    kept, nodes = _kept_bytes(lambda: T.local_route(*case))
+    assert [node.op for node in nodes] == ["local_route"]
+    # The N x Dm output, the N x k weights and one block's layer outputs
+    # (16 + 8 + 32 + 1 columns per neighbour row), whatever the number of
+    # blocks; the chain keeps all N·k rows of every layer.
+    floor = n * (dm + k) * 8
+    assert floor <= kept < floor + points * k * (16 + 8 + 32 + 1) * 8 + 8192
+
+
+def test_local_route_rejects_mismatched_operands():
+    rng = np.random.default_rng(35)
+    encoder, score, disp, context, v, rows = _route_case(rng)
+    short = MlpParams(score.layers[:1])
+    for bad in ((encoder, score, disp[:-3], context, v, rows),
+                (encoder, score, disp, context, v.data[:-1], rows),
+                (encoder, score, disp, context.data[:, :3], v, rows),
+                (encoder, score, disp, context, v, np.full(30, 10)),
+                (encoder, score, disp, context, v, rows.flat[:-1]),
+                (encoder, MlpParams([]), disp, context, v, rows),
+                (encoder, MlpParams(score.layers[::-1]), disp, context, v, rows),
+                (MlpParams(encoder.layers[1:]), score, disp, context, v, rows),
+                (encoder, short, disp, context, v, rows)):
+        with pytest.raises(ShapeError):
+            T.local_route(*bad)
 
 
 def test_grad_softmax_rows():
@@ -846,7 +999,7 @@ def test_attention_forward_computes_each_block_once(monkeypatch):
 def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
     one_block = _attention_run(_fused_attention, 50, shared, c, extra_keys=0)
     # 8-row blocks over 50 queries: six full blocks and one of 2 rows.
-    monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 8 * 50)
     monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
     rows = _count_attention_blocks(monkeypatch)
     folded = _count_attention_blocks(monkeypatch, "_folded_exps")
@@ -862,7 +1015,7 @@ def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
 def test_attention_weights_reader_walks_forward_blocks(monkeypatch, c):
     # 8-row blocks over 50 queries, as above: the reader forms the weights
     # in forward's own blocks, so it returns the weights the route used.
-    monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 8 * 50)
     monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
     qd, kd, vd, _ = _attention_operands(50, False, c, extra_keys=0)
     q, k = tensor(qd), tensor(kd)
@@ -881,7 +1034,7 @@ def test_attention_weights_reader_walks_forward_blocks(monkeypatch, c):
 
 @pytest.mark.parametrize("floor", [4, 16, 64])
 def test_attention_backward_recomputes_every_block_from_folded_operands(monkeypatch, floor):
-    monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 8 * 50)
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 8 * 50)
     monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", floor)
     rng = np.random.default_rng(20)
     q, v = tensor(rng.normal(size=(50, 5))), tensor(rng.normal(size=(50, 4)))
@@ -907,7 +1060,7 @@ def test_attention_both_passes_walk_blocks_of_16_16_and_8_rows(monkeypatch, max_
     # would give blocks of 2 or 1 rows, as at large M; the 16-row floor
     # gives both passes blocks of 16, 16 and 8 rows.
     want = _attention_run(_attention_chain_then_blend, 40, shared, c, max_logit=max_logit)
-    monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", 80)
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 80)
     monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 16)
     forward_rows = _count_attention_blocks(monkeypatch)
     backward_rows = _count_attention_blocks(monkeypatch, "_folded_exps")
@@ -977,8 +1130,8 @@ def test_softmax_backward_leaves_incoming_gradient_untouched():
     for build in (lambda: _attention_chain(x, x, 0.5), lambda: T.softmax_rows(x),
                   lambda: T.attention(x, x, x, 0.5),
                   lambda: T.linear(T.transpose2(x), x, x.data[0], relu=True),
-                  lambda: T.local_aggregate(x, x, np.arange(18) % 6),
-                  lambda: T.score_layer(x, T.reshape(x, (9, 2)), x.data[0, :2], x,
+                  lambda: chain_ops.local_aggregate(x, x, np.arange(18) % 6),
+                  lambda: chain_ops.score_layer(x, T.reshape(x, (9, 2)), x.data[0, :2], x,
                                         np.arange(6), relu=True),
                   lambda: T.offset_head(NormActParams(x.data[:3], *x.data[3:]), x.data[0, 0],
                                         x, x.data[::-1]),
@@ -1085,20 +1238,24 @@ def test_replay_reproduces_outputs_bitwise():
         rows = T.gather_rows(cat, [3, 0, 0, 2])
         col = T.reduce_sum(T.reshape(T.sub(rows, T.scale(cat, 2.0)), (8, 6)), axis=1)
         hidden = T.linear(cat, T.transpose2(cat), T.reduce_sum(a, axis=0), relu=True)
-        blend = T.local_aggregate(T.linear(hidden, a, T.reduce_sum(a, axis=1)), hidden,
+        blend = chain_ops.local_aggregate(T.linear(hidden, a, T.reduce_sum(a, axis=1)), hidden,
                                   T.RowIndex([1, 1, 0, 3] * 4))
         idx = [1, 1, 0, 3, 2, 2, 0, 1]
-        T.score_layer(T.reshape(cat, (8, 6)), tensor(rng.normal(size=(14, 3))),
+        chain_ops.score_layer(T.reshape(cat, (8, 6)), tensor(rng.normal(size=(14, 3))),
                       tensor(rng.normal(size=3)), a, idx, relu=True)
         head = T.offset_head(NormActParams(a, *a.data[:3]), a.data[0, 0], hidden,
                              hidden.data[::-1])
+        route, _ = T.local_route(MlpParams([(tensor(rng.normal(size=(3, 2))), a.data[0, :2])]),
+                                 MlpParams([(tensor(rng.normal(size=(10, 3))), a.data[1, :3]),
+                                            (tensor(rng.normal(size=(3, 1))), [0.5])]),
+                                 rng.normal(size=(8, 3)), a, blend, [1, 1, 0, 3, 2, 2, 0, 1])
         T.add(T.reduce_sum(T.add(col, T.mul(col, col))),
-              T.add(T.reduce_sum(blend), T.mean_sq_dist(head, hidden)))
+              T.add(T.reduce_sum(T.add(blend, route)), T.mean_sq_dist(head, hidden)))
     # Every op name that tensor.py records is on this one tape, and linear
-    # with and without ReLU.
+    # with and without ReLU; so are the two chain references of local_route.
     ops = set(re.findall(r'(?:_record|_elementwise)\("(\w+)"', inspect.getsource(T)))
-    assert len(ops) == 22
-    assert {node.op for node in tape.nodes} == ops
+    assert len(ops) == 21
+    assert {node.op for node in tape.nodes} == ops | {"score_layer", "local_aggregate"}
     assert [node.output.data.min() >= 0.0 for node in tape.nodes
             if node.op == "linear"] == [True, False]
     before = [node.output.data.tobytes() for node in tape.nodes]
@@ -1121,8 +1278,8 @@ def test_replay_detects_a_mutated_input():
     rng = np.random.default_rng(15)
     for op in (T.mul, lambda a, b: _attention_chain(a, b, 0.5),
                lambda a, b: T.softmax_rows(a), lambda a, b: T.linear(a, b, b.data[0]),
-               lambda a, b: T.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1])),
-               lambda a, b: T.score_layer(a, tensor(np.ones((9, 2))), tensor(np.ones(2)),
+               lambda a, b: chain_ops.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1])),
+               lambda a, b: chain_ops.score_layer(a, tensor(np.ones((9, 2))), tensor(np.ones(2)),
                                           b, [2, 0, 1]),
                lambda a, b: T.offset_head(NormActParams(b, *b.data), b.data[0, 0], a, b),
                T.mean_sq_dist):
@@ -1143,7 +1300,7 @@ def test_replay_detects_a_mutated_input():
 @pytest.mark.parametrize("block_elems", [None, 3 * 12])
 def test_attention_replays_and_backpropagates_twice(monkeypatch, block_elems):
     if block_elems is not None:
-        monkeypatch.setattr(T, "ATTENTION_BLOCK_ELEMS", block_elems)
+        monkeypatch.setattr(T, "BLOCK_ELEMS", block_elems)
         monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
         assert T.attention_block_rows(10, 12) == 3   # blocks of 3, 3, 3 and 1 rows
     rng = np.random.default_rng(16)

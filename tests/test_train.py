@@ -293,6 +293,19 @@ def test_gradcheck_passes_at_other_score_depths(score_hidden):
     assert grad_check(cfg) < 1e-6
 
 
+@pytest.mark.parametrize("disp_hidden", [(), (16,)])
+def test_gradcheck_passes_over_local_route_blocks(monkeypatch, disp_hidden):
+    # The N=12 instance's widest layer is 32 columns and k = 3: blocks of
+    # 5, 5 and 2 points, so backward recomputes two blocks and sums the
+    # parameter gradients over three; with disp_hidden = () the encoder is
+    # one layer.
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 5 * 3 * 32)
+    assert T.local_block_points(12, 3, 32) == 5
+    cfg = default_gradcheck_config()
+    cfg.module.disp_hidden = disp_hidden
+    assert grad_check(cfg) < 1e-6
+
+
 def test_gradcheck_flags_corrupted_gradient():
     assert grad_check(corrupt=True) > 1e-3
 
@@ -358,13 +371,12 @@ def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
                         lambda tape, loss: tapes.append(tape) or real_backward(tape, loss))
     train(cfg)
     inputs, = prepared
-    constants = {inputs.context, inputs.motion, inputs.disp}
+    constants = {inputs.context, inputs.motion}
     assert len(tapes) == 3
     assert len({len(tape) for tape in tapes}) == 1
     assert [node.op for node in tapes[0].nodes] == [
         "matmul", "matmul", "attention",                          # global route
-        "linear", "linear", "score_layer", "linear", "reshape",   # local route
-        "softmax_rows", "local_aggregate",
+        "local_route",                                            # local route
         "add", "offset_head",                                     # offset head
         "linear", "mean_sq_dist"]                                 # decoder, loss
     leaves = []
@@ -373,12 +385,13 @@ def test_taped_steps_share_the_prepared_constant_leaves(monkeypatch):
         leaves.append({t for node in tape.nodes for t in node.inputs
                        if t not in outputs and not t.trainable})
     # Every constant leaf is built once per run and shared by all steps:
-    # the prepared constants and the loss target. The score layer reads the
-    # neighbours' context rows through the row index, which is no node's
-    # input.
+    # the prepared features and the loss target. The local route reads the
+    # displacements, the context and the neighbour rows as constants, so
+    # none of them is its node's input.
     assert leaves[0] == leaves[1] == leaves[2]
     assert constants <= leaves[0]
     assert [t.shape for t in leaves[0] - constants] == [(200, 3)]
+    assert inputs.disp not in leaves[0]
 
 
 # Trains the pinned local config twice in one process and prints the minor
@@ -477,7 +490,7 @@ def test_each_variant_tapes_only_the_routes_that_run(monkeypatch):
     run_ablation(cfg)
     by_variant = dict(zip(ABLATION_VARIANTS, ops, strict=True))
     assert {v: len(nodes) for v, nodes in by_variant.items()} == {
-        "full": 14, "plain_aggregator": 16, "no_local": 6, "no_global": 11,
+        "full": 8, "plain_aggregator": 10, "no_local": 6, "no_global": 5,
         "backbone_only": 2}
     assert by_variant["no_global"].count("matmul") == 1
     assert by_variant["backbone_only"] == ["linear", "mean_sq_dist"]
