@@ -8,11 +8,15 @@ case builds its scene, prepared inputs, parameters and optimizer as
 Each step is timed in four phases: the taped forward (aggregator and
 decoder), the taped loss, ``backward`` and the optimizer's step. Before
 timing it sets glibc's malloc thresholds as ``train()`` does; it leaves
-the BLAS thread count to the environment. The script prints one JSON
-line: per case, the min and the median in ms of each phase and of the
-whole step, the tape nodes per step and the MB (2^20 bytes) the tape's
-outputs hold, with the Python, numpy and BLAS versions and the BLAS
-thread count taken from the environment, e.g.
+the BLAS thread count to the environment. After the timed steps it runs
+one more taped forward and loss, untimed, under tracemalloc, whose count
+of the bytes still allocated when the loss is formed is what a taped step
+holds: node outputs and what nodes keep for backward (the local route's
+weights and last block, the offset head's centered rows, ...). The
+script prints one JSON line: per case, the min and the median in ms of
+each phase and of the whole step, the tape nodes per step and the MB
+(2^20 bytes) the taped step holds, with the Python, numpy and BLAS
+versions and the BLAS thread count taken from the environment, e.g.
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/time_step.py --steps 50
 """
@@ -23,6 +27,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -69,8 +74,14 @@ def time_one_case(name: str, steps: int) -> dict:
             for phase, (a, b) in zip(PHASES, ((t0, t1), (t1, t2), (t2, t3), (t3, t4),
                                               (t0, t4))):
                 samples[phase].append(1e3 * (b - a))
+    del tape, pred, loss, grads
+    tracemalloc.start()
+    with T.Tape() as tape:
+        loss = train.loss_epe(train._predict(params, decoder, inputs), target)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
     row = {"case": name, "n": scene.frame1.points.shape[0], "nodes": len(tape),
-           "tape_mb": round(sum(node.output.data.nbytes for node in tape.nodes) / 2**20, 3)}
+           "tape_mb": round(held / 2**20, 3)}
     for phase in PHASES:
         row[f"{phase}_ms_min"] = round(min(samples[phase]), 3)
         row[f"{phase}_ms_median"] = round(statistics.median(samples[phase]), 3)

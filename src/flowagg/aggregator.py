@@ -353,7 +353,8 @@ class SceneInputs:
     * disp: the N·k x 3 displacement table, neighbour endpoint minus point;
     * rows: the flattened neighbour table as a :class:`.tensor.RowIndex`,
       through which the local route reads the neighbours' context and
-      value rows, holding that route's per-block scatter plans.
+      value rows and scatters v's gradient, with its occurrence rounds
+      built once.
     """
 
     config: AggregatorConfig
@@ -407,13 +408,9 @@ def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex |
         endpoint = counterparts.points
     else:
         endpoint = cloud.points
-    rows, k = T.RowIndex(nbrs.indices), config.k
-    # The local route's per-block scatter plans, built here once per run.
-    width = max(config.context_dim, config.motion_dim, config.disp_dim,
-                *config.disp_hidden, *config.score_hidden)
-    rows.blocks(k * T.local_block_points(n, k, width))
+    rows = T.RowIndex(nbrs.indices)
     with np.errstate(over="ignore", invalid="ignore"):
-        disp = endpoint[rows.flat] - np.repeat(cloud.points, k, axis=0)
+        disp = endpoint[rows.flat] - np.repeat(cloud.points, config.k, axis=0)
     if not np.isfinite(disp).all():
         raise ValueError("the displacement table (neighbour minus point) is not finite: "
                          "the point coordinates overflow float64 when subtracted")

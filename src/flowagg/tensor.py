@@ -12,9 +12,9 @@ forward expression is written once. ``backward(tape, loss)`` then runs
 reverse accumulation and returns exact gradients for every leaf tensor
 reachable from the loss, whether or not it was created with
 ``trainable=True`` (that flag only labels parameters in a tensor's repr).
-``gather_rows`` and ``local_route`` scatter-add their gradients in
-occurrence rounds, which a :class:`RowIndex` builds once for an index
-that many passes reuse.
+``gather_rows`` and ``local_route`` scatter-add their gradients through
+:meth:`RowIndex.scatter_add`, over occurrence rounds that a
+:class:`RowIndex` builds once for an index that many passes reuse.
 
 Five fused ops stand for op chains and keep only what their backward
 needs. Three give the chain's output bytes and gradients: ``linear``
@@ -348,17 +348,26 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
                                       for gp in np.split(g, cuts, axis=1)))
 
 
+# Elements of one block: attention's weights (query rows x keys), a
+# local_route block's widest array (neighbour rows x widest width) or a
+# scatter chunk's gradient rows. While they set the block (M up to 2040
+# for attention), every per-block array stays below 1 MiB, glibc malloc's
+# mmap threshold when pinned there, so blocks reuse heap memory.
+BLOCK_ELEMS = (1 << 17) - 512
+
+
 class RowIndex:
     """A flat row index for :func:`gather_rows` and :func:`local_route`
     together with the occurrence rounds of its scatter-add, built once.
 
-    ``flat`` is a read-only flattened copy of the index. ``rounds`` holds one
-    (rows, positions) pair per round: round r lists the r-th occurrence of
-    every row that occurs more than r times, with that occurrence's
-    position in ``flat``. Rows are unique within a round.
+    ``flat`` is a read-only flattened copy of the index. Round r lists the
+    r-th occurrence of every row that occurs more than r times: its
+    positions in ``flat`` are ``positions[a:b]`` and their rows
+    ``targets[a:b]``, with a and b consecutive entries of ``[0, *ends]``.
+    Rows are unique within a round.
     """
 
-    __slots__ = ("flat", "rounds", "_blocks")
+    __slots__ = ("flat", "positions", "targets", "ends")
 
     def __init__(self, idx):
         flat = np.array(idx, dtype=np.int64).ravel()
@@ -372,34 +381,25 @@ class RowIndex:
         starts[1:] = rows[1:] != rows[:-1]
         rank = at - np.maximum.accumulate(np.where(starts, at, 0))
         by_round = np.argsort(rank, kind="stable")
-        ends = np.cumsum(np.bincount(rank)).tolist()
         self.flat = flat
-        self.rounds = tuple((rows[by_round[a:b]], order[by_round[a:b]])
-                            for a, b in zip([0] + ends, ends))
-        self._blocks = {}
+        self.positions, self.targets = order[by_round], rows[by_round]
+        self.ends = np.cumsum(np.bincount(rank)).tolist()
 
-    def scatter_add(self, g: np.ndarray, n_rows: int) -> np.ndarray:
-        """Zeros of shape (n_rows, *g.shape[1:]) plus row ``flat[i]`` of
-        the result += ``g[i]`` for every i, round by round."""
-        return self.scatter_into(np.zeros((n_rows, *g.shape[1:])), g)
-
-    def scatter_into(self, acc: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Row ``flat[i]`` of `acc` += ``g[i]`` for every i, round by round,
-        in place; returns `acc`."""
-        for rows, pos in self.rounds:
-            acc[rows] += g[pos]
+    def scatter_add(self, n_rows: int, width: int,
+                    rows_at: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """n_rows x width zeros plus gradient row i added to row ``flat[i]``
+        for every position i, where ``rows_at(pos)`` forms the gradient rows
+        of positions `pos`. It walks the rounds in order, in chunks of at
+        most ``BLOCK_ELEMS // width`` positions cut at round ends, so every
+        row sums in position order: ``np.add.at``'s bytes, ±0.0 included."""
+        acc = np.zeros((n_rows, width))
+        step, start = max(1, BLOCK_ELEMS // max(1, width)), 0
+        for end in self.ends:
+            for a in range(start, end, step):
+                b = min(a + step, end)
+                acc[self.targets[a:b]] += rows_at(self.positions[a:b])
+            start = end
         return acc
-
-    def blocks(self, size: int) -> tuple["RowIndex", ...]:
-        """The index cut into consecutive runs of `size` positions (the
-        last may be shorter), each a RowIndex of its own, so that
-        scattering them in order adds every row's gradient rows in
-        position order, as one scatter does. One run is this index itself.
-        Built on the first call for a size and kept."""
-        if size not in self._blocks:
-            self._blocks[size] = ((self,) if size >= self.flat.size else tuple(
-                RowIndex(self.flat[a:a + size]) for a in range(0, self.flat.size, size)))
-        return self._blocks[size]
 
 
 def _row_index(op: str, idx, n_rows: int) -> RowIndex:
@@ -415,11 +415,10 @@ def gather_rows(a, idx) -> Tensor:
     """Select rows of a rank-2 tensor by integer index: a :class:`RowIndex`,
     or anything else, which becomes ``RowIndex(idx)`` on entry.
 
-    Backward scatter-adds the output gradient in the index's occurrence
-    rounds: round r adds the gradient rows of the r-th occurrence of each
-    row, with ``acc[rows_r] += g[positions_r]``, starting from zeros.
-    Every row therefore sums its gradient rows in index order, the order
-    of ``np.add.at``, with the same bytes (±0.0 included).
+    Backward passes g's rows to :meth:`RowIndex.scatter_add`, which adds
+    them round by round in chunks of at most one block of rows: every row
+    sums its gradient rows in index order, the order of ``np.add.at``,
+    with the same bytes (±0.0 included).
     """
     a = _as_tensor(a)
     ad = a.data
@@ -427,7 +426,7 @@ def gather_rows(a, idx) -> Tensor:
         raise ShapeError(f"gather_rows expects rank 2, got shape {ad.shape}")
     rows = _row_index("gather_rows", idx, ad.shape[0])
     return _record("gather_rows", (a,), lambda: ad[rows.flat],
-                   lambda g, y: (rows.scatter_add(g, ad.shape[0]),))
+                   lambda g, y: (rows.scatter_add(*ad.shape, lambda pos: g[pos]),))
 
 
 def _exp_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,17 +482,11 @@ def attention_weights_data(q, k, c: float) -> np.ndarray:
     qd, kd = _as_tensor(q).data, _as_tensor(k).data
     _check_attention("attention_weights_data", qd, kd)
     w = np.empty((qd.shape[0], kd.shape[0]))
-    for r0, r1, e, _, rowsum in _exp_blocks(qd, kd, c):
-        np.divide(e, rowsum, out=w[r0:r1])
+    for _, _, e, _, rowsum in _block_exps(qd, kd, c, out=w):
+        e /= rowsum
     return w
 
 
-# Elements of one block: attention's weights (query rows x keys), or a
-# local_route block's widest array (neighbour rows x widest per-row
-# width). While they set the block (M up to 2040 for attention), every
-# per-block array stays below 1 MiB, glibc malloc's mmap threshold when
-# pinned there, so blocks reuse heap memory instead of mapping fresh pages.
-BLOCK_ELEMS = (1 << 17) - 512
 # Fewest query rows in a block; it sets the block past M = 2040. Each
 # backward block adds M x Dv and D x M partials into dv and dkᵀ.
 ATTENTION_MIN_ROWS = 64
@@ -505,17 +498,20 @@ def attention_block_rows(n: int, m: int) -> int:
     return min(n, max(ATTENTION_MIN_ROWS, BLOCK_ELEMS // m))
 
 
-def _exp_blocks(qd: np.ndarray, kd: np.ndarray, c: float) -> Iterator[tuple]:
+def _block_exps(qd: np.ndarray, kd: np.ndarray, c: float,
+                out: np.ndarray | None = None) -> Iterator[tuple]:
     """Per block of :func:`attention`'s query rows r0:r1, yield (r0, r1,
     E, rowmax, rowsum): E = exp(l - rowmax) of the logits l = c · q[r0:r1]
-    kᵀ, written into one buffer that the next block reuses, and each row's
-    max of l and sum of E as column vectors."""
+    kᵀ, and each row's max of l and sum of E as column vectors. E is
+    written into rows r0:r1 of `out` (N x M) when one is given, else into
+    one buffer that the next block reuses."""
     n, m = qd.shape[0], kd.shape[0]
     rows = attention_block_rows(n, m)
-    kt, buf = np.ascontiguousarray(kd.T), np.empty((rows, m))
+    kt = np.ascontiguousarray(kd.T)
+    buf = np.empty((rows, m)) if out is None else None
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        e = np.matmul(qd[r0:r1], kt, out=buf[:r1 - r0])
+        e = np.matmul(qd[r0:r1], kt, out=buf[:r1 - r0] if out is None else out[r0:r1])
         e *= c
         yield (r0, r1, e, *_exp_rows(e))
 
@@ -533,7 +529,7 @@ def attention(q, k, v, c: float) -> Tensor:
     q is N x D, k is M x D and v is M x Dv; c = 1.0 is the unscaled
     route. Both passes walk the same blocks of query rows
     (:func:`attention_block_rows`). Forward takes each block's shifted
-    exponentials E from :func:`_exp_blocks`, keeps each row's max of the
+    exponentials E from :func:`_block_exps`, keeps each row's max of the
     logits and sum of E, and writes E @ v into the output rows; one divide
     by the row sums on N x Dv then normalises the output, so no pass
     divides N x M weights. The node keeps q, k, v and the two N x 1 row
@@ -566,7 +562,7 @@ def attention(q, k, v, c: float) -> Tensor:
 
     def fwd():
         out = np.empty((n, vd.shape[1]))
-        for r0, r1, e, block_max, block_sum in _exp_blocks(qd, kd, c):
+        for r0, r1, e, block_max, block_sum in _block_exps(qd, kd, c):
             rowmax[r0:r1], rowsum[r0:r1] = block_max, block_sum
             np.matmul(e, vd, out=out[r0:r1])
         out /= rowsum
@@ -668,13 +664,14 @@ def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
     1 MiB; per block they repeat that chain's numpy expressions in its
     order. The node keeps its output, the weights and the last block's
     layer outputs; backward recomputes every other block. It forms no
-    gradient for the constants disp and context. v's gradient is scattered
-    block by block through ``rows.blocks``, in position order, so it has
-    the bytes of one scatter whatever the blocking. With one block the
-    output and every gradient are the chain's bytes; over several blocks
-    each parameter gradient is the sum of the blocks' partials, which
-    agrees with the chain to rounding. The inputs are recorded as v, then
-    the score layers' (b, w) from the last layer to the first, then the
+    gradient for the constants disp and context. After the block loop it
+    scatters v's gradient once (:meth:`RowIndex.scatter_add`) from each
+    position's point's row of g times the position's kept weight: the
+    chain's bytes whatever the blocking. With one block the output and
+    every gradient are the chain's bytes; over several blocks each
+    parameter gradient is the sum of the blocks' partials, which agrees
+    with the chain to rounding. The inputs are recorded as v, then the
+    score layers' (b, w) from the last layer to the first, then the
     encoder's likewise: the order in which the chain's backward reaches
     them.
     """
@@ -702,12 +699,12 @@ def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
     h0 = w0.shape[1]
     w_e, w_j, w_i = w0[:de], w0[de:de + dc], w0[de + dc:]
     points = local_block_points(n, k, max(dc, dm, *(w.shape[1] for w, _ in ew + sw)))
-    blocks = [(p0, min(p0 + points, n), block)
-              for p0, block in zip(range(0, n, points), rows.blocks(points * k))]
+    blocks = [(p0, min(p0 + points, n), rows.flat[p0 * k:min(p0 + points, n) * k])
+              for p0 in range(0, n, points)]
     weights = np.empty((n, k))
     kept: list[np.ndarray] = []
 
-    def layer_outputs(p0: int, p1: int, block: RowIndex, cj: np.ndarray,
+    def layer_outputs(p0: int, p1: int, block: np.ndarray, cj: np.ndarray,
                       ci: np.ndarray) -> list:
         """Every layer's output on the neighbour rows of points p0:p1: the
         encoder's, then the score layers'; the last one is the scores."""
@@ -716,7 +713,7 @@ def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
             x = _affine(x, w, b, i != len(ew) - 1)
             outs.append(x)
         y = x @ w_e
-        y += cj[block.flat]
+        y += cj[block]
         y_by_point = y.reshape(p1 - p0, k, h0)
         y_by_point += ci[p0:p1, None, :]
         y += b0
@@ -736,21 +733,19 @@ def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
             s = weights[p0:p1]
             s[...] = kept[-1].reshape(p1 - p0, k)
             s /= _exp_rows(s)[1]
-            picked = vd[block.flat].reshape(p1 - p0, k, dm)
+            picked = vd[block].reshape(p1 - p0, k, dm)
             picked *= s[..., None]
             out[p0:p1] = picked.sum(axis=1)
         return out
 
-    def block_grads(g: np.ndarray, p0: int, p1: int, block: RowIndex, outs: list,
-                    dv: np.ndarray) -> list:
+    def block_grads(g: np.ndarray, p0: int, p1: int, block: np.ndarray,
+                    outs: list) -> list:
         """The parameter gradients of points p0:p1's block, in input order
-        after v; its share of v's gradient is scattered into dv."""
-        r = block.flat.size
+        after v."""
         s = weights[p0:p1]
-        picked, g3 = vd[block.flat].reshape(p1 - p0, k, dm), g[p0:p1, None, :]
-        gs = np.multiply(g3, picked, out=picked).sum(axis=2)
-        block.scatter_into(dv, np.multiply(g3, s[..., None], out=picked).reshape(r, dm))
-        gh, grads = _softmax_rows_grad(gs, s).reshape(r, 1), []
+        picked = vd[block].reshape(p1 - p0, k, dm)
+        gs = np.multiply(g[p0:p1, None, :], picked, out=picked).sum(axis=2)
+        gh, grads = _softmax_rows_grad(gs, s).reshape(block.size, 1), []
         e = len(ew)
         for i in reversed(range(len(rest))):
             gb, gh, gw = _affine_grads(gh, outs[e + i], outs[e + i + 1], rest[i][0],
@@ -761,7 +756,7 @@ def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
         x = outs[e - 1] if e else dd[p0 * k:p1 * k]
         gw0 = np.empty_like(w0)
         np.matmul(x.T, gh, out=gw0[:de])
-        np.matmul(cd[block.flat].T, gh, out=gw0[de:de + dc])
+        np.matmul(cd[block].T, gh, out=gw0[de:de + dc])
         np.matmul(cd[p0:p1].T, gh.reshape(p1 - p0, k, h0).sum(axis=1), out=gw0[de + dc:])
         grads += [gh.sum(axis=0), gw0]
         if e:
@@ -773,19 +768,24 @@ def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
         return grads
 
     def bwd(g, out):
-        dv = np.zeros(vd.shape)
         cj = ci = total = None
         if len(blocks) > 1:
             cj, ci = cd @ w_j, cd @ w_i
         for i, (p0, p1, block) in enumerate(blocks):
             outs = kept if i == len(blocks) - 1 else layer_outputs(p0, p1, block, cj, ci)
-            parts = block_grads(g, p0, p1, block, outs, dv)
+            parts = block_grads(g, p0, p1, block, outs)
             if total is None:
                 total = parts
             else:
                 for acc, part in zip(total, parts):
                     acc += part
-        return (dv, *total)
+        flat_weights = weights.ravel()
+
+        def dv_rows(pos: np.ndarray) -> np.ndarray:
+            rows_g = g[pos // k]
+            rows_g *= flat_weights[pos, None]
+            return rows_g
+        return (rows.scatter_add(n, dm, dv_rows), *total)
 
     params = [t for w, b in (*reversed(score_p), *reversed(enc_p)) for t in (b, w)]
     return _record("local_route", (v, *params), fwd, bwd), weights

@@ -113,5 +113,5 @@ def local_aggregate(weights, v, rows) -> Tensor:
         p, g3 = picked(), g[:, None, :]
         gw = np.multiply(g3, p, out=p).sum(axis=2)
         gp = np.multiply(g3, wd[..., None], out=p).reshape(n * k, dm)
-        return gw, rows.scatter_add(gp, vd.shape[0])
+        return gw, rows.scatter_add(vd.shape[0], dm, lambda pos: gp[pos])
     return _record("local_aggregate", (weights, v), fwd, bwd)

@@ -398,17 +398,17 @@ def test_local_route_tapes_no_n_k_by_dm_array():
     assert [node.output.shape for node in tape.nodes if node.op == "local_route"] == [(n, dm)]
 
 
-def test_local_route_block_plans_are_built_once_in_prepare_inputs(monkeypatch):
+def test_prepare_inputs_builds_one_row_index_and_no_step_builds_any(monkeypatch):
     # SMALL's widest layer is 32 columns and k = 2: blocks of 3 points over
-    # N=10 (3, 3, 3 and 1 points), whose scatter plans prepare_inputs
-    # builds; no step builds a row index.
+    # N=10 (3, 3, 3 and 1 points), which slice the one index that
+    # prepare_inputs builds; no step builds a row index.
     monkeypatch.setattr(T, "BLOCK_ELEMS", 3 * 2 * 32)
     params, cloud, feats, nbrs = _instance(5, 10, alpha=0.5)
     real_init, built = T.RowIndex.__init__, []
     monkeypatch.setattr(T.RowIndex, "__init__",
                         lambda self, idx: built.append(np.size(idx)) or real_init(self, idx))
     inputs = prepare_inputs(cloud, feats, nbrs, SMALL)
-    assert built == [20, 6, 6, 6, 2]
+    assert built == [20]
     built.clear()
     for _ in range(2):
         with Tape() as tape:

@@ -72,6 +72,10 @@ def test_time_step_prints_one_json_line_per_case():
             f"{phase}_ms_{stat}" for phase in phases for stat in ("min", "median")}
         assert (row["case"], row["n"], row["nodes"]) == (case, n, 8)
         assert all(row[key] > 0 for key in row if key != "case")
+    # What the taped step holds, not only node outputs (0.27 MB at N=200):
+    # the local_route node alone keeps its last block's layer outputs,
+    # 1,600 neighbour rows of 16 + 8 + 32 + 1 columns (0.70 MB).
+    assert report["rows"][0]["tape_mb"] > 0.7
 
 
 def test_run_ablation_tabulates_one_seed_per_variant():

@@ -279,11 +279,36 @@ def test_scatter_rounds_bitwise_equal_add_at(case):
     rows = T.RowIndex(idx)
     rng = np.random.default_rng(len(case))
     g = _scatter_gradient(idx.size, rng)
-    got = rows.scatter_add(g, n_rows)
+    got = rows.scatter_add(n_rows, g.shape[1], lambda pos: g[pos])
     assert got.tobytes() == _add_at(idx, g, n_rows).tobytes()
-    for r, (round_rows, pos) in enumerate(rows.rounds):
+    assert sorted(rows.positions.tolist()) == list(range(idx.size))
+    for r, (a, b) in enumerate(zip([0, *rows.ends], rows.ends)):
+        round_rows, pos = rows.targets[a:b], rows.positions[a:b]
         assert np.unique(round_rows).size == round_rows.size
         assert np.array_equal(np.asarray(idx).ravel()[pos], round_rows), r
+
+
+@pytest.mark.parametrize("case", ["duplicates_and_unreferenced_rows", "every_row_once",
+                                  "neighbour_table"])
+def test_gather_rows_backward_in_chunks_that_end_inside_rounds_is_add_at(monkeypatch, case):
+    # Width 3 and 7 elements per block: chunks of at most 2 positions, so
+    # every round longer than 2 is cut inside; each row still sums its
+    # gradient rows in index order.
+    idx, n_rows = SCATTER_CASES[case]
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 7)
+    real, chunks = T.RowIndex.scatter_add, []
+
+    def scatter_add(self, n, width, rows_at):
+        return real(self, n, width, lambda pos: chunks.append(pos.size) or rows_at(pos))
+    monkeypatch.setattr(T.RowIndex, "scatter_add", scatter_add)
+    rng = np.random.default_rng(8)
+    a, g = tensor(rng.normal(size=(n_rows, 3))), _scatter_gradient(idx.size, rng)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(T.gather_rows(a, idx), tensor(g)))
+    assert backward(tape, loss).wrt(a).tobytes() == _add_at(idx, g, n_rows).tobytes()
+    rounds = np.diff([0, *T.RowIndex(idx).ends])
+    assert rounds.max() > 2
+    assert chunks == [min(2, r - c0) for r in rounds for c0 in range(0, r, 2)]
 
 
 @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
@@ -774,8 +799,8 @@ def test_local_route_over_blocks_matches_one_block(monkeypatch, disp_hidden, sco
     monkeypatch.setattr(T, "BLOCK_ELEMS", 3 * 3 * 5)
     assert T.local_block_points(10, 3, 5) == 3
     blocked = _route_run(T.local_route, case, upstream)
-    # v's gradient is scattered block by block in position order: the
-    # bytes of one scatter.
+    # v's gradient is scattered once, after the block loop, in chunks of
+    # at most one block of rows: the bytes of one block's scatter.
     assert blocked[2].tobytes() == one_block[2].tobytes()
     # Each block repeats the chain's expressions on its own rows, and each
     # parameter gradient is a sum of block partials: they agree to 1e-12
@@ -833,10 +858,8 @@ def test_local_route_keeps_its_output_weights_and_one_block(monkeypatch, points)
     n, k, dm = 400, 8, 16
     case = _route_case(np.random.default_rng(34), n=n, k=k, dc=16, dm=dm, disp_hidden=(16,),
                        de=8, score_hidden=(32,))
-    # Width 32: blocks of `points` points. The plan belongs to the index,
-    # which builds it once (prepare_inputs does so for the module).
+    # Width 32: blocks of `points` points.
     monkeypatch.setattr(T, "BLOCK_ELEMS", points * k * 32)
-    case[-1].blocks(points * k)
     kept, nodes = _kept_bytes(lambda: T.local_route(*case))
     assert [node.op for node in nodes] == ["local_route"]
     # The N x Dm output, the N x k weights and one block's layer outputs
@@ -988,7 +1011,7 @@ def _count_attention_blocks(monkeypatch, kernel: str = "_exp_rows") -> list[int]
 
 def test_attention_forward_computes_each_block_once(monkeypatch):
     # Forward forms each block's logits and exponentials once, through
-    # _exp_blocks; backward forms its exponentials without _exp_rows.
+    # _block_exps; backward forms its exponentials without _exp_rows.
     rows = _count_attention_blocks(monkeypatch)
     _attention_run(T.attention, 300, False, 0.5)
     assert rows == [300]
@@ -1030,6 +1053,24 @@ def test_attention_weights_reader_walks_forward_blocks(monkeypatch, c):
     for r0 in range(0, 50, 8):
         want = _attention_chain(tensor(qd[r0:r0 + 8]), k, c).data
         assert got[r0:r0 + 8].tobytes() == want.tobytes()
+
+
+def test_attention_weights_reader_forms_one_block_in_its_result():
+    # One block (N = M = 200): the reader forms E in the N x M result and
+    # divides it there, so its peak is one N x M array (320 KB) plus small
+    # ones: kᵀ, the row statistics and numpy's 64 KiB buffer for an
+    # in-place broadcast ufunc. A separate block buffer would add 320 KB.
+    qd, kd, _, _ = _attention_operands(200, False, 0.4, extra_keys=0)
+    q, k = tensor(qd), tensor(kd)
+    assert T.attention_block_rows(200, 200) == 200
+    tracemalloc.start()
+    try:
+        got = T.attention_weights_data(q, k, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes <= peak < got.nbytes + 128 * 1024
+    assert got.tobytes() == _attention_chain(q, k, 0.4).data.tobytes()
 
 
 @pytest.mark.parametrize("floor", [4, 16, 64])
