@@ -254,9 +254,29 @@ def _sample_geometry(cfg: SceneConfig) -> _Geometry:
     return _Geometry(frame1, warped, warped - frame1, cluster_id)
 
 
-def _neighbor_table(points: np.ndarray, k: int) -> np.ndarray:
-    cloud = PointCloud(points)
-    return brute_force_knn(cloud, cloud, k).indices
+def _neighbor_rows(points: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Rows ``rows`` of the self-excluding table
+    ``brute_force_knn(cloud, cloud, k).indices``, scanning only those
+    query points. Each row's k + 1 nearest include itself unless k + 1
+    exact duplicates of lower index come first; dropping self, or else the
+    (k+1)-th entry, leaves the table's row."""
+    idx = brute_force_knn(PointCloud(points[rows]), PointCloud(points), k + 1).indices
+    keep = idx != rows[:, None]
+    keep[keep.all(axis=1), k] = False
+    return idx[keep].reshape(len(rows), k)
+
+
+def _nearest_free(d2: np.ndarray, free: np.ndarray, grow: int) -> np.ndarray:
+    """The ``grow`` points of ``free`` (ascending indices) nearest by
+    ``d2``, ties by lower index: what a stable argsort of the whole cloud
+    would list first, found from one partition and a sort of the points
+    at or below the grow-th distance."""
+    d = d2[free]
+    if free.size > grow:
+        keep = d <= np.partition(d, grow - 1)[grow - 1]
+        free, d = free[keep], d[keep]
+    # free ascends, so the stable sort breaks distance ties by lower index.
+    return free[np.argsort(d, kind="stable")[:grow]]
 
 
 def _occlude_local(geo: _Geometry, cfg: SceneConfig,
@@ -269,13 +289,15 @@ def _occlude_local(geo: _Geometry, cfg: SceneConfig,
     together with its nearest not-yet-occluded points, carving contiguous
     pockets instead of isolated singles; the reachability constraint is
     still enforced for every occluded point, so pockets stay small enough
-    to keep a visible rim."""
+    to keep a visible rim. A clump is c's nearest free points by
+    (squared distance, index), found by one partition of the free
+    points' distances rather than a sort of the whole cloud."""
     n = len(geo.frame1)
     target = round(cfg.occlusion_fraction * n)
     mask = np.zeros(n, dtype=bool)
     if target == 0:
         return mask
-    nbrs = _neighbor_table(geo.frame1, cfg.constraint_k)
+    nbrs = _neighbor_rows(geo.frame1, np.arange(n), cfg.constraint_k)
 
     def all_constrained() -> bool:
         occluded = np.flatnonzero(mask)
@@ -294,8 +316,8 @@ def _occlude_local(geo: _Geometry, cfg: SceneConfig,
         if grow:
             # Grow outward from c: nearest free points first, ties by index.
             d2 = ((geo.frame1[c] - geo.frame1) ** 2).sum(axis=1)
-            order = np.argsort(d2, kind="stable")
-            clump += order[(order != c) & ~mask[order]][:grow].tolist()
+            free = np.flatnonzero(~mask)
+            clump += _nearest_free(d2, free[free != c], grow).tolist()
         mask[clump] = True
         if all_constrained():
             taken += len(clump)
@@ -379,9 +401,9 @@ def verify_scene(scene: SyntheticScene, cfg: SceneConfig) -> None:
     invariant (local: each occluded point keeps a non-occluded
     constraint_k-neighbour; global: occluded points have none).
 
-    It builds its own constraint_k neighbour table although the occluders
-    built the same one: the check must not rest on the state it checks,
-    and the table is one k-scan per scene.
+    It builds its own constraint_k neighbour rows although the local
+    occluder built the same table: the check must not rest on the state
+    it checks, and it scans only the occluded points, the rows it reads.
     """
     warped = scene.frame1.points + scene.gt_flow.vectors
     mask = scene.occlusion_mask
@@ -398,9 +420,9 @@ def verify_scene(scene: SyntheticScene, cfg: SceneConfig) -> None:
         raise GenerationError(
             f"non-occluded point {i} lost its counterpart (nearest {nearest[i]:.2e} m)")
     if mask.any() and cfg.occlusion_mode in ("local", "global"):
-        nbrs = _neighbor_table(scene.frame1.points, cfg.constraint_k)
         occluded = np.flatnonzero(mask)
-        visible = (~mask[nbrs[occluded]]).sum(axis=1)
+        nbrs = _neighbor_rows(scene.frame1.points, occluded, cfg.constraint_k)
+        visible = (~mask[nbrs]).sum(axis=1)
         if cfg.occlusion_mode == "local":
             bad = np.flatnonzero(visible == 0)
             if bad.size:

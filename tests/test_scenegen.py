@@ -11,13 +11,18 @@ import oracles
 from flowagg.config import parse_config_file
 from flowagg.containers import ContainerError, pack_tensors
 from flowagg.metrics import FlowField
-from flowagg.rng import LANE_MIN_DRAWS, Xoshiro256StarStar
+from flowagg.spatial import PointCloud, brute_force_knn
+from flowagg.rng import LANE_MIN_DRAWS, Xoshiro256StarStar, derive_seed
 from flowagg.scenegen import (
     GenerationError,
     SceneConfig,
     _Geometry,
     _match_closure,
+    _nearest_free,
+    _neighbor_rows,
+    _occlude_local,
     _sample_blob,
+    _sample_geometry,
     generate_scene,
     scene_from_tensors,
     scene_tensors,
@@ -368,3 +373,111 @@ def test_match_closure_matches_the_loop_on_random_clouds(seed):
     expect, _ = oracles.match_closure_loop(geo.warped, mask, 0.1)
     got = _match_closure(geo, _cfg(r_match=0.1), mask)
     np.testing.assert_array_equal(got, expect)
+
+
+def _neighbor_rows_cases():
+    rng = np.random.default_rng(11)
+    cloud = rng.normal(size=(40, 3))
+    dup = cloud.copy()
+    dup[:7] = dup[20]       # rows 0-6 and 20 coincide
+    dup[30:36] = dup[8]     # rows 8 and 30-35 coincide
+    rounded = np.round(rng.uniform(0, 2, size=(40, 3)))
+    return [("random", cloud, 6), ("duplicates", dup, 5), ("rounded", rounded, 8),
+            ("all_identical_k_all", np.ones((12, 3)), 11)]
+
+
+@pytest.mark.parametrize("name,points,k", _neighbor_rows_cases(),
+                         ids=[c[0] for c in _neighbor_rows_cases()])
+def test_neighbor_rows_are_rows_of_the_self_excluding_table(name, points, k):
+    cloud = PointCloud(points)
+    table = brute_force_knn(cloud, cloud, k).indices
+    oracle, _ = oracles.knn_scan(points, points, k)
+    np.testing.assert_array_equal(table, oracle)
+    n = len(points)
+    if name == "duplicates":
+        # k + 1 exact duplicates of lower index push rows 6 and 20 out of
+        # their own k + 1 nearest; row 5 is the (k+1)-th of its own.
+        for i in (6, 20):
+            assert (points[:i] == points[i]).all(axis=1).sum() >= k + 1
+        assert (points[:5] == points[5]).all(axis=1).sum() == k
+    perm = np.random.default_rng(3).permutation(n)
+    for rows in (np.arange(n), perm, perm[: n // 3], np.arange(n)[::-1][:5],
+                 np.array([n - 1]), np.array([], dtype=np.int64)):
+        got = _neighbor_rows(points, rows, k)
+        assert got.shape == (len(rows), k) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, table[rows])
+
+
+def _stable_pick(d2, mask, c, grow):
+    """The clump a stable argsort of the whole cloud picks."""
+    order = np.argsort(d2, kind="stable")
+    return order[(order != c) & ~mask[order]][:grow]
+
+
+def _lattice_pick_cases():
+    grid = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    c = 62                                  # the centre (2, 2, 2)
+    d2 = ((grid[c] - grid) ** 2).sum(axis=1)
+    none = np.zeros(len(grid), dtype=bool)
+    axis_nbrs = np.flatnonzero(d2 == 1.0)   # six points tied at distance 1
+    near_masked = none.copy()
+    near_masked[axis_nbrs] = True
+    few_free = ~none
+    few_free[[0, 3, 61, 63, 100, c]] = False  # five free points besides c
+    return c, d2, {
+        "ties_at_the_cut": (none, 4), "ties_past_the_first_shell": (none, 9),
+        "nearest_masked": (near_masked, 3), "fewer_free_than_grow": (few_free, 10),
+        "one": (none, 1)}
+
+
+@pytest.mark.parametrize("case", list(_lattice_pick_cases()[2]))
+def test_clump_picks_equal_the_stable_argsort_of_the_cloud(case):
+    c, d2, cases = _lattice_pick_cases()
+    mask, grow = cases[case]
+    free = np.flatnonzero(~mask)
+    got = _nearest_free(d2, free[free != c], grow)
+    np.testing.assert_array_equal(got, _stable_pick(d2, mask, c, grow))
+    assert len(got) == min(grow, (~mask).sum() - 1)
+
+
+def _occlude_local_by_argsort(geo, cfg, rng):
+    """_occlude_local with each clump grown by a stable argsort of the
+    whole cloud, checked against the full self-excluding table."""
+    n = len(geo.frame1)
+    target = round(cfg.occlusion_fraction * n)
+    cloud = PointCloud(geo.frame1)
+    nbrs = brute_force_knn(cloud, cloud, cfg.constraint_k).indices
+    mask = np.zeros(n, dtype=bool)
+    candidates = list(range(n))
+    rng.shuffle(candidates)
+    taken = 0
+    for c in candidates:
+        if taken == target:
+            break
+        if mask[c]:
+            continue
+        grow = min(cfg.occlusion_clump, target - taken) - 1
+        d2 = ((geo.frame1[c] - geo.frame1) ** 2).sum(axis=1)
+        clump = [c, *_stable_pick(d2, mask, c, grow)]
+        mask[clump] = True
+        if (~mask[nbrs[mask]]).any(axis=1).all():
+            taken += len(clump)
+        else:
+            mask[clump] = False
+    assert taken == target
+    return mask
+
+
+def test_local_occluder_mask_at_n2000_equals_the_argsort_route():
+    cfg = parse_config_file(os.path.join(os.path.dirname(__file__), os.pardir,
+                                         "configs", "ablation_local.cfg")).scene
+    cfg = dataclasses.replace(cfg, points_per_cluster=1000)
+    assert (cfg.n_points, cfg.occlusion_clump) == (2000, 8)
+    geo = _sample_geometry(cfg)
+    got = _occlude_local(geo, cfg, Xoshiro256StarStar(derive_seed(cfg.seed, 2)))
+    expect = _occlude_local_by_argsort(geo, cfg, Xoshiro256StarStar(derive_seed(cfg.seed, 2)))
+    np.testing.assert_array_equal(got, expect)
+    assert got.sum() == 600
+    # The mask the former whole-cloud argsort gave.
+    assert hashlib.sha256(got.tobytes()).hexdigest() == (
+        "48878ea6864c0e5b00a1adaddf8aca796eb78d7ededf6e132bc15c6668dc7d77")

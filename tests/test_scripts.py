@@ -69,7 +69,7 @@ def test_time_step_prints_one_json_line_per_case():
     for row, case, n in zip(report["rows"], ("local_n200", "global_n2000"), (200, 2000),
                             strict=True):
         assert set(row) == {"case", "n", "nodes", "tape_mb"} | {
-            f"{phase}_ms_{stat}" for phase in phases for stat in ("min", "median")}
+            f"{phase}_ms_{stat}" for phase in ("gen", *phases) for stat in ("min", "median")}
         assert (row["case"], row["n"], row["nodes"]) == (case, n, 8)
         assert all(row[key] > 0 for key in row if key != "case")
     # What the taped step holds, not only node outputs (0.27 MB at N=200):
