@@ -32,9 +32,12 @@ import glob
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -83,21 +86,22 @@ KERNELS = (
     ("haswell_no_avx512", {"OPENBLAS_CORETYPE": "Haswell",
                            "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}),
 )
-# What the subprocess of one setting runs: one JSON line with the kernels
-# in use and the golden text.
+# What the subprocess of one setting runs: one JSON line with its host,
+# kernels included, and the golden text.
 KERNEL_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import make_goldens
-print(json.dumps({"kernels": make_goldens.kernels_in_use(),
-                  "golden": make_goldens.golden_text()}))
+print(json.dumps({**make_goldens.host_info(), "golden": make_goldens.golden_text()}))
 """
 
 
-def kernels_in_use():
-    """The OpenBLAS core and whether numpy's AVX-512 loops are on, in this
-    process ("?" where this numpy does not say)."""
-    import numpy as np
+def host_info():
+    """This process's host: the Python, numpy and BLAS versions, the BLAS
+    thread count taken from the environment, and the CPU kernels it runs,
+    the OpenBLAS core and whether numpy's AVX-512 loops are on ("?" where
+    this numpy does not say)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     core = "?"
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
     for path in glob.glob(libs):
@@ -112,7 +116,10 @@ def kernels_in_use():
         avx512 = "on" if features.get("X86_V4") else "off"
     except ImportError:
         avx512 = "?"
-    return f"OpenBLAS {core}, numpy AVX-512 loops {avx512}"
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "kernels": f"OpenBLAS {core}, numpy AVX-512 loops {avx512}"}
 
 
 def kernel_report():

@@ -41,6 +41,11 @@ CORRUPTION_MODES = ("zero", "noise")
 # translation; this keeps it, and every squared distance the kNN scans
 # form, far inside float32 storage (3.4e38) and float64 arithmetic.
 MAX_GEOMETRY_SCALE = 1e30
+# Smallest positive blob_truncation. A 3-D normal draw lands within t
+# standard deviations with probability about 0.27 t^3 for small t, and
+# _sample_blob redraws until every point has landed: at 0.5 that is about
+# 32 draws per point, and each halving of t costs 8 times as many.
+MIN_BLOB_TRUNCATION = 0.5
 
 
 class GenerationError(ValueError):
@@ -56,7 +61,8 @@ class SceneConfig:
     uniformly in a cube of half-width ``center_spread``. Setting
     ``min_center_sep`` > 0 rejection-samples centers until pairwise at
     least that far apart; ``blob_truncation`` > 0 resamples blob offsets
-    beyond that many standard deviations. Together they bound cluster
+    beyond that many standard deviations (at least
+    ``MIN_BLOB_TRUNCATION``). Together they bound cluster
     overlap, which the global occlusion mode's invariant (occluded points
     have no visible near neighbours) depends on. Motion: per group, a
     rotation of angle up to ``rotation_range`` (radians, about a random
@@ -107,6 +113,11 @@ class SceneConfig:
                     f"scene's coordinates would overflow their 32-bit storage")
         if not (self.min_center_sep >= 0.0 and self.blob_truncation >= 0.0):
             raise GenerationError("min_center_sep and blob_truncation must be non-negative")
+        if 0.0 < self.blob_truncation < MIN_BLOB_TRUNCATION:
+            raise GenerationError(
+                f"blob_truncation={self.blob_truncation!r} is below {MIN_BLOB_TRUNCATION}: "
+                f"resampling blob offsets gets 8 times slower per halving (0 turns "
+                f"truncation off)")
         if not (self.translation_range >= 0.0 and self.rotation_range >= 0.0):
             raise GenerationError("motion ranges must be non-negative")
         if not 0.0 <= self.occlusion_fraction < 1.0:

@@ -195,7 +195,8 @@ def _keep_freed_heap_mapped() -> None:
     the same sizes again. Under glibc's starting thresholds (trim at
     128 KiB, mmap from 128 KiB until freed mmapped chunks raise it) freed
     memory is returned, and the next step faults the same pages back in:
-    well over a thousand minor faults per step at N=200. Setting the
+    about 400 minor faults per step at N=200 and 3,500 at N=2000
+    (scripts/time_step.py's minflt_per_step). Setting the
     thresholds to where glibc's own dynamic ones end up makes the first
     step behave like a warmed-up process. A threshold the user set
     through MALLOC_*_ or GLIBC_TUNABLES is left alone, and so is a C

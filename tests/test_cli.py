@@ -391,6 +391,16 @@ def test_nan_config_value_exits_2(tmp_path, command, key, capsys):
     assert not out.exists()
 
 
+def test_blob_truncation_below_the_floor_exits_2(tmp_path):
+    # In a subprocess with a time limit: without the floor, gen does not end.
+    cfg = _smoke_with(tmp_path, "scene.blob_truncation = 0.0001\n")
+    out = tmp_path / "scene.gtc"
+    proc = _run_flowagg("gen", "--config", cfg, "--out", str(out))
+    assert proc.returncode == EXIT_CONFIG
+    assert "blob_truncation=0.0001 is below 0.5" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate", "gradcheck"])
 def test_cross_frame_displacements_exit_2_before_any_scene(tmp_path, command, capsys,
                                                            monkeypatch):
@@ -416,12 +426,17 @@ def test_usage_error_exits_2():
     assert exc.value.code == EXIT_CONFIG
 
 
-def test_console_entry_point_runs():
-    # The subprocess runs the package under test, whether it was imported
-    # from an install or through pytest's `pythonpath` setting.
+def _run_flowagg(*argv):
+    """`python -m flowagg.cli *argv` in a subprocess that runs the package
+    under test, whether it was imported from an install or through
+    pytest's `pythonpath` setting."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(flowagg.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "flowagg.cli", "defaults"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "flowagg.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+def test_console_entry_point_runs():
+    proc = _run_flowagg("defaults")
     assert proc.returncode == EXIT_OK
     assert "scene.n_clusters" in proc.stdout

@@ -14,6 +14,7 @@ from flowagg.metrics import FlowField
 from flowagg.spatial import PointCloud, brute_force_knn
 from flowagg.rng import LANE_MIN_DRAWS, Xoshiro256StarStar, derive_seed
 from flowagg.scenegen import (
+    MIN_BLOB_TRUNCATION,
     GenerationError,
     SceneConfig,
     _Geometry,
@@ -291,6 +292,16 @@ def test_config_validation():
         _cfg(**{scale: 1e30}).validate()
         with pytest.raises(GenerationError, match=f"^{scale}=1e\\+31 exceeds"):
             _cfg(**{scale: 1e31}).validate()
+
+
+def test_blob_truncation_below_the_floor_is_rejected():
+    # Below the floor the blob's rejection sampling runs for seconds to
+    # forever; 0 (no truncation) and the floor itself pass.
+    for ok in (0.0, MIN_BLOB_TRUNCATION, 2.5):
+        _cfg(blob_truncation=ok).validate()
+    for t in (0.4999, 0.1, 1e-4, 5e-324):
+        with pytest.raises(GenerationError, match=f"^blob_truncation={t!r} is below 0.5: "):
+            _cfg(blob_truncation=t).validate()
 
 
 def test_global_mode_needs_room_for_survivors():

@@ -40,42 +40,47 @@ def unoccluded_cfg(tmp_path):
     return path
 
 
-def test_time_attention_prints_one_json_line_with_every_field():
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "time_attention.py"),
+@pytest.fixture(scope="module")
+def time_step_report():
+    """The one JSON line of scripts/time_step.py at its smallest settings."""
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "time_step.py"), "--steps", "1",
                            "--sizes", "40", "--repeats", "1"],
                           capture_output=True, text=True, check=True, timeout=120)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
-    report = json.loads(lines[0])
-    assert set(report) == {"python", "numpy", "blas", "blas_threads", "qk_dim", "value_dim",
-                           "c", "repeats", "rows"}
-    assert report["repeats"] == 1
-    [row] = report["rows"]
+    return json.loads(lines[0])
+
+
+def test_time_step_prints_one_json_line_per_case(time_step_report):
+    report = time_step_report
+    assert set(report) == {"python", "numpy", "blas", "blas_threads", "kernels", "steps",
+                           "repeats", "qk_dim", "value_dim", "c", "step_rows",
+                           "attention_rows"}
+    assert (report["steps"], report["repeats"]) == (1, 1)
+    assert report["kernels"].startswith("OpenBLAS ")
+    phases = ("forward", "loss", "backward", "optimizer", "step")
+    for row, case, n in zip(report["step_rows"], ("local_n200", "global_n2000"), (200, 2000),
+                            strict=True):
+        assert set(row) == {"case", "n", "nodes", "tape_mb", "minflt_per_step"} | {
+            f"{phase}_ms_{stat}" for phase in ("gen", *phases) for stat in ("min", "median")}
+        assert (row["case"], row["n"], row["nodes"]) == (case, n, 8)
+        # With freed heap kept mapped a step may fault in no page at all.
+        assert row["minflt_per_step"] >= 0
+        assert all(row[key] > 0 for key in row if key not in ("case", "minflt_per_step"))
+    # What the taped step holds, not only node outputs (0.27 MB at N=200):
+    # the local_route node alone keeps its last block's layer outputs,
+    # 1,600 neighbour rows of 16 + 8 + 32 + 1 columns (0.70 MB).
+    assert report["step_rows"][0]["tape_mb"] > 0.7
+
+
+def test_time_step_attention_rows_carry_every_field(time_step_report):
+    report = time_step_report
+    assert (report["qk_dim"], report["value_dim"], report["c"]) == (16, 32, 0.25)
+    [row] = report["attention_rows"]
     assert set(row) == {"n", "block_rows", "fwd_ms_min", "fwd_ms_median", "bwd_ms_min",
                         "bwd_ms_median"}
     assert (row["n"], row["block_rows"]) == (40, 40)
     assert all(row[key] > 0 for key in row)
-
-
-def test_time_step_prints_one_json_line_per_case():
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "time_step.py"), "--steps", "1"],
-                          capture_output=True, text=True, check=True, timeout=120)
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 1
-    report = json.loads(lines[0])
-    assert set(report) == {"python", "numpy", "blas", "blas_threads", "steps", "rows"}
-    assert report["steps"] == 1
-    phases = ("forward", "loss", "backward", "optimizer", "step")
-    for row, case, n in zip(report["rows"], ("local_n200", "global_n2000"), (200, 2000),
-                            strict=True):
-        assert set(row) == {"case", "n", "nodes", "tape_mb"} | {
-            f"{phase}_ms_{stat}" for phase in ("gen", *phases) for stat in ("min", "median")}
-        assert (row["case"], row["n"], row["nodes"]) == (case, n, 8)
-        assert all(row[key] > 0 for key in row if key != "case")
-    # What the taped step holds, not only node outputs (0.27 MB at N=200):
-    # the local_route node alone keeps its last block's layer outputs,
-    # 1,600 neighbour rows of 16 + 8 + 32 + 1 columns (0.70 MB).
-    assert report["rows"][0]["tape_mb"] > 0.7
 
 
 def test_run_ablation_tabulates_one_seed_per_variant():
@@ -200,6 +205,7 @@ def test_make_goldens_kernel_child_reports_its_kernels_and_digests(make_goldens)
     proc = subprocess.run([sys.executable, "-c", stub, script_dir, make_goldens.KERNEL_CHILD,
                            script_dir], capture_output=True, text=True, timeout=60, check=True)
     child = json.loads(proc.stdout.splitlines()[-1])
+    assert set(child) == {"python", "numpy", "blas", "blas_threads", "kernels", "golden"}
     assert child["golden"] == GOLDEN
     assert child["kernels"].startswith("OpenBLAS ")
 
