@@ -5,16 +5,17 @@ Step rows. Two cases: ``local_n200`` is configs/occlusion_local.cfg as
 pinned (N=200), ``global_n2000`` is configs/occlusion_global.cfg at
 4 x 500 points (the scene of flowbench's train_global_n2000). Each case
 times ``generate_scene`` on its config ``--repeats`` times, builds
-prepared inputs, parameters and optimizer as ``train()`` does, runs one
-untimed step, then ``--steps`` timed steps. Each step is timed in four
+prepared inputs, parameters and optimizer as ``train()`` does, runs three
+untimed steps, then ``--steps`` timed steps. Each step is timed in four
 phases: the taped forward (aggregator and decoder), the taped loss,
 ``backward`` and the optimizer's step. The process's minor page faults
 (``ru_minflt``) over the timed steps, divided by their count, give the
-faults per step. After the timed steps it runs one more taped forward and
-loss, untimed, under tracemalloc, whose count of the bytes still
-allocated when the loss is formed is what a taped step holds: node
-outputs and what nodes keep for backward (the local route's weights and
-last block, the offset head's centered rows, ...).
+faults per step; the heap goes on growing for a few steps after the
+first, which the untimed steps absorb. After the timed steps it runs one
+more taped forward and loss, untimed, under tracemalloc, whose count of
+the bytes still allocated when the loss is formed is what a taped step
+holds: node outputs and what nodes keep for backward (the local route's
+weights and last block, the offset head's centered rows, ...).
 
 Attention rows. For each ``--sizes`` N it draws q, k (N x 16) and v
 (N x 32) from a fixed seed. Each repeat runs one taped
@@ -72,6 +73,7 @@ CASES = {"local_n200": ("occlusion_local.cfg", None),
          "global_n2000": ("occlusion_global.cfg", 500)}
 PHASES = ("forward", "loss", "backward", "optimizer", "step")
 QK_DIM, VALUE_DIM, SCALE = 16, 32, 0.25
+WARMUP_STEPS = 3
 
 now = time.perf_counter
 
@@ -103,8 +105,8 @@ def time_one_case(name: str, steps: int, repeats: int) -> dict:
     target = T.tensor(scene.gt_flow.vectors)
     named = params.named_tensors() + decoder.named_tensors()
     opt = train._make_optimizer(cfg.train)
-    for i in range(steps + 1):
-        if i == 1:
+    for i in range(WARMUP_STEPS + steps):
+        if i == WARMUP_STEPS:
             faults = minor_faults()
         t0 = now()
         with T.Tape() as tape:
@@ -116,7 +118,7 @@ def time_one_case(name: str, steps: int, repeats: int) -> dict:
         t3 = now()
         opt.step(named, grads)
         t4 = now()
-        if i:
+        if i >= WARMUP_STEPS:
             for phase, (a, b) in zip(PHASES, ((t0, t1), (t1, t2), (t2, t3), (t3, t4),
                                               (t0, t4))):
                 samples[phase].append(1e3 * (b - a))

@@ -418,7 +418,7 @@ def _local_constants(cloud: PointCloud, feats: FeatureSet, nbrs: NeighborIndex |
 
 
 def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
-                    v: Tensor) -> tuple[Tensor, Tensor]:
+                    v: Tensor) -> tuple[Tensor, np.ndarray]:
     """Neighbourhood aggregation: per point, a softmax over its k
     neighbours' scores, applied to their value rows.
 
@@ -430,11 +430,10 @@ def aggregate_local(params: AggregatorParams, inputs: SceneInputs,
     block's layer outputs.
 
     Returns (g_local: N x Dm, local_weights: N x k). The weights are the
-    node's softmax weights as a tensor with no tape node of its own.
+    node's softmax weights as a plain array, with no tape node.
     """
-    g_local, weights = T.local_route(params.disp_encoder, params.score, inputs.disp,
-                                     inputs.context, v, inputs.rows)
-    return g_local, Tensor(weights)
+    return T.local_route(params.disp_encoder, params.score, inputs.disp,
+                         inputs.context, v, inputs.rows)
 
 
 def offset_aggregate(params: AggregatorParams, y: Tensor, g: Tensor) -> Tensor:
@@ -464,9 +463,8 @@ def forward(params: AggregatorParams, inputs: SceneInputs) -> tuple[Tensor, Atte
     if not config.disable_global:
         g, global_w = aggregate_global(params, q, k, v, config)
     if not config.disable_local:
-        g_local, lw = aggregate_local(params, inputs, v)
+        g_local, local_w = aggregate_local(params, inputs, v)
         g = g_local if g is None else T.add(g_local, g)
-        local_w = lw.data
     if g is None:
         g = Tensor(np.zeros(y.data.shape))
 

@@ -534,15 +534,13 @@ SCENE_TENSORS = ("frame1", "frame2", "gt_flow", "occlusion_mask",
 
 
 def scene_tensors(scene: SyntheticScene) -> Iterator[tuple[str, np.ndarray]]:
-    """The scene's arrays under their pinned container names. Boolean and
-    integer fields are stored as floats (0/1 and whole values)."""
-    yield "frame1", scene.frame1.points
-    yield "frame2", scene.frame2.points
-    yield "gt_flow", scene.gt_flow.vectors
-    yield "occlusion_mask", scene.occlusion_mask.astype(np.float64)
-    yield "cluster_id", scene.cluster_id.astype(np.float64)
-    yield "context", scene.context
-    yield "motion_in", scene.motion_in
+    """The scene's arrays under their pinned container names
+    (:data:`SCENE_TENSORS`, in order). Boolean and integer fields are
+    stored as floats (0/1 and whole values)."""
+    return zip(SCENE_TENSORS, (
+        scene.frame1.points, scene.frame2.points, scene.gt_flow.vectors,
+        scene.occlusion_mask.astype(np.float64), scene.cluster_id.astype(np.float64),
+        scene.context, scene.motion_in))
 
 
 def scene_from_tensors(named: dict[str, np.ndarray]) -> SyntheticScene:

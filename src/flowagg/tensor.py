@@ -279,7 +279,9 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
     """x @ w + b in one fresh buffer, then ReLU in place when `relu` is set:
-    the forward of :func:`linear` and of every layer of :func:`local_route`."""
+    every affine layer of a fused node (:func:`linear`, the layers of
+    :func:`local_route` but the score's first, the linear map of
+    :func:`offset_head`)."""
     y = x @ w
     y += b
     if relu:
@@ -290,8 +292,8 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarr
 def _affine_grads(g: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray, relu: bool,
                   dx: bool = True) -> tuple:
     """(bias, x, w) gradients of ``y = _affine(x, w, b, relu)`` for the
-    output gradient g, with the ReLU mask read from ``y > 0``; the x
-    gradient is None unless `dx` is set."""
+    output gradient g, with the ReLU mask read from ``y > 0`` (y is read
+    only when `relu` is set); the x gradient is None unless `dx` is set."""
     if relu:
         g = g * (y > 0.0)
     return g.sum(axis=0), g @ w.T if dx else None, x.T @ g
@@ -647,133 +649,127 @@ def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
 
     context is N x Dc and v is N x Dm; `rows` holds the N·k neighbour rows
     (a :class:`RowIndex`, or anything else, which becomes ``RowIndex(rows)``
-    on entry) and disp the N·k x 3 displacements. The score of neighbour j
-    of point i is ``score`` applied to [encoder(disp), context_j,
-    context_i]; the first score layer's weight ((De + 2Dc) x H) splits by
-    rows into W_e, W_j and W_i, so that layer is ``enc @ W_e + (context @
-    W_j)[rows] + repeat(context @ W_i, k) + b`` and no N·k x (De + 2Dc)
-    input is formed. Returns the N x Dm output, recorded as one
-    ``local_route`` node, and the N x k softmax weights as a plain array
-    (no node) that every run of the node's forward rewrites in place.
+    on entry) and disp the N·k x 3 displacements. The scores come from one
+    layer stack over the rows of disp, the encoder's layers and then the
+    score's, with ReLU on every layer but the encoder's last (the De-wide
+    encoding; an empty encoder is the identity, De = 3) and the score's
+    last (one score per neighbour). Every layer is :func:`_affine` but the
+    score's first, whose input is [encoding, context_j, context_i] for
+    neighbour j of point i: its weight ((De + 2Dc) x H) splits by rows
+    into W_e, W_j and W_i, so it is ``enc @ W_e + (context @ W_j)[rows] +
+    repeat(context @ W_i, k) + b`` and no N·k x (De + 2Dc) input is formed.
+    Returns the N x Dm output, recorded as one ``local_route`` node, and
+    the N x k softmax weights as a plain array (no node) that every run of
+    the node's forward rewrites in place.
 
     The node stands for the chain ``mlp_forward(encoder, disp)``, the first
     score layer, ``mlp_forward`` over the later score layers,
     ``softmax_rows(reshape(scores, (N, k)))`` and the weighted sum of v's
-    neighbour rows. Both passes walk blocks of whole points
-    (:func:`local_block_points`), so every per-block array stays below
-    1 MiB; per block they repeat that chain's numpy expressions in its
-    order. The node keeps its output, the weights and the last block's
-    layer outputs; backward recomputes every other block. It forms no
-    gradient for the constants disp and context. After the block loop it
-    scatters v's gradient once (:meth:`RowIndex.scatter_add`) from each
-    position's point's row of g times the position's kept weight: the
-    chain's bytes whatever the blocking. With one block the output and
-    every gradient are the chain's bytes; over several blocks each
-    parameter gradient is the sum of the blocks' partials, which agrees
-    with the chain to rounding. The inputs are recorded as v, then the
-    score layers' (b, w) from the last layer to the first, then the
-    encoder's likewise: the order in which the chain's backward reaches
-    them.
+    neighbour rows. Per block of whole points (:func:`local_block_points`,
+    so every per-block array stays below 1 MiB) each pass walks the stack
+    once, repeating that chain's numpy expressions in its order. The node
+    keeps its output, the weights and the last block's layer outputs;
+    backward recomputes every other block. It forms no gradient for the
+    constants disp and context. After the block loop it scatters v's
+    gradient once (:meth:`RowIndex.scatter_add`) from each position's
+    point's row of g times the position's kept weight: the chain's bytes
+    whatever the blocking. With one block the output and every gradient
+    are the chain's bytes; over several blocks each parameter gradient is
+    the sum of the blocks' partials, which agrees with the chain to
+    rounding. The inputs are recorded as v, then each layer's (b, w) from
+    the stack's last layer to its first: the order in which the chain's
+    backward reaches them.
     """
-    enc_p = [(_as_tensor(w), _as_tensor(b)) for w, b in encoder.layers]
-    score_p = [(_as_tensor(w), _as_tensor(b)) for w, b in score.layers]
+    stack = [(_as_tensor(w), _as_tensor(b)) for w, b in encoder.layers + score.layers]
     v = _as_tensor(v)
     dd, cd, vd = _as_tensor(disp).data, _as_tensor(context).data, v.data
-    ew = [(w.data, b.data) for w, b in enc_p]
-    sw = [(w.data, b.data) for w, b in score_p]
+    layers = [(w.data, b.data) for w, b in stack]
+    e = len(encoder.layers)
     if (dd.ndim != 2 or cd.ndim != 2 or vd.ndim != 2 or not cd.shape[0]
             or vd.shape[0] != cd.shape[0]):
         raise ShapeError(f"local_route: disp {dd.shape}, context {cd.shape} and values "
                          f"{vd.shape} must be rank 2, with one context and value row per point")
     (n, dc), dm = cd.shape, vd.shape[1]
     rows = _row_index("local_route", rows, n)
-    nk, de = rows.flat.size, _stack_width(ew, dd.shape[1])
-    if (not nk or nk % n or dd.shape[0] != nk or de is None or not sw
-            or _stack_width(sw, de + 2 * dc) != 1):
+    nk, de = rows.flat.size, _stack_width(layers[:e], dd.shape[1])
+    if (not nk or nk % n or dd.shape[0] != nk or de is None or e == len(layers)
+            or _stack_width(layers[e:], de + 2 * dc) != 1):
         raise ShapeError(
             f"local_route: {nk} neighbour rows for {n} points, disp {dd.shape}, encoder "
-            f"{[w.shape for w, _ in ew]} and score {[w.shape for w, _ in sw]} layers do not "
-            f"chain from the displacement width to (De + 2Dc) to 1")
+            f"{[w.shape for w, _ in layers[:e]]} and score {[w.shape for w, _ in layers[e:]]} "
+            f"layers do not chain from the displacement width to (De + 2Dc) to 1")
     k = nk // n
-    (w0, b0), rest = sw[0], sw[1:]
-    h0 = w0.shape[1]
-    w_e, w_j, w_i = w0[:de], w0[de:de + dc], w0[de + dc:]
-    points = local_block_points(n, k, max(dc, dm, *(w.shape[1] for w, _ in ew + sw)))
-    blocks = [(p0, min(p0 + points, n), rows.flat[p0 * k:min(p0 + points, n) * k])
-              for p0 in range(0, n, points)]
+    relu = [i not in (e - 1, len(layers) - 1) for i in range(len(layers))]
+    w_e, w_j, w_i = np.split(layers[e][0], (de, de + dc))
+    points = local_block_points(n, k, max(dc, dm, *(w.shape[1] for w, _ in layers)))
+    starts = range(0, n, points)
     weights = np.empty((n, k))
     kept: list[np.ndarray] = []
 
-    def layer_outputs(p0: int, p1: int, block: np.ndarray, cj: np.ndarray,
-                      ci: np.ndarray) -> list:
-        """Every layer's output on the neighbour rows of points p0:p1: the
-        encoder's, then the score layers'; the last one is the scores."""
+    def layer_outputs(p0: int, p1: int, cj: np.ndarray, ci: np.ndarray) -> list:
+        """Every layer's output on the neighbour rows of points p0:p1; the
+        last one is the scores."""
         x, outs = dd[p0 * k:p1 * k], []
-        for i, (w, b) in enumerate(ew):
-            x = _affine(x, w, b, i != len(ew) - 1)
+        for i, (w, b) in enumerate(layers):
+            if i == e:
+                x = x @ w_e
+                x += cj[rows.flat[p0 * k:p1 * k]]
+                x_by_point = x.reshape(p1 - p0, k, w.shape[1])
+                x_by_point += ci[p0:p1, None, :]
+                x += b
+                if relu[i]:
+                    np.maximum(x, 0.0, out=x)
+            else:
+                x = _affine(x, w, b, relu[i])
             outs.append(x)
-        y = x @ w_e
-        y += cj[block]
-        y_by_point = y.reshape(p1 - p0, k, h0)
-        y_by_point += ci[p0:p1, None, :]
-        y += b0
-        if rest:
-            np.maximum(y, 0.0, out=y)
-        outs.append(y)
-        for i, (w, b) in enumerate(rest):
-            outs.append(_affine(outs[-1], w, b, i != len(rest) - 1))
         return outs
 
     def fwd():
         nonlocal kept
         out = np.empty((n, dm))
         cj, ci = cd @ w_j, cd @ w_i
-        for p0, p1, block in blocks:
-            kept = layer_outputs(p0, p1, block, cj, ci)
+        for p0 in starts:
+            p1 = min(p0 + points, n)
+            kept = layer_outputs(p0, p1, cj, ci)
             s = weights[p0:p1]
             s[...] = kept[-1].reshape(p1 - p0, k)
             s /= _exp_rows(s)[1]
-            picked = vd[block].reshape(p1 - p0, k, dm)
+            picked = vd[rows.flat[p0 * k:p1 * k]].reshape(p1 - p0, k, dm)
             picked *= s[..., None]
             out[p0:p1] = picked.sum(axis=1)
         return out
 
-    def block_grads(g: np.ndarray, p0: int, p1: int, block: np.ndarray,
-                    outs: list) -> list:
+    def block_grads(g: np.ndarray, p0: int, p1: int, outs: list) -> list:
         """The parameter gradients of points p0:p1's block, in input order
         after v."""
-        s = weights[p0:p1]
+        block = rows.flat[p0 * k:p1 * k]
         picked = vd[block].reshape(p1 - p0, k, dm)
         gs = np.multiply(g[p0:p1, None, :], picked, out=picked).sum(axis=2)
-        gh, grads = _softmax_rows_grad(gs, s).reshape(block.size, 1), []
-        e = len(ew)
-        for i in reversed(range(len(rest))):
-            gb, gh, gw = _affine_grads(gh, outs[e + i], outs[e + i + 1], rest[i][0],
-                                       i != len(rest) - 1)
-            grads += [gb, gw]
-        if rest:
-            gh = gh * (outs[e] > 0.0)
-        x = outs[e - 1] if e else dd[p0 * k:p1 * k]
-        gw0 = np.empty_like(w0)
-        np.matmul(x.T, gh, out=gw0[:de])
-        np.matmul(cd[block].T, gh, out=gw0[de:de + dc])
-        np.matmul(cd[p0:p1].T, gh.reshape(p1 - p0, k, h0).sum(axis=1), out=gw0[de + dc:])
-        grads += [gh.sum(axis=0), gw0]
-        if e:
-            gh = gh @ w_e.T
-        for i in reversed(range(e)):
-            x = outs[i - 1] if i else dd[p0 * k:p1 * k]
-            gb, gh, gw = _affine_grads(gh, x, outs[i], ew[i][0], i != e - 1, dx=i > 0)
+        gh, grads = _softmax_rows_grad(gs, weights[p0:p1]).reshape(block.size, 1), []
+        for i in reversed(range(len(layers))):
+            x, w = outs[i - 1] if i else dd[p0 * k:p1 * k], layers[i][0]
+            if i != e:
+                gb, gh, gw = _affine_grads(gh, x, outs[i], w, relu[i], dx=i > 0)
+            else:
+                if relu[i]:
+                    gh = gh * (outs[i] > 0.0)
+                gb, gw = gh.sum(axis=0), np.empty_like(w)
+                np.matmul(x.T, gh, out=gw[:de])
+                np.matmul(cd[block].T, gh, out=gw[de:de + dc])
+                np.matmul(cd[p0:p1].T, gh.reshape(p1 - p0, k, -1).sum(axis=1), out=gw[de + dc:])
+                if i:
+                    gh = gh @ w_e.T
             grads += [gb, gw]
         return grads
 
     def bwd(g, out):
         cj = ci = total = None
-        if len(blocks) > 1:
+        if len(starts) > 1:
             cj, ci = cd @ w_j, cd @ w_i
-        for i, (p0, p1, block) in enumerate(blocks):
-            outs = kept if i == len(blocks) - 1 else layer_outputs(p0, p1, block, cj, ci)
-            parts = block_grads(g, p0, p1, block, outs)
+        for p0 in starts:
+            p1 = min(p0 + points, n)
+            outs = kept if p0 == starts[-1] else layer_outputs(p0, p1, cj, ci)
+            parts = block_grads(g, p0, p1, outs)
             if total is None:
                 total = parts
             else:
@@ -787,7 +783,7 @@ def local_route(encoder: MlpParams, score: MlpParams, disp, context, v,
             return rows_g
         return (rows.scatter_add(n, dm, dv_rows), *total)
 
-    params = [t for w, b in (*reversed(score_p), *reversed(enc_p)) for t in (b, w)]
+    params = [t for w, b in reversed(stack) for t in (b, w)]
     return _record("local_route", (v, *params), fwd, bwd), weights
 
 
@@ -824,8 +820,9 @@ def offset_head(p: NormActParams, alpha, y, g) -> Tensor:
     centered, centered), axis=0, keepdims=True), 1/n)``, ``h = relu(add(
     mul(div(centered, sqrt(add_const(var, eps))), gain), shift))``,
     ``add(y, mul(h, alpha))``. Forward and backward repeat that chain's
-    numpy expressions in its order, so output and gradients are its bytes:
-    the two gradient terms that reach `centered` through ``mul`` are added
+    numpy expressions in its order, so output and gradients are its bytes;
+    z and its gradients are ``linear``'s, :func:`_affine` and
+    :func:`_affine_grads`. The two gradient terms that reach `centered` through ``mul`` are added
     to the one from ``div``, the one from ``reduce_sum`` to the one that
     reaches z through ``sub``, and y's from ``sub`` to its own from
     ``add``, in the order ``backward`` sums them. The inputs are recorded
@@ -849,8 +846,7 @@ def offset_head(p: NormActParams, alpha, y, g) -> Tensor:
 
     def fwd():
         nonlocal h, centered, sd
-        centered = (yd - gd) @ wd
-        centered += bd
+        centered = _affine(yd - gd, wd, bd, False)
         centered -= centered.sum(axis=0, keepdims=True) * c
         sd = np.sqrt((centered * centered).sum(axis=0, keepdims=True) * c + NORM_EPS)
         h = centered / sd
@@ -868,10 +864,9 @@ def offset_head(p: NormActParams, alpha, y, g) -> Tensor:
         g_centered += g_sq
         g_centered += g_sq
         g_z = g_centered + (-g_centered).sum(axis=(0,), keepdims=True) * c
-        dx = g_z @ wd.T
+        gb, dx, gw = _affine_grads(g_z, yd - gd, None, wd, False)
         return (go + dx, _unbroadcast(go * h, ad.shape), g_h.sum(axis=(0,)),
-                (g_h * (centered / sd)).sum(axis=(0,)), g_z.sum(axis=0),
-                (yd - gd).T @ g_z, -dx)
+                (g_h * (centered / sd)).sum(axis=(0,)), gb, gw, -dx)
     return _record("offset_head", (y, alpha, shift, gain, b, w, g), fwd, bwd)
 
 

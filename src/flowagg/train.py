@@ -376,13 +376,8 @@ def run_occlusion_experiment(cfg: RunConfig,
     advantage of "full" over "baseline" is attributable to the
     aggregation module.
     """
-    _check_trainable(cfg.module)
-    if scene is None:
-        scene = generate_scene(cfg.scene)
-    return {
-        "full": train(cfg, scene=scene),
-        "baseline": train(_variant_config(cfg, "backbone_only"), scene=scene),
-    }
+    reports = _train_variants(cfg, scene, ("full", "backbone_only"))
+    return {"full": reports["full"], "baseline": reports["backbone_only"]}
 
 
 ABLATION_VARIANTS = ("full", "plain_aggregator", "no_local", "no_global", "backbone_only")
@@ -404,6 +399,16 @@ def _variant_config(cfg: RunConfig, variant: str) -> RunConfig:
     return dataclasses.replace(cfg, module=module, train=ts)
 
 
+def _train_variants(cfg: RunConfig, scene: SyntheticScene | None,
+                    variants: tuple[str, ...]) -> dict[str, ExperimentReport]:
+    """One :func:`train` per named variant of `cfg`, all on one scene
+    (generated from cfg.scene when None), keyed by variant."""
+    _check_trainable(cfg.module)
+    if scene is None:
+        scene = generate_scene(cfg.scene)
+    return {v: train(_variant_config(cfg, v), scene=scene) for v in variants}
+
+
 def run_ablation(cfg: RunConfig,
                  scene: SyntheticScene | None = None) -> dict[str, ExperimentReport]:
     """Train five variants on one scene under identical seeds: the full
@@ -413,10 +418,7 @@ def run_ablation(cfg: RunConfig,
     Core parameter initialization is shared bit-for-bit across variants;
     the plain head draws from a separate stream, so enabling it does not
     shift the rest."""
-    _check_trainable(cfg.module)
-    if scene is None:
-        scene = generate_scene(cfg.scene)
-    return {v: train(_variant_config(cfg, v), scene=scene) for v in ABLATION_VARIANTS}
+    return _train_variants(cfg, scene, ABLATION_VARIANTS)
 
 
 def ablation_table(reports: dict[str, ExperimentReport]) -> str:

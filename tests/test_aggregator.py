@@ -130,8 +130,8 @@ def test_local_weights_row_stochastic_and_match_oracle():
     params, cloud, feats, nbrs = _instance(4, 6)
     v = T.matmul(tensor(feats.motion), params.v_proj)
     g_local, w = aggregate_local(params, prepare_inputs(cloud, feats, nbrs, SMALL), v)
-    assert (w.data >= 0.0).all()
-    np.testing.assert_allclose(w.data.sum(axis=1), np.ones(6), atol=1e-12)
+    assert (w >= 0.0).all()
+    np.testing.assert_allclose(w.sum(axis=1), np.ones(6), atol=1e-12)
     want = oracles.forward_loops(_raw(params), cloud.points, feats.context,
                                  feats.motion, nbrs.indices, qk_dim=SMALL.qk_dim,
                                  disable_global=True)
@@ -156,7 +156,7 @@ def test_local_scores_match_the_concat_mlp_at_every_depth(score_hidden):
     nbr, own = feats.context[nbrs.indices.ravel()], np.repeat(feats.context, cfg.k, axis=0)
     scores = T.mlp_forward(params.score, T.concat_cols([enc, tensor(nbr), tensor(own)]))
     want = T.softmax_rows(T.reshape(scores, (10, cfg.k))).data
-    np.testing.assert_allclose(weights.data, want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(weights, want, rtol=1e-12, atol=1e-15)
 
 
 def test_scene_inputs_hold_no_neighbour_rows_but_the_index():

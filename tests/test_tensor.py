@@ -739,14 +739,19 @@ def test_score_layer_rejects_mismatched_operands():
 def _route_case(rng, n=10, k=3, dc=4, dm=4, disp_hidden=(4,), de=2, score_hidden=(5,)):
     """(encoder, score, disp, context, v, rows) for :func:`T.local_route`,
     with trainable layers and v, and neighbour rows with duplicates, self
-    neighbours and rows no point reaches."""
+    neighbours and rows no point reaches. With `disp_hidden` None the
+    encoder has no layers (the identity, so De = 3)."""
     def stack(dims):
         return MlpParams([(tensor(rng.normal(size=(a, b)), trainable=True),
                            tensor(rng.normal(size=b), trainable=True))
                           for a, b in zip(dims[:-1], dims[1:])])
     idx = rng.integers(0, n - 1, size=(n, k))
     idx[0], idx[1, :2] = 0, 3
-    return (stack((3, *disp_hidden, de)), stack((de + 2 * dc, *score_hidden, 1)),
+    if disp_hidden is None:
+        encoder, de = MlpParams([]), 3
+    else:
+        encoder = stack((3, *disp_hidden, de))
+    return (encoder, stack((de + 2 * dc, *score_hidden, 1)),
             rng.normal(size=(n * k, 3)), tensor(rng.normal(size=(n, dc))),
             tensor(rng.normal(size=(n, dm)), trainable=True), T.RowIndex(idx))
 
@@ -780,7 +785,8 @@ def _route_upstream(rng, case):
 
 
 @pytest.mark.parametrize("disp_hidden, score_hidden", [((4,), ()), ((4,), (5,)),
-                                                       ((4,), (5, 3)), ((), (5,))])
+                                                       ((4,), (5, 3)), ((), (5,)),
+                                                       (None, ())])
 def test_local_route_is_its_chain_at_one_block(disp_hidden, score_hidden):
     rng = np.random.default_rng(30)
     case = _route_case(rng, disp_hidden=disp_hidden, score_hidden=score_hidden)
@@ -789,7 +795,8 @@ def test_local_route_is_its_chain_at_one_block(disp_hidden, score_hidden):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-@pytest.mark.parametrize("disp_hidden, score_hidden", [((4,), (5,)), ((), (5, 3))])
+@pytest.mark.parametrize("disp_hidden, score_hidden", [((4,), (5,)), ((), (5, 3)),
+                                                       (None, (5, 3))])
 def test_local_route_over_blocks_matches_one_block(monkeypatch, disp_hidden, score_hidden):
     rng = np.random.default_rng(31)
     case = _route_case(rng, disp_hidden=disp_hidden, score_hidden=score_hidden)
