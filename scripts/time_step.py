@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time a training step on the pinned configs and one attention node per N.
 
-Step rows. Two cases: ``local_n200`` is configs/occlusion_local.cfg as
+Step rows. Three cases: ``local_n200`` is configs/occlusion_local.cfg as
 pinned (N=200), ``global_n2000`` is configs/occlusion_global.cfg at
-4 x 500 points (the scene of flowbench's train_global_n2000). Each case
+4 x 500 points (the scene of flowbench's train_global_n2000) and
+``global_mlp_n1000`` is occlusion_global.cfg with ``use_weight_mlp`` at
+4 x 250 points (the weight-MLP global route). Each case
 times ``generate_scene`` on its config ``--repeats`` times, builds
 prepared inputs, parameters and optimizer as ``train()`` does, runs three
 untimed steps, then ``--steps`` timed steps. Each step is timed in four
@@ -68,9 +70,11 @@ from flowagg.scenegen import generate_scene
 from make_goldens import host_info
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-# Case name: (config file, points per cluster, or None for the pinned value).
-CASES = {"local_n200": ("occlusion_local.cfg", None),
-         "global_n2000": ("occlusion_global.cfg", 500)}
+# Case name: (config file, points per cluster or None for the pinned value,
+# use_weight_mlp).
+CASES = {"local_n200": ("occlusion_local.cfg", None, False),
+         "global_n2000": ("occlusion_global.cfg", 500, False),
+         "global_mlp_n1000": ("occlusion_global.cfg", 250, True)}
 PHASES = ("forward", "loss", "backward", "optimizer", "step")
 QK_DIM, VALUE_DIM, SCALE = 16, 32, 0.25
 WARMUP_STEPS = 3
@@ -91,10 +95,11 @@ def with_stats(row: dict, samples: dict) -> dict:
 
 
 def time_one_case(name: str, steps: int, repeats: int) -> dict:
-    cfg_file, per_cluster = CASES[name]
+    cfg_file, per_cluster, use_weight_mlp = CASES[name]
     cfg = parse_config_file(os.path.join(CONFIGS, cfg_file))
     if per_cluster is not None:
         cfg.scene.points_per_cluster = per_cluster
+    cfg.module.use_weight_mlp = use_weight_mlp
     samples = {key: [] for key in ("gen", *PHASES)}
     for _ in range(repeats):
         t0 = now()

@@ -53,10 +53,8 @@ class AggregatorConfig:
     sqrt(qk_dim), or sqrt(context_dim) under raw_context_logits.
     raw_context_logits computes them from unprojected context features.
     use_weight_mlp enables the extra positive per-weight map on the global
-    attention (off by default; it is redundant right after a softmax). It
-    builds the weights as tensors through global_attention_weights and
-    tapes weight_mlp_bytes of N x N arrays, so N is bounded by
-    DENSE_WEIGHTS_MAX_BYTES (about 3,096 at the default widths).
+    attention (off by default; it is redundant right after a softmax). Like
+    the default route it is one blocked tape node with no N x N array.
     cross_frame_displacements encodes frame-2 counterpart minus frame-1
     point instead of the in-frame displacement. Only
     prepare_inputs(..., counterparts=...) can use it, with a row-aligned
@@ -125,14 +123,12 @@ class AttentionMap:
     formed and keeps, not a tape output. A disabled route leaves its entry
     None.
 
-    The default global route keeps no N x N array, on the tape or here:
-    each read of global_weights walks, from that call's q and k and with
-    no tape node, the blocks of query rows that the route's kernel walked,
-    forms each block's shifted exponentials E and row sums as the kernel
-    did, and returns E / rowsum as a fresh N x N array (the route itself
-    divides only its output); past DENSE_WEIGHTS_MAX_BYTES it raises
-    ShapeError before allocating. With use_weight_mlp the weights are a
-    tape output, and the read returns that array.
+    The global route keeps no N x N array, on the tape or here: each read
+    of global_weights is :func:`global_attention_weights` on that call's q
+    and k, which walks, with no tape node, the blocks of query rows that
+    the route's node walked, forms each block's weights as the node did
+    and returns them as a fresh N x N array; past DENSE_WEIGHTS_MAX_BYTES
+    it raises ShapeError before allocating.
     """
 
     global_reader: Callable[[], np.ndarray] | None
@@ -249,94 +245,60 @@ def project_qkv(params: AggregatorParams, context: Tensor, motion: Tensor,
     return qk, qk, v
 
 
-# Largest N x N memory in bytes (1 GiB) that the use_weight_mlp route may
-# tape (weight_mlp_bytes) or one read of the default route's global weights
-# may return (8 N²); past it both raise ShapeError before allocating.
+# Largest N x N array in bytes (1 GiB) that one read of the global weights
+# may return (8 N²); past it the read raises ShapeError before allocating.
 DENSE_WEIGHTS_MAX_BYTES = 1 << 30
-
-
-def _check_dense_bytes(what: str, n: int, need: int) -> None:
-    if need > DENSE_WEIGHTS_MAX_BYTES:
-        raise ShapeError(
-            f"{what} at N={n} needs about {need / 2**20:.0f} MiB of N x N "
-            f"arrays, over the limit of {DENSE_WEIGHTS_MAX_BYTES / 2**20:.0f} MiB "
-            f"(DENSE_WEIGHTS_MAX_BYTES)")
-
-
-def weight_mlp_bytes(n: int, config: AggregatorConfig) -> int:
-    """Bytes of the N x N float64 arrays the use_weight_mlp route tapes:
-    the logits, the scaled logits (with scale_logits) and the weights,
-    one per hidden unit (its fused linear and ReLU), the output layer's
-    linear, the softplus and the row normalization."""
-    return 8 * n * n * (5 + config.scale_logits + sum(config.weight_hidden))
 
 
 def _logit_scale(q: Tensor, config: AggregatorConfig) -> float:
     return 1.0 / np.sqrt(q.data.shape[1]) if config.scale_logits else 1.0
 
 
-def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
-                             config: AggregatorConfig) -> Tensor:
-    """Row-stochastic N x N attention over context similarity, as a tensor.
+def _weight_mlp(params: AggregatorParams, config: AggregatorConfig) -> MlpParams | None:
+    if config.use_weight_mlp and params.weight_mlp is None:
+        raise ShapeError("use_weight_mlp is set but params carry no weight_mlp")
+    return params.weight_mlp if config.use_weight_mlp else None
 
+
+def global_attention_weights(params: AggregatorParams, q: Tensor, k: Tensor,
+                             config: AggregatorConfig) -> np.ndarray:
+    """Row-stochastic N x N attention over context similarity, as a plain
+    array with no tape node: the weights :func:`aggregate_global` applies,
+    formed in its node's blocks (:func:`.tensor.attention_weights_data`).
     Logits are q_i . k_j, divided by the square root of q's width when
     scale_logits is set (sqrt(qk_dim), or sqrt(context_dim) under
-    raw_context_logits); rows pass through a softmax. With use_weight_mlp,
-    each weight is additionally mapped through a small MLP whose output
-    goes through a softplus (keeping it positive), and rows are
-    renormalized to sum 1; past DENSE_WEIGHTS_MAX_BYTES that raises
-    ShapeError before allocating.
-
-    Every step is its own tape node (matmul, transpose2, scale,
-    softmax_rows, then the weight MLP), so the tape holds each N x N
-    intermediate. The use_weight_mlp route of :func:`aggregate_global`
-    calls this; the default route never makes the array.
-    """
+    raw_context_logits); rows pass through a softmax. With use_weight_mlp
+    a small MLP, then a softplus, maps each weight, and rows are
+    renormalized to sum 1. Past DENSE_WEIGHTS_MAX_BYTES it raises
+    ShapeError before allocating."""
     n = q.data.shape[0]
-    if config.use_weight_mlp:
-        if params.weight_mlp is None:
-            raise ShapeError("use_weight_mlp is set but params carry no weight_mlp")
-        _check_dense_bytes("use_weight_mlp", n, weight_mlp_bytes(n, config))
-    c = _logit_scale(q, config)
-    logits = T.matmul(q, T.transpose2(k))
-    w = T.softmax_rows(T.scale(logits, c) if config.scale_logits else logits)
-    if not config.use_weight_mlp:
-        return w
-    flat = T.reshape(w, (n * n, 1))
-    pos = T.softplus(T.mlp_forward(params.weight_mlp, flat))
-    grid = T.reshape(pos, (n, n))
-    return T.div(grid, T.reduce_sum(grid, axis=1, keepdims=True))
+    if 8 * n * n > DENSE_WEIGHTS_MAX_BYTES:
+        raise ShapeError(
+            f"reading global_weights at N={n} needs about {8 * n * n / 2**20:.0f} MiB, "
+            f"over the limit of {DENSE_WEIGHTS_MAX_BYTES / 2**20:.0f} MiB "
+            f"(DENSE_WEIGHTS_MAX_BYTES)")
+    return T.attention_weights_data(q, k, _logit_scale(q, config), _weight_mlp(params, config))
 
 
 def aggregate_global(params: AggregatorParams, q: Tensor, k: Tensor, v: Tensor,
                      config: AggregatorConfig) -> tuple[Tensor, Callable[[], np.ndarray]]:
     """Blend value rows by the global attention weights: W @ v, with W as
-    :func:`global_attention_weights` defines it.
+    :func:`global_attention_weights` defines it, as one tape node over
+    blocks of query rows that keeps no N x N array: :func:`.tensor.attention`
+    or, with use_weight_mlp, :func:`.tensor.mlp_attention`. The default
+    route normalises W @ v rather than W, so the result and gradients
+    agree with the weights-then-matmul chain to rounding (about 1e-15
+    relative), not bit for bit.
 
-    The default route is one :func:`.tensor.attention` node, which runs
-    over blocks of query rows and keeps no N x N array on the tape. It
-    normalises W @ v rather than W, so the result and gradients agree with
-    the weights-then-matmul chain to rounding (about 1e-15 relative), not
-    bit for bit. use_weight_mlp needs W as a tensor, so it tapes
-    :func:`global_attention_weights` and a matmul.
-
-    Returns (g_global: N x Dm, a reader that returns W as an N x N array;
-    on the default route it is :func:`.tensor.attention_weights_data` over
-    the node's own blocks, bounded by DENSE_WEIGHTS_MAX_BYTES).
+    Returns (g_global: N x Dm, a reader that returns W as an N x N array:
+    :func:`global_attention_weights` on this call's q and k).
     """
     if q.data.shape[0] != k.data.shape[0] or k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(f"aggregate_global: q {q.shape}, k {k.shape} and values "
                          f"{v.shape} must share N")
-    if config.use_weight_mlp:
-        w = global_attention_weights(params, q, k, config)
-        return T.matmul(w, v), lambda: w.data
-    c = _logit_scale(q, config)
-
-    def read() -> np.ndarray:
-        n = q.data.shape[0]
-        _check_dense_bytes("reading global_weights", n, 8 * n * n)
-        return T.attention_weights_data(q, k, c)
-    return T.attention(q, k, v, c), read
+    mlp, c = _weight_mlp(params, config), _logit_scale(q, config)
+    out = T.attention(q, k, v, c) if mlp is None else T.mlp_attention(q, k, v, c, mlp)
+    return out, lambda: global_attention_weights(params, q, k, config)
 
 
 @dataclass(frozen=True, eq=False)

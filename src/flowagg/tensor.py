@@ -16,26 +16,26 @@ reachable from the loss, whether or not it was created with
 :meth:`RowIndex.scatter_add`, over occurrence rounds that a
 :class:`RowIndex` builds once for an index that many passes reuse.
 
-Five fused ops stand for op chains and keep only what their backward
+Six fused ops stand for op chains and keep only what their backward
 needs. Three give the chain's output bytes and gradients: ``linear``
 (matmul, bias add, optional ReLU; every MLP layer and the decoder),
 ``offset_head`` (the offset aggregator's gated residual) and
-``mean_sq_dist`` (the training loss). Two walk blocks of rows in both
+``mean_sq_dist`` (the training loss). Three walk blocks of rows in both
 passes and recompute in backward instead of storing: ``local_route``
 (the whole local route, from the displacement encoder through the
 neighbour scores and their softmax to the weighted sum of neighbour
 rows; it keeps its output, the N x k weights and its last block's layer
-outputs, gives the chain's bytes on one block and sums parameter
-gradients over blocks otherwise) and ``attention`` (softmax attention in
-query-row blocks, with no N x N array: it keeps each row's softmax
-statistics and no block, and backward recomputes every block in two
-matmuls that fold in the scale, the row max and the softmax row term;
-it agrees with its chain to rounding).
-The chain ops stay public: the weight-MLP route and the tests use them,
-and the benchmark's tracer (``flowbench/tracer.py``) patches them by
-name, so a traced run fails with AttributeError if one is removed.
-``sub``, ``mul``, ``relu``, ``sqrt``, ``add_const``, ``concat_cols`` and
-``gather_rows`` have no other caller in the package.
+outputs), ``attention`` (softmax attention in query-row blocks, with no
+N x N array: it keeps each row's softmax statistics and no block, and
+backward recomputes every block in two matmuls that fold in the scale,
+the row max and the softmax row term) and ``mlp_attention`` (the same
+walk with a per-weight layer stack after the softmax, keeping no block).
+``local_route`` and ``mlp_attention`` give the chain's bytes on one
+block and sum parameter gradients over blocks; ``attention`` agrees with
+its chain to rounding. The chain ops stay public only for the tests and
+the benchmark's tracer (``flowbench/tracer.py``), which patches them by
+name, so a traced run fails with AttributeError if one is removed; the
+package itself calls only ``matmul`` and ``add`` of them.
 
 Computation is float64 throughout: the verification tolerances in the test
 suite need the headroom. Tensors are treated as immutable once created,
@@ -238,14 +238,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
-def softplus(a) -> Tensor:
-    """log(1 + exp(x)), overflow-safe; strictly positive output."""
-    a = _as_tensor(a)
-    ad = a.data
-    return _record("softplus", (a,), lambda: np.logaddexp(0.0, ad),
-                   lambda g, y: (g * _sigmoid(ad),))
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -315,7 +307,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     here) its data is a view of the input's data, not a copy. An in-place
     change to the input therefore shows in both, and ``Tape.replay``
     cannot see it through this node. It is left a view on purpose: the
-    weight-MLP route reshapes an N x N array, which a copy would double.
+    weight-MLP chain of the tests reshapes an N x N array.
     """
     a = _as_tensor(a)
     ad = a.data
@@ -476,16 +468,21 @@ def _check_attention(op: str, qd: np.ndarray, kd: np.ndarray, vd: np.ndarray | N
         raise ShapeError(f"{op}: incompatible shapes {shapes}")
 
 
-def attention_weights_data(q, k, c: float) -> np.ndarray:
-    """The N x M weights of ``attention(q, k, v, c)`` as a plain array,
-    E / rowsum over its forward's blocks: each block's rows are the bytes
-    of the chain ``softmax_rows(scale(matmul(q, transpose2(k)), c))`` on
-    that block's query rows. Records no tape node, also under a tape."""
+def attention_weights_data(q, k, c: float, mlp: MlpParams | None = None) -> np.ndarray:
+    """The N x M weights of ``attention(q, k, v, c)``, or with `mlp` of
+    ``mlp_attention(q, k, v, c, mlp)``, as a plain array formed in its
+    forward's blocks: without `mlp` each block's rows are E / rowsum, the
+    bytes of the chain ``softmax_rows(scale(matmul(q, transpose2(k)), c))``
+    on them. Records no tape node, also under a tape."""
     qd, kd = _as_tensor(q).data, _as_tensor(k).data
     _check_attention("attention_weights_data", qd, kd)
-    w = np.empty((qd.shape[0], kd.shape[0]))
-    for _, _, e, _, rowsum in _block_exps(qd, kd, c, out=w):
+    layers = None if mlp is None else _weight_layers("attention_weights_data", mlp.layers)
+    n, m = qd.shape[0], kd.shape[0]
+    w = np.empty((n, m))
+    for r0, r1, e, _, rowsum in _block_exps(qd, kd, c, attention_block_rows(n, m, layers), w):
         e /= rowsum
+        if layers is not None:
+            w[r0:r1] = _weight_map(e, layers)[1]
     return w
 
 
@@ -494,21 +491,24 @@ def attention_weights_data(q, k, c: float) -> np.ndarray:
 ATTENTION_MIN_ROWS = 64
 
 
-def attention_block_rows(n: int, m: int) -> int:
-    """Query rows per block of :func:`attention`, in forward and backward
-    alike, for n queries over m keys."""
-    return min(n, max(ATTENTION_MIN_ROWS, BLOCK_ELEMS // m))
+def attention_block_rows(n: int, m: int, layers: list | None = None) -> int:
+    """Query rows per block of :func:`attention`, or with `layers` of
+    :func:`mlp_attention` (so that its widest layer's rows·m x width array
+    stays within BLOCK_ELEMS), in both passes and the weights reader, for
+    n queries over m keys."""
+    if layers is None:
+        return min(n, max(ATTENTION_MIN_ROWS, BLOCK_ELEMS // m))
+    return min(n, max(1, BLOCK_ELEMS // (m * max([1, *(w.shape[1] for w, _ in layers)]))))
 
 
-def _block_exps(qd: np.ndarray, kd: np.ndarray, c: float,
+def _block_exps(qd: np.ndarray, kd: np.ndarray, c: float, rows: int,
                 out: np.ndarray | None = None) -> Iterator[tuple]:
-    """Per block of :func:`attention`'s query rows r0:r1, yield (r0, r1,
-    E, rowmax, rowsum): E = exp(l - rowmax) of the logits l = c · q[r0:r1]
-    kᵀ, and each row's max of l and sum of E as column vectors. E is
-    written into rows r0:r1 of `out` (N x M) when one is given, else into
-    one buffer that the next block reuses."""
+    """Per block of `rows` query rows r0:r1, yield (r0, r1, E, rowmax,
+    rowsum): E = exp(l - rowmax) of the logits l = c · q[r0:r1] kᵀ, and
+    each row's max of l and sum of E as column vectors. E is written into
+    rows r0:r1 of `out` (N x M) when one is given, else into one buffer
+    that the next block reuses."""
     n, m = qd.shape[0], kd.shape[0]
-    rows = attention_block_rows(n, m)
     kt = np.ascontiguousarray(kd.T)
     buf = np.empty((rows, m)) if out is None else None
     for r0 in range(0, n, rows):
@@ -564,7 +564,7 @@ def attention(q, k, v, c: float) -> Tensor:
 
     def fwd():
         out = np.empty((n, vd.shape[1]))
-        for r0, r1, e, block_max, block_sum in _block_exps(qd, kd, c):
+        for r0, r1, e, block_max, block_sum in _block_exps(qd, kd, c, rows):
             rowmax[r0:r1], rowsum[r0:r1] = block_max, block_sum
             np.matmul(e, vd, out=out[r0:r1])
         out /= rowsum
@@ -590,6 +590,82 @@ def attention(q, k, v, c: float) -> Tensor:
         return dq, np.ascontiguousarray(dkt.T), dv
 
     return _record("attention", (q, k, v), fwd, bwd)
+
+
+def _weight_layers(op: str, stack: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    layers = [(_as_tensor(w).data, _as_tensor(b).data) for w, b in stack]
+    if _stack_width(layers, 1) != 1:
+        raise ShapeError(f"{op}: weight-map layers {[w.shape for w, _ in layers]} do not "
+                         f"chain from 1 column to 1")
+    return layers
+
+
+def _weight_map(p: np.ndarray, layers: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """A block of :func:`mlp_attention`'s weights from its softmax weights
+    p: (p as one column and every layer's output on it, ReLU on all but
+    the last; the last's softplus renormalised per row; those row sums)."""
+    outs = [p.reshape(-1, 1)]
+    for i, (w, b) in enumerate(layers):
+        outs.append(_affine(outs[-1], w, b, i != len(layers) - 1))
+    s = np.logaddexp(0.0, outs[-1]).reshape(p.shape)
+    rowsum = s.sum(axis=1, keepdims=True)
+    s /= rowsum
+    return outs, s, rowsum
+
+
+def mlp_attention(q, k, v, c: float, mlp: MlpParams) -> Tensor:
+    """The weight-MLP global route, W v with W the softplus of a per-weight
+    layer stack (`mlp`, one column to one) over softmax(c · q kᵀ),
+    renormalised per row, as one tape node with no N x M array: the chain
+    ``softmax_rows(scale(matmul(q, transpose2(k)), c))``, ``reshape``,
+    ``mlp_forward``, ``softplus``, ``reshape``, ``div`` by the rows'
+    ``reduce_sum`` and ``matmul`` with v. Both passes walk the blocks of
+    :func:`attention_block_rows`; forward repeats the chain's expressions
+    per block (:func:`_weight_map`), so one block gives its bytes. The node
+    keeps no block: backward recomputes each one, runs back through the
+    renormalisation, the softplus' sigmoid, :func:`_affine_grads` and
+    :func:`_softmax_rows_grad`, and sums the k, v and layer gradients over
+    blocks. Inputs: q, k, v, then each layer's (b, w), last layer first."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    qd, kd, vd = q.data, k.data, v.data
+    _check_attention("mlp_attention", qd, kd, vd)
+    stack = [(_as_tensor(w), _as_tensor(b)) for w, b in mlp.layers]
+    layers = _weight_layers("mlp_attention", stack)
+    n, m = qd.shape[0], kd.shape[0]
+    rows = attention_block_rows(n, m, layers)
+
+    def fwd():
+        out = np.empty((n, vd.shape[1]))
+        for r0, r1, e, _, rowsum in _block_exps(qd, kd, c, rows):
+            e /= rowsum
+            np.matmul(_weight_map(e, layers)[1], vd, out=out[r0:r1])
+        return out
+
+    def bwd(g, y):
+        dq, dkt, dv = np.empty(qd.shape), np.zeros(kd.T.shape), np.zeros(vd.shape)
+        kpart, vpart = np.empty_like(dkt), np.empty_like(dv)
+        total = [[np.zeros(b.shape), np.zeros(w.shape)] for w, b in layers]
+        for r0, r1, p, _, rowsum in _block_exps(qd, kd, c, rows):
+            p /= rowsum
+            outs, w, wsum = _weight_map(p, layers)
+            dv += np.matmul(w.T, g[r0:r1], out=vpart)
+            dw = g[r0:r1] @ vd.T
+            dw -= (dw * w).sum(axis=1, keepdims=True)
+            dw /= wsum
+            gh = dw.reshape(-1, 1) * _sigmoid(outs[-1])
+            for i in reversed(range(len(layers))):
+                gb, gh, gw = _affine_grads(gh, outs[i], outs[i + 1], layers[i][0],
+                                           i != len(layers) - 1)
+                total[i][0] += gb
+                total[i][1] += gw
+            ds = _softmax_rows_grad(gh.reshape(p.shape), p)
+            ds *= c
+            np.matmul(ds, kd, out=dq[r0:r1])
+            dkt += np.matmul(qd[r0:r1].T, ds, out=kpart)
+        return (dq, np.ascontiguousarray(dkt.T), dv, *(t for pair in reversed(total) for t in pair))
+
+    params = [t for w, b in reversed(stack) for t in (b, w)]
+    return _record("mlp_attention", (q, k, v, *params), fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,59 @@
-"""Two tape ops of the local route's former chain, kept as the references
-that ``flowagg.tensor.local_route`` is tested against.
+"""The former op chains of two fused routes, kept as the references that
+``flowagg.tensor.local_route`` and ``flowagg.tensor.mlp_attention`` are
+tested against.
 
 ``score_layer`` (the local scores' first layer) and ``local_aggregate``
 (the weighted sum of neighbour rows) were the local route's fused nodes
 before ``local_route`` replaced the route's seven nodes with one. With
 ``linear``, ``reshape`` and ``softmax_rows`` they make up the chain whose
-bytes ``local_route`` repeats on one block. They record through the
-package's own ``_record`` helper, so a tape, ``backward`` and
-``Tape.replay`` treat them as any other op.
+bytes ``local_route`` repeats on one block. ``softmax_chain`` and
+``weight_mlp_chain`` are the global route's weights as the package built
+them before ``mlp_attention``: every N x N intermediate a tape node of
+its own, ``softplus`` included. The ops record through the package's own
+``_record`` helper, so a tape, ``backward`` and ``Tape.replay`` treat
+them as any other op.
 """
 
 import numpy as np
 
-from flowagg.tensor import ShapeError, Tensor, _as_tensor, _record, _row_index
+from flowagg import tensor as T
+from flowagg.tensor import (
+    MlpParams,
+    ShapeError,
+    Tensor,
+    _as_tensor,
+    _record,
+    _row_index,
+    _sigmoid,
+)
+
+
+def softplus(a) -> Tensor:
+    """log(1 + exp(x)), overflow-safe; strictly positive output."""
+    a = _as_tensor(a)
+    ad = a.data
+    return _record("softplus", (a,), lambda: np.logaddexp(0.0, ad),
+                   lambda g, y: (g * _sigmoid(ad),))
+
+
+def softmax_chain(q, k, c: float | None) -> Tensor:
+    """``softmax_rows(scale(matmul(q, transpose2(k)), c))``: the global
+    route's N x M softmax weights; a c of None takes no ``scale`` node
+    (the unscaled route)."""
+    logits = T.matmul(q, T.transpose2(k))
+    if c is not None:
+        logits = T.scale(logits, c)
+    return T.softmax_rows(logits)
+
+
+def weight_mlp_chain(w, mlp: MlpParams) -> Tensor:
+    """The weight-MLP route's map of the N x M softmax weights w: the MLP
+    over every weight as one column, a softplus, then each row divided by
+    its sum."""
+    n, m = _as_tensor(w).shape
+    pos = softplus(T.mlp_forward(mlp, T.reshape(w, (n * m, 1))))
+    grid = T.reshape(pos, (n, m))
+    return T.div(grid, T.reduce_sum(grid, axis=1, keepdims=True))
 
 
 def score_layer(enc, w, b, context, rows, relu: bool = False) -> Tensor:

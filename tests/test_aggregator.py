@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chain_ops
 import oracles
 from flowagg import aggregator
 from flowagg import tensor as T
@@ -24,7 +25,6 @@ from flowagg.aggregator import (
     offset_aggregate,
     prepare_inputs,
     project_qkv,
-    weight_mlp_bytes,
 )
 from flowagg.config import parse_config_file
 from flowagg.rng import Xoshiro256StarStar, derive_seed
@@ -96,7 +96,7 @@ def test_unscaled_logits_match_oracle():
 def test_global_weights_row_stochastic():
     params, _, feats, _ = _instance(0, 10)
     q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), SMALL)
-    w = global_attention_weights(params, q, k, SMALL).data
+    w = global_attention_weights(params, q, k, SMALL)
     assert (w >= 0.0).all()
     np.testing.assert_allclose(w.sum(axis=1), np.ones(10), atol=1e-12)
 
@@ -110,7 +110,7 @@ def test_strong_orthogonal_queries_attend_to_self():
     ctx = np.eye(4)
     feats = FeatureSet(ctx, np.zeros((4, 4)))
     q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), cfg)
-    w = global_attention_weights(params, q, k, cfg).data
+    w = global_attention_weights(params, q, k, cfg)
     assert np.diag(w).min() > 0.999
     np.testing.assert_allclose(w.sum(axis=1), np.ones(4), atol=1e-12)
 
@@ -359,7 +359,7 @@ def test_shared_projection_accumulates_query_and_key_gradients():
     params, cloud, feats, nbrs = _instance(15, 6, alpha=0.2)
     with Tape() as tape:
         q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), SMALL)
-        w = global_attention_weights(params, q, k, SMALL)
+        w = chain_ops.softmax_chain(q, k, 1.0 / np.sqrt(SMALL.qk_dim))
         loss = T.reduce_sum(T.mul(w, w))
     g = backward(tape, loss).wrt(params.qk_proj)
     assert q is k
@@ -368,19 +368,23 @@ def test_shared_projection_accumulates_query_and_key_gradients():
 
 def test_global_route_tapes_no_n_by_n_array():
     n = 9
-    params, cloud, feats, nbrs = _instance(4, n, alpha=0.3)
-    with Tape() as tape:
-        _, amap = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
-        taped = len(tape.nodes)
-        weights = amap.global_weights
-    assert not [node for node in tape.nodes if n * n in (node.output.size, *node.output.shape)]
-    assert "attention" in [node.op for node in tape.nodes]
-    # Reading the map recomputes the weights the route used, bit for bit,
-    # and records nothing.
-    assert len(tape.nodes) == taped
-    q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), SMALL)
-    want = global_attention_weights(params, q, k, SMALL).data
-    assert weights.tobytes() == want.tobytes()
+    for cfg, op in ((SMALL, "attention"),
+                    (dataclasses.replace(SMALL, use_weight_mlp=True), "mlp_attention")):
+        params, cloud, feats, nbrs = _instance(4, n, cfg, alpha=0.3)
+        with Tape() as tape:
+            _, amap = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
+            taped = len(tape.nodes)
+            weights = amap.global_weights
+        assert not [node for node in tape.nodes if n * n in (node.output.size, *node.output.shape)]
+        assert op in [node.op for node in tape.nodes]
+        # Reading the map recomputes the weights the route used, the
+        # chain's bytes on the route's one block, and records nothing.
+        assert len(tape.nodes) == taped
+        q, k, _ = project_qkv(params, tensor(feats.context), tensor(feats.motion), cfg)
+        want = chain_ops.softmax_chain(q, k, 1.0 / np.sqrt(cfg.qk_dim))
+        if cfg.use_weight_mlp:
+            want = chain_ops.weight_mlp_chain(want, params.weight_mlp)
+        assert weights.tobytes() == want.data.tobytes()
 
 
 def test_local_route_tapes_no_n_k_by_dm_array():
@@ -419,85 +423,47 @@ def test_prepare_inputs_builds_one_row_index_and_no_step_builds_any(monkeypatch)
 
 
 def test_global_weights_read_over_budget_raises_before_allocating(monkeypatch):
+    # A training step runs past the cap on both routes: it bounds only the
+    # read of the N x N weights.
     n = 200
-    params, cloud, feats, nbrs = _instance(6, n, alpha=0.4)
-    with Tape() as tape:
-        _, amap = forward(params, prepare_inputs(cloud, feats, nbrs, SMALL))
-        taped = len(tape.nodes)
-        monkeypatch.setattr(aggregator, "DENSE_WEIGHTS_MAX_BYTES", 8 * n * n)
-        assert amap.global_weights.shape == (n, n)
+    for cfg in (SMALL, dataclasses.replace(SMALL, use_weight_mlp=True)):
         monkeypatch.setattr(aggregator, "DENSE_WEIGHTS_MAX_BYTES", 8 * n * n - 1)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ShapeError) as err:
-                _ = amap.global_weights
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < n * 64
-    assert len(tape.nodes) == taped
-    assert f"N={n}" in str(err.value)
+        params, cloud, feats, nbrs = _instance(6, n, cfg, alpha=0.4)
+        with Tape() as tape:
+            out, amap = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
+            loss = T.reduce_sum(T.mul(out, out))
+            taped = len(tape.nodes)
+            assert np.abs(backward(tape, loss).wrt(params.qk_proj)).max() > 0.0
+            tracemalloc.start()
+            try:
+                with pytest.raises(ShapeError) as err:
+                    _ = amap.global_weights
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            monkeypatch.setattr(aggregator, "DENSE_WEIGHTS_MAX_BYTES", 8 * n * n)
+            assert amap.global_weights.shape == (n, n)
+        assert peak < n * 64
+        assert len(tape.nodes) == taped
+        assert f"N={n}" in str(err.value)
 
 
 def test_global_route_peak_memory_stays_below_one_n_by_n_array():
     n = 1500
-    cfg = AggregatorConfig(context_dim=8, motion_dim=8, qk_dim=4, disp_dim=2, k=2,
-                           disable_local=True)
-    params, cloud, feats, nbrs = _instance(5, n, cfg, alpha=0.5)
-    tracemalloc.start()
-    try:
-        with Tape() as tape:
-            out, _ = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
-            loss = T.reduce_sum(T.mul(out, out))
-        backward(tape, loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8
-
-
-def test_weight_mlp_over_budget_raises_before_allocating():
-    cfg = dataclasses.replace(SMALL, use_weight_mlp=True)
-    n = 3100   # 14 N x N arrays: 1,026 MiB, just over the 1,024 MiB limit
-    params = init_params(cfg, seed=0)
-    rng = np.random.default_rng(0)
-    q, v = tensor(rng.normal(size=(n, 3))), tensor(rng.normal(size=(n, 4)))
-    assert weight_mlp_bytes(n, cfg) > DENSE_WEIGHTS_MAX_BYTES
-    for call in (lambda: aggregate_global(params, q, q, v, cfg),
-                 lambda: global_attention_weights(params, q, q, cfg)):
+    for use_weight_mlp in (False, True):
+        cfg = AggregatorConfig(context_dim=8, motion_dim=8, qk_dim=4, disp_dim=2, k=2,
+                               disable_local=True, use_weight_mlp=use_weight_mlp)
+        params, cloud, feats, nbrs = _instance(5, n, cfg, alpha=0.5)
         tracemalloc.start()
         try:
-            with Tape() as tape, pytest.raises(ShapeError) as err:
-                call()
+            with Tape() as tape:
+                out, _ = forward(params, prepare_inputs(cloud, feats, nbrs, cfg))
+                loss = T.reduce_sum(T.mul(out, out))
+            backward(tape, loss)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * 8 * 8 and not tape.nodes
-        assert f"N={n}" in str(err.value)
-        assert f"{weight_mlp_bytes(n, cfg) / 2**20:.0f} MiB" in str(err.value)
-        assert f"{DENSE_WEIGHTS_MAX_BYTES / 2**20:.0f} MiB" in str(err.value)
-
-
-@pytest.mark.parametrize("scale", [True, False])
-@pytest.mark.parametrize("hidden", [(8,), (3, 2)])
-def test_weight_mlp_bytes_equals_the_taped_n_by_n_arrays(monkeypatch, scale, hidden):
-    n = 30
-    cfg = dataclasses.replace(SMALL, use_weight_mlp=True, scale_logits=scale,
-                              weight_hidden=hidden)
-    params, _, feats, _ = _instance(17, n, cfg)
-    calls = []
-    real = aggregator.global_attention_weights
-    monkeypatch.setattr(aggregator, "global_attention_weights",
-                        lambda *args: calls.append(args) or real(*args))
-    with Tape() as tape:
-        q, k, v = project_qkv(params, tensor(feats.context), tensor(feats.motion), cfg)
-        aggregate_global(params, q, k, v, cfg)
-    assert len(calls) == 1
-    # The reshape nodes are views of their inputs and own no memory.
-    owned = [node.output.data for node in tape.nodes
-             if node.output.size % (n * n) == 0
-             and not any(np.shares_memory(node.output.data, t.data) for t in node.inputs)]
-    assert sum(a.nbytes for a in owned) == weight_mlp_bytes(n, cfg)
+        assert peak < n * n * 8, use_weight_mlp
 
 
 def test_init_is_deterministic_and_stream_split():

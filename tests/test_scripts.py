@@ -59,8 +59,9 @@ def test_time_step_prints_one_json_line_per_case(time_step_report):
     assert (report["steps"], report["repeats"]) == (1, 1)
     assert report["kernels"].startswith("OpenBLAS ")
     phases = ("forward", "loss", "backward", "optimizer", "step")
-    for row, case, n in zip(report["step_rows"], ("local_n200", "global_n2000"), (200, 2000),
-                            strict=True):
+    for row, case, n in zip(report["step_rows"],
+                            ("local_n200", "global_n2000", "global_mlp_n1000"),
+                            (200, 2000, 1000), strict=True):
         assert set(row) == {"case", "n", "nodes", "tape_mb", "minflt_per_step"} | {
             f"{phase}_ms_{stat}" for phase in ("gen", *phases) for stat in ("min", "median")}
         assert (row["case"], row["n"], row["nodes"]) == (case, n, 8)

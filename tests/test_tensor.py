@@ -187,7 +187,7 @@ def test_grad_unary_ops():
     rng = np.random.default_rng(6)
     x = np.abs(rng.normal(size=(3, 3))) + 0.5
     _assert_grads_match(lambda t: T.reduce_sum(T.sqrt(t)), x)
-    _assert_grads_match(lambda t: T.reduce_sum(T.softplus(T.scale(t, -1.0))), x)
+    _assert_grads_match(lambda t: T.reduce_sum(chain_ops.softplus(T.scale(t, -1.0))), x)
     _assert_grads_match(lambda t: T.reduce_sum(T.relu(T.add_const(t, -1.0))), x)
     _assert_grads_match(lambda t: T.reduce_sum(T.scale(t, -2.5)), x)
 
@@ -909,13 +909,6 @@ def _op_scale(c):
     return 1.0 if c is None else c
 
 
-def _attention_chain(q, k, c):
-    logits = T.matmul(q, T.transpose2(k))
-    if c is not None:
-        logits = T.scale(logits, c)
-    return T.softmax_rows(logits)
-
-
 @pytest.mark.parametrize("n", [7, 300])
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("c", [None, 1.0 / np.sqrt(5)])
@@ -927,7 +920,7 @@ def test_attention_weights_bitwise_equals_four_op_chain(n, shared, c):
     with Tape() as tape:
         got = T.attention_weights_data(q, k, _op_scale(c))
     assert not tape.nodes
-    assert got.tobytes() == _attention_chain(q, k, c).data.tobytes()
+    assert got.tobytes() == chain_ops.softmax_chain(q, k, c).data.tobytes()
 
 
 def _attention_operands(n, shared, c, extra_keys=3, max_logit=None):
@@ -959,7 +952,7 @@ def _attention_run(op, n, shared, c, extra_keys=3, max_logit=None):
 
 
 def _attention_chain_then_blend(q, k, v, c):
-    return T.matmul(_attention_chain(q, k, c), v)
+    return T.matmul(chain_ops.softmax_chain(q, k, c), v)
 
 
 def _fused_attention(q, k, v, c):
@@ -1058,7 +1051,7 @@ def test_attention_weights_reader_walks_forward_blocks(monkeypatch, c):
     assert not tape.nodes
     assert blocks == forward_blocks == [8] * 6 + [2]
     for r0 in range(0, 50, 8):
-        want = _attention_chain(tensor(qd[r0:r0 + 8]), k, c).data
+        want = chain_ops.softmax_chain(tensor(qd[r0:r0 + 8]), k, c).data
         assert got[r0:r0 + 8].tobytes() == want.tobytes()
 
 
@@ -1077,7 +1070,7 @@ def test_attention_weights_reader_forms_one_block_in_its_result():
     finally:
         tracemalloc.stop()
     assert got.nbytes <= peak < got.nbytes + 128 * 1024
-    assert got.tobytes() == _attention_chain(q, k, 0.4).data.tobytes()
+    assert got.tobytes() == chain_ops.softmax_chain(q, k, 0.4).data.tobytes()
 
 
 @pytest.mark.parametrize("floor", [4, 16, 64])
@@ -1123,6 +1116,9 @@ def test_attention_block_rows_at_benchmark_and_golden_sizes():
     assert T.attention_block_rows(200, 200) == 200
     assert T.attention_block_rows(2000, 2000) == 65
     assert T.attention_block_rows(16384, 16384) == 64
+    # mlp_attention over 8-wide hidden layers: BLOCK_ELEMS // (8 M) rows.
+    widest8 = [(np.zeros((1, 8)), None), (np.zeros((8, 1)), None)]
+    assert [T.attention_block_rows(n, n, widest8) for n in (200, 2000, 8192)] == [81, 8, 1]
 
 
 def test_attention_keeps_no_block_buffer():
@@ -1171,11 +1167,92 @@ def test_attention_rejects_mismatched_operands():
         T.attention(q, tensor(np.zeros((0, 3))), tensor(np.zeros((0, 2))), 1.0)
 
 
+def _weight_mlp(rng, hidden):
+    dims = (1, *hidden, 1)
+    return MlpParams([(tensor(rng.normal(size=(a, b)), trainable=True),
+                       tensor(rng.normal(size=b), trainable=True))
+                      for a, b in zip(dims[:-1], dims[1:])])
+
+
+def _mlp_attention_runs(hidden, shared, c, n=20):
+    """Output, q, k and v gradients and the weight MLP's (w, b) gradients,
+    layer by layer, of mlp_attention and of its chain (chain_ops), and the
+    weights reader's array and the chain's weights, under one fixed
+    upstream gradient; k is q when `shared`."""
+    qd, kd, vd, upstream = _attention_operands(n, shared, c)
+    mlp = _weight_mlp(np.random.default_rng(len(hidden)), hidden)
+    q = tensor(qd, trainable=True)
+    k = q if shared else tensor(kd, trainable=True)
+    v = tensor(vd, trainable=True)
+    chain_w = chain_ops.weight_mlp_chain(chain_ops.softmax_chain(q, k, c), mlp)
+    runs = []
+    for op in (lambda: T.mlp_attention(q, k, v, _op_scale(c), mlp),
+               lambda: T.matmul(chain_ops.weight_mlp_chain(chain_ops.softmax_chain(q, k, c),
+                                                           mlp), v)):
+        with Tape() as tape:
+            out = op()
+            loss = T.reduce_sum(T.mul(out, tensor(upstream)))
+        grads = backward(tape, loss)
+        runs.append([out.data, *(grads.wrt(t) for t in (q, k, v)),
+                     *(grads.wrt(t) for layer in mlp.layers for t in layer)])
+    return runs, T.attention_weights_data(q, k, _op_scale(c), mlp), chain_w.data
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 20])
+@pytest.mark.parametrize("hidden", [(), (8,), (3, 2)])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("c", [None, 0.4])
+def test_mlp_attention_matches_weight_mlp_chain(monkeypatch, blocks, hidden, shared, c):
+    # 20 queries in 1 block, 2 blocks of 10 rows or 20 blocks of 1 row: the
+    # height is BLOCK_ELEMS // (M · widest layer).
+    m, width = 20 if shared else 23, max([1, *hidden])
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 20 // blocks * m * width)
+    rows = _count_attention_blocks(monkeypatch, "_weight_map")
+    (got, want), weights, chain_weights = _mlp_attention_runs(hidden, shared, c)
+    # Forward, backward and the reader each walk the same blocks.
+    assert rows == [20 // blocks] * blocks * 3
+    if blocks == 1:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert weights.tobytes() == chain_weights.tobytes()
+    np.testing.assert_allclose(weights, chain_weights, rtol=0, atol=1e-15)
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10 * np.abs(w).max())
+
+
+def test_mlp_attention_replays_and_backpropagates_twice(monkeypatch):
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 3 * 12 * 8)   # blocks of 3, 3, 3 and 1 rows
+    rng = np.random.default_rng(24)
+    mlp = _weight_mlp(rng, (8,))
+    ops = [tensor(rng.normal(size=s), trainable=True) for s in ((10, 3), (12, 3), (12, 2))]
+    with Tape() as tape:
+        out = T.mlp_attention(*ops, 0.5, mlp)
+        loss = T.reduce_sum(T.mul(out, out))
+    first, second = (backward(tape, loss) for _ in range(2))
+    for t in (*ops, *mlp.layers[0], *mlp.layers[1]):
+        assert first.wrt(t).tobytes() == second.wrt(t).tobytes()
+    assert tape.nodes[0].op == "mlp_attention"
+    assert tape.replay()
+    mlp.layers[0][0].data[0, 0] += 1.0
+    assert not tape.replay()
+
+
+def test_mlp_attention_rejects_a_stack_not_mapping_one_column_to_one():
+    q, v = tensor(np.zeros((4, 3))), tensor(np.zeros((4, 2)))
+    for layers in ([(np.zeros((2, 1)), np.zeros(1))], [(np.zeros((1, 2)), np.zeros(2))],
+                   [(np.zeros((1, 1)), np.zeros(2))]):
+        with pytest.raises(ShapeError):
+            T.mlp_attention(q, q, v, 1.0, MlpParams(layers))
+        with pytest.raises(ShapeError):
+            T.attention_weights_data(q, q, 1.0, MlpParams(layers))
+    with pytest.raises(ShapeError):
+        T.mlp_attention(q, q, tensor(np.zeros((3, 2))), 1.0, MlpParams([]))
+
+
 def test_softmax_backward_leaves_incoming_gradient_untouched():
     # add's backward hands one gradient array to both of its inputs.
     rng = np.random.default_rng(18)
     x = tensor(rng.normal(size=(6, 3)), trainable=True)
-    for build in (lambda: _attention_chain(x, x, 0.5), lambda: T.softmax_rows(x),
+    for build in (lambda: chain_ops.softmax_chain(x, x, 0.5), lambda: T.softmax_rows(x),
                   lambda: T.attention(x, x, x, 0.5),
                   lambda: T.linear(T.transpose2(x), x, x.data[0], relu=True),
                   lambda: chain_ops.local_aggregate(x, x, np.arange(18) % 6),
@@ -1280,7 +1357,7 @@ def test_replay_reproduces_outputs_bitwise():
     a = tensor(rng.normal(size=(4, 4)), trainable=True)
     with Tape() as tape:
         s = T.softmax_rows(T.matmul(a, T.transpose2(a)))
-        pos = T.add_const(T.softplus(T.scale(a, -1.0)), 1.0)
+        pos = T.add_const(chain_ops.softplus(T.scale(a, -1.0)), 1.0)
         r = T.div(T.sqrt(pos), T.relu(pos))
         cat = T.concat_cols([s, T.attention(a, s, r, 0.5), r])
         rows = T.gather_rows(cat, [3, 0, 0, 2])
@@ -1297,13 +1374,17 @@ def test_replay_reproduces_outputs_bitwise():
                                  MlpParams([(tensor(rng.normal(size=(10, 3))), a.data[1, :3]),
                                             (tensor(rng.normal(size=(3, 1))), [0.5])]),
                                  rng.normal(size=(8, 3)), a, blend, [1, 1, 0, 3, 2, 2, 0, 1])
+        T.mlp_attention(a, s, r, 0.5, MlpParams([(tensor(rng.normal(size=(1, 2))), a.data[0, :2]),
+                                                 (tensor(rng.normal(size=(2, 1))), [0.5])]))
         T.add(T.reduce_sum(T.add(col, T.mul(col, col))),
               T.add(T.reduce_sum(T.add(blend, route)), T.mean_sq_dist(head, hidden)))
     # Every op name that tensor.py records is on this one tape, and linear
-    # with and without ReLU; so are the two chain references of local_route.
+    # with and without ReLU; so are the two chain references of local_route
+    # and the softplus of mlp_attention's chain.
     ops = set(re.findall(r'(?:_record|_elementwise)\("(\w+)"', inspect.getsource(T)))
     assert len(ops) == 21
-    assert {node.op for node in tape.nodes} == ops | {"score_layer", "local_aggregate"}
+    assert {node.op for node in tape.nodes} == ops | {"score_layer", "local_aggregate",
+                                                      "softplus"}
     assert [node.output.data.min() >= 0.0 for node in tape.nodes
             if node.op == "linear"] == [True, False]
     before = [node.output.data.tobytes() for node in tape.nodes]
@@ -1324,7 +1405,7 @@ def test_replay_reproduces_outputs_bitwise():
 
 def test_replay_detects_a_mutated_input():
     rng = np.random.default_rng(15)
-    for op in (T.mul, lambda a, b: _attention_chain(a, b, 0.5),
+    for op in (T.mul, lambda a, b: chain_ops.softmax_chain(a, b, 0.5),
                lambda a, b: T.softmax_rows(a), lambda a, b: T.linear(a, b, b.data[0]),
                lambda a, b: chain_ops.local_aggregate(b, a, T.RowIndex([0, 0, 1, 2, 2, 2, 0, 1, 1])),
                lambda a, b: chain_ops.score_layer(a, tensor(np.ones((9, 2))), tensor(np.ones(2)),

@@ -310,6 +310,13 @@ def test_gradcheck_flags_corrupted_gradient():
     assert grad_check(corrupt=True) > 1e-3
 
 
+def test_gradcheck_passes_on_the_weight_mlp_route():
+    cfg = default_gradcheck_config()
+    cfg.module.use_weight_mlp = True
+    assert grad_check(cfg) < 1e-6
+    assert grad_check(cfg, corrupt=True) > 1e-3
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
