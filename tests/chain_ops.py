@@ -1,17 +1,20 @@
-"""The former op chains of two fused routes, kept as the references that
-``flowagg.tensor.local_route`` and ``flowagg.tensor.mlp_attention`` are
-tested against.
+"""Every op chain that a fused tape node of ``flowagg.tensor`` stands
+for, kept here as the reference the node is tested against (see
+``tests/test_fused_nodes.py``).
 
-``score_layer`` (the local scores' first layer) and ``local_aggregate``
-(the weighted sum of neighbour rows) were the local route's fused nodes
-before ``local_route`` replaced the route's seven nodes with one. With
-``linear``, ``reshape`` and ``softmax_rows`` they make up the chain whose
-bytes ``local_route`` repeats on one block. ``softmax_chain`` and
+``linear_chain``, ``offset_head_chain`` and ``loss_chain`` are the chains
+of ``linear``, ``offset_head`` and ``mean_sq_dist``. ``score_layer`` (the
+local scores' first layer) and ``local_aggregate`` (the weighted sum of
+neighbour rows) were the local route's fused nodes before
+``local_route`` replaced the route's seven nodes with one;
+``route_chain`` builds that route from them, and ``score_layer_chain``
+and ``local_aggregate_chain`` are their own chains. ``softmax_chain`` and
 ``weight_mlp_chain`` are the global route's weights as the package built
 them before ``mlp_attention``: every N x N intermediate a tape node of
-its own, ``softplus`` included. The ops record through the package's own
-``_record`` helper, so a tape, ``backward`` and ``Tape.replay`` treat
-them as any other op.
+its own, ``softplus`` included; ``attention_chain_then_blend`` and
+``mlp_attention_chain`` multiply them into v. The ops record through the
+package's own ``_record`` helper, so a tape, ``backward`` and
+``Tape.replay`` treat them as any other op.
 """
 
 import numpy as np
@@ -54,6 +57,70 @@ def weight_mlp_chain(w, mlp: MlpParams) -> Tensor:
     pos = softplus(T.mlp_forward(mlp, T.reshape(w, (n * m, 1))))
     grid = T.reshape(pos, (n, m))
     return T.div(grid, T.reduce_sum(grid, axis=1, keepdims=True))
+
+
+def attention_chain_then_blend(q, k, v, c: float | None) -> Tensor:
+    """``attention``'s chain: the softmax weights times v."""
+    return T.matmul(softmax_chain(q, k, c), v)
+
+
+def mlp_attention_chain(q, k, v, c: float | None, mlp: MlpParams) -> tuple[Tensor, np.ndarray]:
+    """``mlp_attention``'s chain, and its N x M weights as an array."""
+    w = weight_mlp_chain(softmax_chain(q, k, c), mlp)
+    return T.matmul(w, v), w.data
+
+
+def linear_chain(x, w, b, relu: bool = False) -> Tensor:
+    """``linear``'s chain: ``relu(add(matmul(x, w), b))``, or no relu."""
+    z = T.add(T.matmul(x, w), b)
+    return T.relu(z) if relu else z
+
+
+def offset_head_chain(p, alpha, y, g) -> Tensor:
+    """The 16-op chain that offset_head's one node stands for: sub, linear,
+    12 elementwise and reduction ops for the head, then mul and add."""
+    z = T.linear(T.sub(y, g), p.weight, p.bias)
+    n = z.data.shape[0]
+    mean = T.scale(T.reduce_sum(z, axis=0, keepdims=True), 1.0 / n)
+    centered = T.sub(z, mean)
+    var = T.scale(T.reduce_sum(T.mul(centered, centered), axis=0, keepdims=True), 1.0 / n)
+    standardized = T.div(centered, T.sqrt(T.add_const(var, T.NORM_EPS)))
+    head = T.relu(T.add(T.mul(standardized, p.gain), p.shift))
+    return T.add(y, T.mul(head, alpha))
+
+
+def loss_chain(pred, gt) -> Tensor:
+    """The chain that ``mean_sq_dist`` (``train.loss_epe``) stands for."""
+    diff = T.sub(pred, gt)
+    return T.scale(T.reduce_sum(T.mul(diff, diff)), 1.0 / gt.shape[0])
+
+
+def route_chain(encoder, score, disp, context, v, rows) -> tuple[Tensor, np.ndarray]:
+    """The chain local_route stands for, from its two former fused ops; the
+    output and the N x k softmax weights as an array."""
+    n = context.shape[0]
+    enc = T.mlp_forward(encoder, disp)
+    (w0, b0), *rest = score.layers
+    h = score_layer(enc, w0, b0, context, rows, relu=bool(rest))
+    weights = T.softmax_rows(T.reshape(T.mlp_forward(MlpParams(rest), h),
+                                       (n, rows.flat.size // n)))
+    return local_aggregate(weights, v, rows), weights.data
+
+
+def score_layer_chain(enc, w, b, context, idx, relu: bool = False) -> Tensor:
+    """``score_layer``'s chain: ``linear`` over the concatenated rows."""
+    n, k = idx.shape
+    own = np.repeat(np.arange(n), k)
+    return T.linear(T.concat_cols([enc, T.gather_rows(context, idx), T.gather_rows(context, own)]),
+                    w, b, relu=relu)
+
+
+def local_aggregate_chain(weights, v, rows) -> Tensor:
+    """``local_aggregate``'s chain: gather, multiply, sum over k."""
+    n, k = weights.shape
+    picked = T.gather_rows(v, rows)
+    weighted = T.mul(picked, T.reshape(weights, (n * k, 1)))
+    return T.reduce_sum(T.reshape(weighted, (n, k, v.shape[1])), axis=1)
 
 
 def score_layer(enc, w, b, context, rows, relu: bool = False) -> Tensor:
@@ -115,8 +182,6 @@ def score_layer(enc, w, b, context, rows, relu: bool = False) -> Tensor:
     return _record("score_layer", (b, enc, w), fwd, bwd)
 
 
-
-
 def local_aggregate(weights, v, rows) -> Tensor:
     """Per point i, the weighted sum over its k neighbour rows:
     ``out[i] = sum_j weights[i, j] * v[rows[i·k + j]]``, as one tape node.
@@ -127,8 +192,9 @@ def local_aggregate(weights, v, rows) -> Tensor:
     rows), reshape(weights, (N·k, 1))), (N, k, Dm)), axis=1)`` in output
     bytes and gradients, but the N·k x Dm gathered and weighted rows are
     transient: the node keeps only its N x Dm output, and backward gathers
-    the rows again and scatters v's gradient through the index's
-    occurrence rounds.
+    the rows again and scatters v's gradient with ``np.add.at``, the
+    order that ``RowIndex.scatter_add`` repeats; so a chain built on this
+    op does not share the scatter that the fused nodes use.
     """
     weights, v = _as_tensor(weights), _as_tensor(v)
     wd, vd = weights.data, v.data
@@ -154,5 +220,7 @@ def local_aggregate(weights, v, rows) -> Tensor:
         p, g3 = picked(), g[:, None, :]
         gw = np.multiply(g3, p, out=p).sum(axis=2)
         gp = np.multiply(g3, wd[..., None], out=p).reshape(n * k, dm)
-        return gw, rows.scatter_add(vd.shape[0], dm, lambda pos: gp[pos])
+        gv = np.zeros(vd.shape)
+        np.add.at(gv, rows.flat, gp)
+        return gw, gv
     return _record("local_aggregate", (weights, v), fwd, bwd)

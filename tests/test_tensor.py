@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import chain_ops
 import oracles
+import test_fused_nodes as fused
 from flowagg import tensor as T
 from flowagg.aggregator import AggregatorConfig, FeatureSet, forward, init_params, prepare_inputs
 from flowagg.spatial import PointCloud, knn
@@ -336,63 +337,12 @@ def test_row_index_is_a_read_only_copy():
         rows.flat[0] = 0
 
 
-def _bytes_and_grads(build, leaves):
-    """Output bytes and the bytes of every leaf's gradient, for `build`,
-    which returns (output, scalar loss) while a tape records."""
-    with Tape() as tape:
-        out, loss = build()
-    grads = backward(tape, loss)
-    return [out.data.tobytes()] + [grads.wrt(t).tobytes() for t in leaves]
-
-
-def _linear_chain(x, w, b, relu=False):
-    z = T.add(T.matmul(x, w), b)
-    return T.relu(z) if relu else z
-
-
-def _linear_case(case, rng):
-    """(x, w, b) for `case`."""
-    if case == "shared_x_w":
-        x = tensor(rng.normal(size=(5, 5)), trainable=True)
-        return x, x, tensor(rng.normal(size=5), trainable=True)
-    n = 1 if case == "single_row" else 6
-    xd, wd, bd = rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
-    if case == "zero_preactivations":
-        # Column 0 cancels to +0.0 exactly; row 0 holds underflowing
-        # negative products, which this BLAS sums to -0.0, plus b = -0.0.
-        xd[:, 1:], wd[1:, 0], wd[0, 0] = 0.0, 0.0, 2.0
-        xd[:, 0] = 0.5
-        bd[0] = -1.0
-        xd[0], wd[:, 1:], bd[1:] = -1e-200, 1e-200, -0.0
-    return (tensor(xd, trainable=True), tensor(wd, trainable=True),
-            tensor(bd, trainable=True))
-
-
-LINEAR_CASES = ["distinct", "single_row", "zero_preactivations", "shared_x_w",
-                "x_used_downstream"]
-
-
+# tests/test_fused_nodes.py compares each fused node with its chain; the
+# tests here that call fused.check keep these names for its rows.
 @pytest.mark.parametrize("relu", [False, True])
-@pytest.mark.parametrize("case", LINEAR_CASES)
+@pytest.mark.parametrize("case", fused.LINEAR_CASES)
 def test_linear_bitwise_equals_matmul_add_relu_chain(case, relu):
-    rng = np.random.default_rng(len(case))
-    x, w, b = _linear_case(case, rng)
-    z = x.data @ w.data + b.data
-    if case == "zero_preactivations":
-        assert (z == 0.0).sum() >= 6
-    upstream = tensor(rng.normal(size=z.shape))
-    upstream.data[::2, ::2] = 0.0
-
-    def run(op):
-        def build():
-            y = op(x, w, b, relu=relu)
-            loss = T.reduce_sum(T.mul(y, upstream))
-            if case == "x_used_downstream":
-                loss = T.add(loss, T.reduce_sum(T.mul(x, x)))
-            return y, loss
-        return _bytes_and_grads(build, [x, w, b])
-
-    assert run(T.linear) == run(_linear_chain)
+    fused.check(f"linear/{case}/relu={relu}")
 
 
 def _kept_bytes(build) -> tuple[int, list]:
@@ -430,105 +380,22 @@ def test_linear_rejects_mismatched_operands():
             T.linear(*bad)
 
 
-def _offset_head_chain(p, alpha, y, g):
-    """The 16-op chain that offset_head's one node stands for: sub, linear,
-    12 elementwise and reduction ops for the head, then mul and add."""
-    z = T.linear(T.sub(y, g), p.weight, p.bias)
-    n = z.data.shape[0]
-    mean = T.scale(T.reduce_sum(z, axis=0, keepdims=True), 1.0 / n)
-    centered = T.sub(z, mean)
-    var = T.scale(T.reduce_sum(T.mul(centered, centered), axis=0, keepdims=True), 1.0 / n)
-    standardized = T.div(centered, T.sqrt(T.add_const(var, T.NORM_EPS)))
-    head = T.relu(T.add(T.mul(standardized, p.gain), p.shift))
-    return T.add(y, T.mul(head, alpha))
-
-
-def _norm_head_case(case, rng):
-    """(y, g, alpha, params, upstream gradient) for `case`."""
-    n, d = {"two_rows": (2, 3), "shared_gain_shift": (6, 32),
-            "n2000_d32": (2000, 32)}.get(case, (4, 3))
-    y, g, w, upstream = (rng.normal(size=s) for s in ((n, d), (n, d), (d, d), (n, d)))
-    b, gain, shift = (rng.normal(size=d) for _ in range(3))
-    alpha = rng.normal()
-    if case == "constant_column":
-        # z[:, 0] is 1.5 in every row; over 4 rows its mean is exact.
-        w[:, 0], b[0] = 0.0, 1.5
-    if case in ("dead_column", "negative_upstream"):
-        # Standardized values lie within ±sqrt(n - 1), so no row survives.
-        gain[1], shift[1] = 1.0, -10.0
-    if case == "negative_upstream":
-        upstream, alpha = -np.abs(upstream), abs(alpha)
-    if case == "all_dead":
-        # No column survives and the upstream gradient has both signs, so
-        # every column of the gradient at z is zeros of both signs, and
-        # both BLAS products and the bias sum take all-zero columns.
-        gain[:], shift[:] = 1.0, -10.0
-    p = NormActParams(*(tensor(a, trainable=True) for a in (w, b, gain, shift)))
-    if case == "shared_gain_shift":
-        p.shift = p.gain
-    return (tensor(y, trainable=True), tensor(g, trainable=True),
-            Tensor(np.asarray(alpha), trainable=True), p, tensor(upstream))
-
-
-NORM_HEAD_CASES = ["distinct", "two_rows", "constant_column", "dead_column",
-                   "negative_upstream", "all_dead", "shared_gain_shift", "n2000_d32"]
-
-
-@pytest.mark.parametrize("case", NORM_HEAD_CASES)
+@pytest.mark.parametrize("case", fused.HEAD_CASES)
 def test_norm_act_head_bitwise_equals_linear_and_twelve_op_chain(case):
-    rng = np.random.default_rng(len(case))
-    y, g, alpha, p, upstream = _norm_head_case(case, rng)
-
-    def run(op):
-        def build():
-            out = op(p, alpha, y, g)
-            loss = T.reduce_sum(T.mul(out, upstream))
-            if case == "shared_gain_shift":
-                # The shared tensor's gradient then sums three terms, whose
-                # order shows in the bytes.
-                loss = T.add(loss, T.reduce_sum(T.mul(p.gain, p.gain)))
-            return out, loss
-        return _bytes_and_grads(build, [y, g, alpha, p.weight, p.bias, p.gain, p.shift])
-
-    fused = run(T.offset_head)
-    assert fused == run(_offset_head_chain)
-    out, *grads = (np.frombuffer(b) for b in fused)
-    assert all(np.isfinite(gr).all() for gr in grads)
-    out, yd, ad = out.reshape(y.shape), y.data, alpha.data
-    if case == "constant_column":
-        assert (out[:, 0] == yd[:, 0] + max(p.shift.data[0], 0.0) * ad).all()
-    if case in ("dead_column", "negative_upstream"):
-        assert (out[:, 1] == yd[:, 1]).all() and grads[6][1] == 0.0
-    if case == "negative_upstream":
-        # The ReLU mask turns every incoming gradient it drops into -0.0.
-        dropped = out == yd
-        assert (upstream.data[dropped] < 0.0).all() and dropped.sum() >= 4
-    if case == "all_dead":
-        # Numpy's sums and the BLAS products start at +0.0, so every head
-        # gradient is +0.0 and g's, the negated product, is -0.0.
-        assert (out == yd).all() and grads[0].tobytes() == upstream.data.tobytes()
-        assert all(not np.signbit(gr).any() for gr in grads[2:])
-        assert np.signbit(grads[1]).all()
+    fused.check(f"offset_head/{case}")
 
 
 def test_norm_act_head_backpropagates_twice_with_the_same_bytes():
     # Backward reads the kept head output and centered rows and must leave
-    # them as they were.
-    rng = np.random.default_rng(23)
-    y, g, alpha, p, upstream = _norm_head_case("distinct", rng)
-    with Tape() as tape:
-        loss = T.reduce_sum(T.mul(T.offset_head(p, alpha, y, g), upstream))
-    assert [node.op for node in tape.nodes] == ["offset_head", "mul", "reduce_sum"]
-    first, second = (backward(tape, loss) for _ in range(2))
-    for t in (y, g, alpha, p.weight, p.bias, p.gain, p.shift):
-        assert first.wrt(t).tobytes() == second.wrt(t).tobytes()
+    # them as they were: every fused run backpropagates twice.
+    fused.check("offset_head/distinct")
 
 
 def test_norm_act_head_keeps_no_more_than_its_chain():
-    rng = np.random.default_rng(24)
-    y, g, alpha, p, _ = _norm_head_case("n2000_d32", rng)
+    y, g, alpha, *params = fused.TABLE["offset_head/n2000_d32"].leaves
+    p = NormActParams(*params)
     kept, nodes = _kept_bytes(lambda: T.offset_head(p, alpha, y, g))
-    chain_kept, chain_nodes = _kept_bytes(lambda: _offset_head_chain(p, alpha, y, g))
+    chain_kept, chain_nodes = _kept_bytes(lambda: chain_ops.offset_head_chain(p, alpha, y, g))
     assert [node.op for node in nodes] == ["offset_head"] and len(chain_nodes) == 16
     # The node keeps its output, the head's output and the centered rows;
     # the chain keeps ten N x D arrays.
@@ -551,14 +418,6 @@ def test_norm_act_head_rejects_mismatched_params():
                                     (alpha, tensor(np.zeros(3)), tensor(np.zeros(3)))):
         with pytest.raises(ShapeError):
             T.offset_head(_identity_head(3), bad_alpha, bad_y, bad_g)
-
-
-
-def _local_aggregate_chain(weights, v, rows):
-    n, k = weights.shape
-    picked = T.gather_rows(v, rows)
-    weighted = T.mul(picked, T.reshape(weights, (n * k, 1)))
-    return T.reduce_sum(T.reshape(weighted, (n, k, v.shape[1])), axis=1)
 
 
 def _local_case(case, rng):
@@ -594,18 +453,12 @@ def test_local_aggregate_bitwise_equals_gather_mul_sum_chain(case, row_index):
     rows = T.RowIndex(idx) if row_index else idx
     upstream = _scatter_gradient(weights.shape[0], rng)
     upstream[1::2] = 1.0
-    upstream = tensor(upstream)
-
-    def run(op):
-        def build():
-            out = op(weights, v, rows)
-            # With the shared tensor also used downstream, its gradient sums
-            # three terms, whose order shows in the bytes.
-            return out, T.add(T.reduce_sum(T.mul(out, upstream)),
-                              T.reduce_sum(T.mul(v, v)))
-        return _bytes_and_grads(build, [weights, v])
-
-    assert run(chain_ops.local_aggregate) == run(_local_aggregate_chain)
+    # With the shared tensor also used downstream, its gradient sums three
+    # terms, whose order shows in the bytes.
+    row = fused.Row("local_aggregate", lambda: (chain_ops.local_aggregate(weights, v, rows),),
+                    lambda: (chain_ops.local_aggregate_chain(weights, v, rows),), [weights, v],
+                    tensor(upstream), after=v)
+    fused.same(fused.run(row, row.fused), fused.run(row, row.chain))
 
 
 def test_local_aggregate_keeps_no_gathered_rows():
@@ -628,13 +481,6 @@ def test_local_aggregate_rejects_mismatched_operands():
                 (w, tensor(np.zeros(5)), np.zeros(8, dtype=int))):
         with pytest.raises(ShapeError):
             chain_ops.local_aggregate(*bad)
-
-
-def _score_layer_chain(enc, w, b, context, idx, relu=False):
-    n, k = idx.shape
-    own = np.repeat(np.arange(n), k)
-    return T.linear(T.concat_cols([enc, T.gather_rows(context, idx), T.gather_rows(context, own)]),
-                    w, b, relu=relu)
 
 
 def _score_case(case, rng):
@@ -661,23 +507,16 @@ def _score_case(case, rng):
 def test_score_layer_matches_concat_linear_chain(case, relu):
     rng = np.random.default_rng(len(case))
     enc, w, b, context, idx = _score_case(case, rng)
-    upstream = tensor(rng.normal(size=(enc.shape[0], w.shape[1])))
-
-    def run(op):
-        with Tape() as tape:
-            y = op(enc, w, b, context, idx, relu=relu)
-            loss = T.reduce_sum(T.mul(y, upstream))
-        grads = backward(tape, loss)
-        return [y.data] + [grads.wrt(t) for t in (enc, w, b)]
-
-    fused, chain = run(chain_ops.score_layer), run(_score_layer_chain)
+    row = fused.Row("score_layer", lambda: (chain_ops.score_layer(enc, w, b, context, idx, relu),),
+                    lambda: (chain_ops.score_layer_chain(enc, w, b, context, idx, relu),),
+                    [enc, w, b], tensor(rng.normal(size=(enc.shape[0], w.shape[1]))))
+    got = fused.run(row, row.fused)
     # The sums run in another order, so the two agree to rounding only.
-    for got, want in zip(fused, chain):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    fused.close(got, fused.run(row, row.chain), 1e-12, 1e-12)
     if case == "zero_preactivations":
-        assert not fused[0][:, :2].any()
+        assert not got[0][:, :2].any()
         # A ±0.0 pre-activation passes no gradient through the ReLU.
-        assert (fused[3][:2] == 0.0).all() == relu
+        assert (got[3][:2] == 0.0).all() == relu
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -736,92 +575,20 @@ def test_score_layer_rejects_mismatched_operands():
             chain_ops.score_layer(*bad)
 
 
-def _route_case(rng, n=10, k=3, dc=4, dm=4, disp_hidden=(4,), de=2, score_hidden=(5,)):
-    """(encoder, score, disp, context, v, rows) for :func:`T.local_route`,
-    with trainable layers and v, and neighbour rows with duplicates, self
-    neighbours and rows no point reaches. With `disp_hidden` None the
-    encoder has no layers (the identity, so De = 3)."""
-    def stack(dims):
-        return MlpParams([(tensor(rng.normal(size=(a, b)), trainable=True),
-                           tensor(rng.normal(size=b), trainable=True))
-                          for a, b in zip(dims[:-1], dims[1:])])
-    idx = rng.integers(0, n - 1, size=(n, k))
-    idx[0], idx[1, :2] = 0, 3
-    if disp_hidden is None:
-        encoder, de = MlpParams([]), 3
-    else:
-        encoder = stack((3, *disp_hidden, de))
-    return (encoder, stack((de + 2 * dc, *score_hidden, 1)),
-            rng.normal(size=(n * k, 3)), tensor(rng.normal(size=(n, dc))),
-            tensor(rng.normal(size=(n, dm)), trainable=True), T.RowIndex(idx))
-
-
-def _route_chain(encoder, score, disp, context, v, rows):
-    """The chain local_route stands for, from its two former fused ops."""
-    n = context.shape[0]
-    enc = T.mlp_forward(encoder, disp)
-    (w0, b0), *rest = score.layers
-    h = chain_ops.score_layer(enc, w0, b0, context, rows, relu=bool(rest))
-    weights = T.softmax_rows(T.reshape(T.mlp_forward(MlpParams(rest), h),
-                                       (n, rows.flat.size // n)))
-    return chain_ops.local_aggregate(weights, v, rows), weights.data
-
-
-def _route_run(op, case, upstream):
-    """[output, weights, v's gradient, then each layer's w and b gradient]."""
-    encoder, score, disp, context, v, rows = case
-    with Tape() as tape:
-        out, weights = op(encoder, score, disp, context, v, rows)
-        loss = T.reduce_sum(T.mul(out, upstream))
-    grads = backward(tape, loss)
-    leaves = [v] + [t for w, b in encoder.layers + score.layers for t in (w, b)]
-    return [out.data, np.array(weights)] + [grads.wrt(t) for t in leaves]
-
-
-def _route_upstream(rng, case):
-    # Magnitudes from 1e-6 to 1e6, so that sums depend on their order.
-    n, dm = case[4].shape
-    return tensor(rng.normal(size=(n, dm)) * 10.0 ** rng.integers(-6, 7, size=(n, dm)))
-
-
-@pytest.mark.parametrize("disp_hidden, score_hidden", [((4,), ()), ((4,), (5,)),
-                                                       ((4,), (5, 3)), ((), (5,)),
-                                                       (None, ())])
+@pytest.mark.parametrize("disp_hidden, score_hidden", fused.ROUTE_STACKS)
 def test_local_route_is_its_chain_at_one_block(disp_hidden, score_hidden):
-    rng = np.random.default_rng(30)
-    case = _route_case(rng, disp_hidden=disp_hidden, score_hidden=score_hidden)
-    upstream = _route_upstream(rng, case)
-    got, want = (_route_run(op, case, upstream) for op in (T.local_route, _route_chain))
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    fused.check(f"local_route/{fused.tag(disp_hidden)}/{fused.tag(score_hidden)}")
 
 
-@pytest.mark.parametrize("disp_hidden, score_hidden", [((4,), (5,)), ((), (5, 3)),
-                                                       (None, (5, 3))])
-def test_local_route_over_blocks_matches_one_block(monkeypatch, disp_hidden, score_hidden):
-    rng = np.random.default_rng(31)
-    case = _route_case(rng, disp_hidden=disp_hidden, score_hidden=score_hidden)
-    upstream = _route_upstream(rng, case)
-    one_block = _route_run(T.local_route, case, upstream)
-    # Width 5 (the widest layer): blocks of 3, 3, 3 and 1 points.
-    monkeypatch.setattr(T, "BLOCK_ELEMS", 3 * 3 * 5)
-    assert T.local_block_points(10, 3, 5) == 3
-    blocked = _route_run(T.local_route, case, upstream)
-    # v's gradient is scattered once, after the block loop, in chunks of
-    # at most one block of rows: the bytes of one block's scatter.
-    assert blocked[2].tobytes() == one_block[2].tobytes()
-    # Each block repeats the chain's expressions on its own rows, and each
-    # parameter gradient is a sum of block partials: they agree to 1e-12
-    # of the largest entry of any of them (the last score bias's gradient
-    # sums softmax gradient rows, which cancel to rounding noise).
-    scale = max(np.abs(a).max() for a in one_block)
-    for got, want in zip(blocked, one_block):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+@pytest.mark.parametrize("disp_hidden, score_hidden", fused.ROUTE_BLOCK_STACKS)
+def test_local_route_over_blocks_matches_one_block(disp_hidden, score_hidden):
+    fused.check(f"local_route/{fused.tag(disp_hidden)}/{fused.tag(score_hidden)}/blocks")
 
 
 def test_local_route_backward_recomputes_every_block_but_the_last(monkeypatch):
     rng = np.random.default_rng(32)
-    case = _route_case(rng)
-    upstream = _route_upstream(rng, case).data
+    case = fused.route_case(rng)
+    upstream = rng.normal(size=(10, 4))
     real = T._affine
     calls = []
     monkeypatch.setattr(T, "_affine", lambda *args: calls.append(1) or real(*args))
@@ -840,31 +607,15 @@ def test_local_route_backward_recomputes_every_block_but_the_last(monkeypatch):
 
 
 @pytest.mark.parametrize("block_elems", [None, 3 * 3 * 5])
-def test_local_route_replays_and_backpropagates_twice(monkeypatch, block_elems):
-    if block_elems is not None:
-        monkeypatch.setattr(T, "BLOCK_ELEMS", block_elems)
-    rng = np.random.default_rng(33)
-    case = _route_case(rng)
-    upstream = _route_upstream(rng, case)
-    encoder, score, _, _, v, _ = case
-    with Tape() as tape:
-        out, weights = T.local_route(*case)
-        loss = T.reduce_sum(T.mul(out, upstream))
-    first, second = (backward(tape, loss) for _ in range(2))
-    leaves = [v] + [t for w, b in encoder.layers + score.layers for t in (w, b)]
-    assert [first.wrt(t).tobytes() for t in leaves] == [second.wrt(t).tobytes() for t in leaves]
-    before = weights.tobytes()
-    assert tape.replay()
-    assert weights.tobytes() == before
-    v.data[0, 0] += 1.0
-    assert not tape.replay()
+def test_local_route_replays_and_backpropagates_twice(block_elems):
+    fused.check(f"local_route/replay/{block_elems and 3}")
 
 
 @pytest.mark.parametrize("points", [400, 100, 25])
 def test_local_route_keeps_its_output_weights_and_one_block(monkeypatch, points):
     n, k, dm = 400, 8, 16
-    case = _route_case(np.random.default_rng(34), n=n, k=k, dc=16, dm=dm, disp_hidden=(16,),
-                       de=8, score_hidden=(32,))
+    case = fused.route_case(np.random.default_rng(34), n=n, k=k, dc=16, dm=dm,
+                            disp_hidden=(16,), de=8, score_hidden=(32,))
     # Width 32: blocks of `points` points.
     monkeypatch.setattr(T, "BLOCK_ELEMS", points * k * 32)
     kept, nodes = _kept_bytes(lambda: T.local_route(*case))
@@ -878,7 +629,7 @@ def test_local_route_keeps_its_output_weights_and_one_block(monkeypatch, points)
 
 def test_local_route_rejects_mismatched_operands():
     rng = np.random.default_rng(35)
-    encoder, score, disp, context, v, rows = _route_case(rng)
+    encoder, score, disp, context, v, rows = fused.route_case(rng)
     short = MlpParams(score.layers[:1])
     for bad in ((encoder, score, disp[:-3], context, v, rows),
                 (encoder, score, disp, context, v.data[:-1], rows),
@@ -923,78 +674,18 @@ def test_attention_weights_bitwise_equals_four_op_chain(n, shared, c):
     assert got.tobytes() == chain_ops.softmax_chain(q, k, c).data.tobytes()
 
 
-def _attention_operands(n, shared, c, extra_keys=3, max_logit=None):
-    """Seeded q, k, v and an upstream gradient for n queries; k is q when
-    `shared`. With `max_logit`, q and k are scaled so that the largest
-    |c · q kᵀ| is about that value."""
-    rng = np.random.default_rng(n)
-    qd = rng.normal(size=(n, 5))
-    kd = qd if shared else rng.normal(size=(n + extra_keys, 5))
-    if max_logit is not None:
-        factor = np.sqrt(max_logit / np.abs((1.0 if c is None else c) * (qd @ kd.T)).max())
-        qd = qd * factor
-        kd = qd if shared else kd * factor
-    return qd, kd, rng.normal(size=(kd.shape[0], 4)), rng.normal(size=(n, 4))
-
-
-def _attention_run(op, n, shared, c, extra_keys=3, max_logit=None):
-    """Output and (q, k, v) gradients of op(q, k, v, c) under a fixed
-    upstream gradient; q and k are one tensor when `shared`."""
-    qd, kd, vd, upstream = _attention_operands(n, shared, c, extra_keys, max_logit)
-    q = tensor(qd, trainable=True)
-    k = q if shared else tensor(kd, trainable=True)
-    v = tensor(vd, trainable=True)
-    with Tape() as tape:
-        out = op(q, k, v, c)
-        loss = T.reduce_sum(T.mul(out, tensor(upstream)))
-    grads = backward(tape, loss)
-    return [out.data, grads.wrt(q), grads.wrt(k), grads.wrt(v)]
-
-
-def _attention_chain_then_blend(q, k, v, c):
-    return T.matmul(chain_ops.softmax_chain(q, k, c), v)
-
-
-def _fused_attention(q, k, v, c):
-    return T.attention(q, k, v, _op_scale(c))
-
-
-def _attention_reference(qd, kd, vd, c):
-    """attention's forward expressions in numpy: the shifted exponentials
-    of the logits, E @ v, then a divide by E's row sums."""
-    logits = qd @ np.ascontiguousarray(kd.T)
-    if c is not None:
-        logits *= c
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return (e @ vd) / e.sum(axis=1, keepdims=True)
-
-
-ATTENTION_SCALES = [None, 1.0 / np.sqrt(5), 0.4]
-
-
 @pytest.mark.parametrize("n", [7, 300])
 @pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("c", ATTENTION_SCALES)
+@pytest.mark.parametrize("c", fused.ATTENTION_SCALES)
 def test_attention_one_block_bitwise_equals_numpy_reference(n, shared, c):
-    qd, kd, vd, _ = _attention_operands(n, shared, c)
-    got = _attention_run(_fused_attention, n, shared, c)[0]
-    assert got.tobytes() == _attention_reference(qd, kd, vd, c).tobytes()
-
-
-def _assert_attention_runs_close(got, want):
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+    fused.check(f"attention/{n}/{shared}/{c}")
 
 
 @pytest.mark.parametrize("n", [7, 300])
 @pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("c", ATTENTION_SCALES)
+@pytest.mark.parametrize("c", fused.ATTENTION_SCALES)
 def test_attention_matches_weights_then_matmul(n, shared, c):
-    # Output and q, k, v gradients: the fused node normalises after E @ v
-    # and takes the softmax row term from rowsum(dO * O), so it agrees
-    # with the chain to rounding.
-    _assert_attention_runs_close(_attention_run(_fused_attention, n, shared, c),
-                                 _attention_run(_attention_chain_then_blend, n, shared, c))
+    fused.check(f"attention/{n}/{shared}/{c}")
 
 
 def _count_attention_blocks(monkeypatch, kernel: str = "_exp_rows") -> list[int]:
@@ -1013,25 +704,15 @@ def test_attention_forward_computes_each_block_once(monkeypatch):
     # Forward forms each block's logits and exponentials once, through
     # _block_exps; backward forms its exponentials without _exp_rows.
     rows = _count_attention_blocks(monkeypatch)
-    _attention_run(T.attention, 300, False, 0.5)
+    row = fused.TABLE["attention/300/False/0.4"]
+    fused.run(row, row.fused)
     assert rows == [300]
 
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("c", [None, 0.4])
-def test_attention_over_blocks_matches_one_block(monkeypatch, shared, c):
-    one_block = _attention_run(_fused_attention, 50, shared, c, extra_keys=0)
-    # 8-row blocks over 50 queries: six full blocks and one of 2 rows.
-    monkeypatch.setattr(T, "BLOCK_ELEMS", 8 * 50)
-    monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
-    rows = _count_attention_blocks(monkeypatch)
-    folded = _count_attention_blocks(monkeypatch, "_folded_exps")
-    blocked = _attention_run(_fused_attention, 50, shared, c, extra_keys=0)
-    assert rows == folded == [8] * 6 + [2]
-    # Every output row comes from the same expressions whatever the block;
-    # the k and v gradients are sums over blocks.
-    assert blocked[0].tobytes() == one_block[0].tobytes()
-    _assert_attention_runs_close(blocked[1:], one_block[1:])
+def test_attention_over_blocks_matches_one_block(shared, c):
+    fused.check(f"attention/50/{shared}/{c}/blocks")
 
 
 @pytest.mark.parametrize("c", [None, 0.4])
@@ -1040,10 +721,9 @@ def test_attention_weights_reader_walks_forward_blocks(monkeypatch, c):
     # in forward's own blocks, so it returns the weights the route used.
     monkeypatch.setattr(T, "BLOCK_ELEMS", 8 * 50)
     monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
-    qd, kd, vd, _ = _attention_operands(50, False, c, extra_keys=0)
-    q, k = tensor(qd), tensor(kd)
+    q, k, v, _ = fused.qkv(np.random.default_rng(50), 50, 50, 5, 4, False, c)
     blocks = _count_attention_blocks(monkeypatch)
-    _fused_attention(q, k, tensor(vd), c)
+    T.attention(q, k, v, _op_scale(c))
     forward_blocks = blocks.copy()
     blocks.clear()
     with Tape() as tape:
@@ -1051,7 +731,7 @@ def test_attention_weights_reader_walks_forward_blocks(monkeypatch, c):
     assert not tape.nodes
     assert blocks == forward_blocks == [8] * 6 + [2]
     for r0 in range(0, 50, 8):
-        want = chain_ops.softmax_chain(tensor(qd[r0:r0 + 8]), k, c).data
+        want = chain_ops.softmax_chain(tensor(q.data[r0:r0 + 8]), k, c).data
         assert got[r0:r0 + 8].tobytes() == want.tobytes()
 
 
@@ -1060,8 +740,7 @@ def test_attention_weights_reader_forms_one_block_in_its_result():
     # divides it there, so its peak is one N x M array (320 KB) plus small
     # ones: kᵀ, the row statistics and numpy's 64 KiB buffer for an
     # in-place broadcast ufunc. A separate block buffer would add 320 KB.
-    qd, kd, _, _ = _attention_operands(200, False, 0.4, extra_keys=0)
-    q, k = tensor(qd), tensor(kd)
+    q, k, _, _ = fused.qkv(np.random.default_rng(200), 200, 200, 5, 4, False, 0.4)
     assert T.attention_block_rows(200, 200) == 200
     tracemalloc.start()
     try:
@@ -1100,14 +779,16 @@ def test_attention_both_passes_walk_blocks_of_16_16_and_8_rows(monkeypatch, max_
     # 40 queries over 40 (shared) or 43 keys: the element budget alone
     # would give blocks of 2 or 1 rows, as at large M; the 16-row floor
     # gives both passes blocks of 16, 16 and 8 rows.
-    want = _attention_run(_attention_chain_then_blend, 40, shared, c, max_logit=max_logit)
+    row = fused.attention_row(np.random.default_rng(40), 40, 40 + 3 * (not shared), 5, 4, shared, c,
+                              max_logit=max_logit)
+    want = fused.run(row, row.chain)
     monkeypatch.setattr(T, "BLOCK_ELEMS", 80)
     monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 16)
     forward_rows = _count_attention_blocks(monkeypatch)
     backward_rows = _count_attention_blocks(monkeypatch, "_folded_exps")
-    got = _attention_run(_fused_attention, 40, shared, c, max_logit=max_logit)
+    got = fused.run(row, row.fused)
     assert forward_rows == backward_rows == [16, 16, 8]
-    _assert_attention_runs_close(got, want)
+    fused.close(got, want, 1e-12, 1e-12)
 
 
 def test_attention_block_rows_at_benchmark_and_golden_sizes():
@@ -1137,10 +818,7 @@ def test_attention_keeps_no_block_buffer():
 def test_attention_stays_finite_at_large_logits(shared, c):
     # Logits up to ±900: exp would overflow without the row max, and the
     # rows are close to one-hot.
-    fused = _attention_run(_fused_attention, 40, shared, c, max_logit=900.0)
-    assert all(np.isfinite(a).all() for a in fused)
-    _assert_attention_runs_close(
-        fused, _attention_run(_attention_chain_then_blend, 40, shared, c, max_logit=900.0))
+    fused.check(f"attention/max_logit_900/{shared}/{c}")
 
 
 def test_grad_attention():
@@ -1167,73 +845,16 @@ def test_attention_rejects_mismatched_operands():
         T.attention(q, tensor(np.zeros((0, 3))), tensor(np.zeros((0, 2))), 1.0)
 
 
-def _weight_mlp(rng, hidden):
-    dims = (1, *hidden, 1)
-    return MlpParams([(tensor(rng.normal(size=(a, b)), trainable=True),
-                       tensor(rng.normal(size=b), trainable=True))
-                      for a, b in zip(dims[:-1], dims[1:])])
-
-
-def _mlp_attention_runs(hidden, shared, c, n=20):
-    """Output, q, k and v gradients and the weight MLP's (w, b) gradients,
-    layer by layer, of mlp_attention and of its chain (chain_ops), and the
-    weights reader's array and the chain's weights, under one fixed
-    upstream gradient; k is q when `shared`."""
-    qd, kd, vd, upstream = _attention_operands(n, shared, c)
-    mlp = _weight_mlp(np.random.default_rng(len(hidden)), hidden)
-    q = tensor(qd, trainable=True)
-    k = q if shared else tensor(kd, trainable=True)
-    v = tensor(vd, trainable=True)
-    chain_w = chain_ops.weight_mlp_chain(chain_ops.softmax_chain(q, k, c), mlp)
-    runs = []
-    for op in (lambda: T.mlp_attention(q, k, v, _op_scale(c), mlp),
-               lambda: T.matmul(chain_ops.weight_mlp_chain(chain_ops.softmax_chain(q, k, c),
-                                                           mlp), v)):
-        with Tape() as tape:
-            out = op()
-            loss = T.reduce_sum(T.mul(out, tensor(upstream)))
-        grads = backward(tape, loss)
-        runs.append([out.data, *(grads.wrt(t) for t in (q, k, v)),
-                     *(grads.wrt(t) for layer in mlp.layers for t in layer)])
-    return runs, T.attention_weights_data(q, k, _op_scale(c), mlp), chain_w.data
-
-
 @pytest.mark.parametrize("blocks", [1, 2, 20])
 @pytest.mark.parametrize("hidden", [(), (8,), (3, 2)])
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("c", [None, 0.4])
-def test_mlp_attention_matches_weight_mlp_chain(monkeypatch, blocks, hidden, shared, c):
-    # 20 queries in 1 block, 2 blocks of 10 rows or 20 blocks of 1 row: the
-    # height is BLOCK_ELEMS // (M · widest layer).
-    m, width = 20 if shared else 23, max([1, *hidden])
-    monkeypatch.setattr(T, "BLOCK_ELEMS", 20 // blocks * m * width)
-    rows = _count_attention_blocks(monkeypatch, "_weight_map")
-    (got, want), weights, chain_weights = _mlp_attention_runs(hidden, shared, c)
-    # Forward, backward and the reader each walk the same blocks.
-    assert rows == [20 // blocks] * blocks * 3
-    if blocks == 1:
-        assert got[0].tobytes() == want[0].tobytes()
-        assert weights.tobytes() == chain_weights.tobytes()
-    np.testing.assert_allclose(weights, chain_weights, rtol=0, atol=1e-15)
-    for g, w in zip(got, want, strict=True):
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10 * np.abs(w).max())
+def test_mlp_attention_matches_weight_mlp_chain(blocks, hidden, shared, c):
+    fused.check(f"mlp_attention/{c}/{shared}/{fused.tag(hidden)}/{blocks}")
 
 
-def test_mlp_attention_replays_and_backpropagates_twice(monkeypatch):
-    monkeypatch.setattr(T, "BLOCK_ELEMS", 3 * 12 * 8)   # blocks of 3, 3, 3 and 1 rows
-    rng = np.random.default_rng(24)
-    mlp = _weight_mlp(rng, (8,))
-    ops = [tensor(rng.normal(size=s), trainable=True) for s in ((10, 3), (12, 3), (12, 2))]
-    with Tape() as tape:
-        out = T.mlp_attention(*ops, 0.5, mlp)
-        loss = T.reduce_sum(T.mul(out, out))
-    first, second = (backward(tape, loss) for _ in range(2))
-    for t in (*ops, *mlp.layers[0], *mlp.layers[1]):
-        assert first.wrt(t).tobytes() == second.wrt(t).tobytes()
-    assert tape.nodes[0].op == "mlp_attention"
-    assert tape.replay()
-    mlp.layers[0][0].data[0, 0] += 1.0
-    assert not tape.replay()
+def test_mlp_attention_replays_and_backpropagates_twice():
+    fused.check("mlp_attention/replay")
 
 
 def test_mlp_attention_rejects_a_stack_not_mapping_one_column_to_one():
@@ -1427,25 +1048,8 @@ def test_replay_detects_a_mutated_input():
 
 
 @pytest.mark.parametrize("block_elems", [None, 3 * 12])
-def test_attention_replays_and_backpropagates_twice(monkeypatch, block_elems):
-    if block_elems is not None:
-        monkeypatch.setattr(T, "BLOCK_ELEMS", block_elems)
-        monkeypatch.setattr(T, "ATTENTION_MIN_ROWS", 1)
-        assert T.attention_block_rows(10, 12) == 3   # blocks of 3, 3, 3 and 1 rows
-    rng = np.random.default_rng(16)
-    for mutated in range(3):
-        ops = [tensor(rng.normal(size=(10, 3)), trainable=True),
-               tensor(rng.normal(size=(12, 3)), trainable=True),
-               tensor(rng.normal(size=(12, 2)), trainable=True)]
-        with Tape() as tape:
-            out = T.attention(*ops, 0.5)
-            loss = T.reduce_sum(T.mul(out, out))
-        first, second = (backward(tape, loss) for _ in range(2))
-        for t in ops:
-            assert first.wrt(t).tobytes() == second.wrt(t).tobytes()
-        assert tape.replay()
-        ops[mutated].data[-1, 0] += 1.0
-        assert not tape.replay()
+def test_attention_replays_and_backpropagates_twice(block_elems):
+    fused.check(f"attention/replay/{block_elems and 3}")
 
 
 def test_tensor_factory_rejects_nonfinite():

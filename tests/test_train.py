@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+import chain_ops
 import flowagg
 import oracles
+import test_fused_nodes
 from flowagg import tensor as T
 from flowagg import train as train_module
 from flowagg.aggregator import AggregatorConfig
@@ -68,28 +70,18 @@ def test_mse_loss_two_points():
     assert float(loss_epe(pred, tensor(gt)).data) == pytest.approx(2.5, abs=0)
 
 
-def _loss_chain(pred, gt):
-    """The chain that loss_epe's one node stands for."""
-    diff = T.sub(pred, gt)
-    return T.scale(T.reduce_sum(T.mul(diff, diff)), 1.0 / gt.shape[0])
-
-
 @pytest.mark.parametrize("n", [1, 2, 200])
 def test_loss_epe_is_one_node_with_the_chains_bytes(n):
-    rng = np.random.default_rng(n)
-    pred, gt = (tensor(rng.normal(size=(n, 3)), trainable=True) for _ in range(2))
-    # A row predicted exactly: +0.0 and -0.0 in the two gradients.
-    pred.data[0] = gt.data[0]
-    results, ops = [], []
-    for op in (loss_epe, _loss_chain):
+    # loss_epe tapes one mean_sq_dist node; tests/test_fused_nodes.py
+    # compares that node with its chain on this row.
+    pred, gt = tensor(np.ones((n, 3))), tensor(np.zeros((n, 3)))
+    ops = []
+    for op in (loss_epe, chain_ops.loss_chain):
         with Tape() as tape:
-            loss = op(pred, gt)
-        grads = backward(tape, loss)
-        results.append([np.asarray(loss.data).tobytes(), grads.wrt(pred).tobytes(),
-                        grads.wrt(gt).tobytes()])
+            op(pred, gt)
         ops.append([node.op for node in tape.nodes])
     assert ops == [["mean_sq_dist"], ["sub", "mul", "reduce_sum", "scale"]]
-    assert results[0] == results[1]
+    test_fused_nodes.check(f"mean_sq_dist/exact_row/{n}")
 
 
 def test_loss_epe_rejects_mismatched_shapes():
